@@ -27,7 +27,6 @@ from .dynamics import (
     blowup_monitor,
     duhamel_residual,
     evolve,
-    linear_flows,
     nonlinear_phase_step,
 )
 from .functionals import (
@@ -45,16 +44,7 @@ from .functionals import (
     spacetime_norm,
     strichartz_norm,
 )
-from .grid import (
-    RadialField,
-    RadialGrid,
-    integrate,
-    lp_norm,
-    make_uniform_grid,
-    radial_derivative,
-    radial_laplacian,
-    rescale,
-)
+from .grid import RadialField, RadialGrid, lp_norm, rescale
 from .persist import load_trajectory, save_trajectory
 from .propagator import (
     dispersive_decay_fit,
@@ -96,24 +86,19 @@ __all__ = [
     "greedy_subdivide",
     "half_norm_ratio",
     "hardy_bound_check",
-    "integrate",
     "is_admissible",
     "largest_fraction",
     "linear_flow_check",
-    "linear_flows",
     "load_trajectory",
     "local_mass",
     "lp_norm",
     "make_spectral_grid",
-    "make_uniform_grid",
     "mass_flux_check",
     "momentum_flux_identity_check",
     "morawetz_check",
     "morawetz_weight_eval",
     "nonlinear_phase_step",
     "normalize_scenario",
-    "radial_derivative",
-    "radial_laplacian",
     "rescale",
     "run_scenario",
     "save_trajectory",

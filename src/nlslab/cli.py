@@ -10,7 +10,8 @@ Subcommands::
     export-plots  re-emit the CSV series from an existing report
 
 Exit codes: 0 all-pass, 1 verification failures, 2 configuration error,
-3 runtime alarm (blowup or energy drift).
+3 runtime alarm (blowup or energy drift), 4 internal error (an unexpected
+exception, reported on stderr).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_RUNTIME_ALARM = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
@@ -233,6 +236,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception as exc:  # a crash must not read as a verification failure
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

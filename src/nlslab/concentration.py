@@ -159,16 +159,17 @@ class ExceptionalReport:
         return self.count <= self.count_bound
 
 
-def _linear_flow_density(traj: Trajectory, anchor_index: int) -> np.ndarray:
-    """Critical-norm density of the free flow launched from one endpoint."""
+def _linear_flow_density(traj: Trajectory, anchor_index: int, times) -> np.ndarray:
+    """Critical-norm density, at ``times``, of the free flow launched from
+    the snapshot at ``anchor_index``."""
     tr = get_transform(traj.grid)
     prop = get_propagator(traj.grid)
     n = traj.grid.dimension
     expo = 2.0 * (n + 2) / (n - 2)
     t_anchor = traj.times[anchor_index]
     coeffs = tr.forward(traj.snapshots[anchor_index])
-    out = np.empty(traj.times.size)
-    for i, t in enumerate(traj.times):
+    out = np.empty(len(times))
+    for i, t in enumerate(times):
         vals = tr.backward(prop.evolve_coeffs(coeffs, t - t_anchor))
         out[i] = float(np.sum(traj.grid.weights * np.abs(vals) ** expo))
     return out
@@ -186,9 +187,9 @@ def classify_exceptional(
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    dens_minus = _linear_flow_density(traj, 0)
-    dens_plus = _linear_flow_density(traj, len(traj.snapshots) - 1)
     ts = traj.times
+    dens_minus = _linear_flow_density(traj, 0, ts)
+    dens_plus = _linear_flow_density(traj, ts.size - 1, ts)
     minus_masses, plus_masses, flags = [], [], []
     for j in range(decomp.count):
         a, b = decomp.interval(j)
@@ -249,10 +250,6 @@ def linear_flow_check(
             f"interval mass {mass:.4g} outside [eta/2, 2 eta] = "
             f"[{eta / 2:.4g}, {2 * eta:.4g}]"
         )
-    tr = get_transform(traj.grid)
-    prop = get_propagator(traj.grid)
-    n = traj.grid.dimension
-    expo = 2.0 * (n + 2) / (n - 2)
     # flows are only needed on the snapshot panels overlapping [a, b]
     i0 = max(0, int(np.searchsorted(ts, a, side="right")) - 1)
     i1 = min(ts.size - 1, int(np.searchsorted(ts, b, side="left")))
@@ -260,13 +257,7 @@ def linear_flow_check(
     lin = []
     for t_anchor_req in (a, b):
         idx = int(np.argmin(np.abs(ts - t_anchor_req)))
-        coeffs = tr.forward(traj.snapshots[idx])
-        t_anchor = ts[idx]
-        dens_l = np.empty(sub.size)
-        for i, t in enumerate(sub):
-            vals = tr.backward(prop.evolve_coeffs(coeffs, t - t_anchor))
-            dens_l[i] = float(np.sum(traj.grid.weights * np.abs(vals) ** expo))
-        lin.append(timegrid.pl_integral(sub, dens_l, a, b))
+        lin.append(timegrid.pl_integral(sub, _linear_flow_density(traj, idx, sub), a, b))
     ratios = tuple(m / mass if mass > 0 else math.inf for m in lin)
     return FlowComparison((a, b), mass, (lin[0], lin[1]), ratios)
 

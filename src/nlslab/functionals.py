@@ -12,13 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import timegrid
-from .dynamics import Trajectory
 from .grid import RadialField, lp_norm
 from .transform import fractional_power, get_transform
+
+if TYPE_CHECKING:  # dynamics imports this module for the energy
+    from .dynamics import Trajectory
 
 # ---------------------------------------------------------------------------
 # admissible pairs
@@ -224,10 +227,15 @@ def spacetime_norm(traj: Trajectory, q: float, r: float, interval=None) -> float
     The time integral treats the sampled r-norm density as piecewise
     linear; q = inf takes the supremum over the interval.
     """
+    return _mixed_norm(traj, traj.snapshots, q, r, interval)
+
+
+def _mixed_norm(traj: Trajectory, snapshots, q: float, r: float, interval) -> float:
+    """``spacetime_norm`` of the given snapshots at the trajectory's times."""
     if q < 1 or r < 1:
         raise ValueError("exponents must be >= 1")
     a, b = _resolve_interval(traj, interval)
-    norms = np.array([lp_norm(s, r) for s in traj.snapshots])
+    norms = np.array([lp_norm(s, r) for s in snapshots])
     if math.isinf(q):
         return timegrid.pl_maximum(traj.times, norms, a, b)
     dens = norms**q
@@ -265,29 +273,10 @@ def strichartz_norm(
     for pr in pairs:
         if not is_admissible(pr.q, pr.r, n):
             raise ValueError(f"pair ({pr.q},{pr.r}) fails admissibility")
-    if k == 0:
-        gtraj = traj
-    else:
-        snaps = tuple(fractional_power(s, 1.0) for s in traj.snapshots)
-        gtraj = _with_snapshots(traj, snaps)
-    return max(spacetime_norm(gtraj, pr.q, pr.r, interval) for pr in pairs)
-
-
-def _with_snapshots(traj: Trajectory, snaps) -> Trajectory:
-    return Trajectory(
-        config=traj.config,
-        grid=traj.grid,
-        times=traj.times,
-        snapshots=snaps,
-        mass_series=traj.mass_series,
-        energy_series=traj.energy_series,
-        kinetic_series=traj.kinetic_series,
-        potential_series=traj.potential_series,
-        status=traj.status,
-        abort_reason=traj.abort_reason,
-        blowup=traj.blowup,
-        provenance=traj.provenance,
-    )
+    snaps = traj.snapshots
+    if k == 1:
+        snaps = tuple(fractional_power(s, 1.0) for s in snaps)
+    return max(_mixed_norm(traj, snaps, pr.q, pr.r, interval) for pr in pairs)
 
 
 def critical_density(traj: Trajectory) -> np.ndarray:
@@ -361,6 +350,18 @@ class MorawetzReport:
     interval: tuple[float, float]
 
 
+def _morawetz_lhs(traj: Trajectory, a: float, b: float, A: float, denominator) -> float:
+    """int_a^b int_{|x| <= A (b-a)^{1/2}}  |u|^{2n/(n-2)} / denominator(|x|)  dx dt."""
+    n = traj.grid.dimension
+    mask = traj.grid.nodes <= A * math.sqrt(b - a)
+    wq = traj.grid.weights[mask] / denominator(traj.grid.nodes[mask])
+    expo = 2.0 * n / (n - 2)
+    dens = np.array(
+        [float(np.sum(wq * np.abs(s.values[mask]) ** expo)) for s in traj.snapshots]
+    )
+    return timegrid.pl_integral(traj.times, dens, a, b)
+
+
 def morawetz_check(traj: Trajectory, interval=None, A: float = 1.0) -> MorawetzReport:
     """Weighted spacetime concentration integral against  A |I|^{1/2} E.
 
@@ -372,15 +373,8 @@ def morawetz_check(traj: Trajectory, interval=None, A: float = 1.0) -> MorawetzR
         raise ValueError("A must be >= 1")
     a, b = _resolve_interval(traj, interval)
     length = b - a
-    n = traj.grid.dimension
     rad = A * math.sqrt(length)
-    mask = traj.grid.nodes <= rad
-    wq = traj.grid.weights[mask] / traj.grid.nodes[mask]
-    expo = 2.0 * n / (n - 2)
-    dens = np.array(
-        [float(np.sum(wq * np.abs(s.values[mask]) ** expo)) for s in traj.snapshots]
-    )
-    lhs = timegrid.pl_integral(traj.times, dens, a, b)
+    lhs = _morawetz_lhs(traj, a, b, A, lambda r: r)
     e = float(traj.energy_series[0])
     rhs = A * math.sqrt(length) * e
     ratio = lhs / rhs if rhs > 0 else math.inf if lhs > 0 else 0.0
@@ -397,18 +391,10 @@ def morawetz_check_regularized(
     sharp 1/|x| integral as eps -> 0.
     """
     a, b = _resolve_interval(traj, interval)
-    length = b - a
-    n = traj.grid.dimension
-    rad = A * math.sqrt(length)
-    mask = traj.grid.nodes <= rad
-    expo = 2.0 * n / (n - 2)
-    out = {}
-    for eps in eps_list:
-        wq = traj.grid.weights[mask] / np.sqrt(eps**2 + traj.grid.nodes[mask] ** 2)
-        dens = np.array(
-            [float(np.sum(wq * np.abs(s.values[mask]) ** expo)) for s in traj.snapshots]
-        )
-        out[eps] = timegrid.pl_integral(traj.times, dens, a, b)
+    out = {
+        eps: _morawetz_lhs(traj, a, b, A, lambda r, eps=eps: np.sqrt(eps**2 + r**2))
+        for eps in eps_list
+    }
     eps_sorted = sorted(out)
     if len(eps_sorted) >= 2:
         e1, e0 = eps_sorted[-1], eps_sorted[0]  # largest, smallest

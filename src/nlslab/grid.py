@@ -1,4 +1,4 @@
-"""Radial grids, quadrature, finite-difference operators, and rescaling.
+"""Radial grids, quadrature, sampling, and rescaling.
 
 All fields here are spherically symmetric samples u(r_i) of a complex field
 on R^n, n >= 3.  A grid carries quadrature weights w_i such that
@@ -6,13 +6,10 @@ on R^n, n >= 3.  A grid carries quadrature weights w_i such that
     sum_i w_i f(r_i)  ~  integral over R^n of f,   f radial,
 
 with the angular factor (area of the unit sphere) folded into the weights.
-Two node layouts are supported:
-
-* ``bessel``  - nodes at scaled Bessel zeros, the natural collocation points
-  of the radial spectral transform (see :mod:`nlslab.transform`).  These
-  grids have no node at r = 0 and carry Fourier-Bessel quadrature weights.
-* ``uniform`` - equally spaced nodes including r = 0, trapezoid-type weights.
-  Convenient for stencil and quadrature unit tests.
+The pipeline's grids come from :func:`nlslab.transform.make_spectral_grid`:
+nodes at scaled Bessel zeros (no node at r = 0) with Fourier-Bessel
+quadrature weights, the collocation points of the radial spectral
+transform.  Only those grids, marked ``kind="bessel"``, carry a transform.
 """
 
 from __future__ import annotations
@@ -50,14 +47,15 @@ class RadialGrid:
     r_max : float
         Truncation radius of the computational ball.
     kind : str
-        Node layout, ``"bessel"`` or ``"uniform"``.
+        ``"bessel"`` for spectral collocation grids; hand-built grids keep
+        the default ``"custom"`` and have no spectral transform.
     """
 
     dimension: int
     nodes: NDArray[np.float64]
     weights: NDArray[np.float64]
     r_max: float
-    kind: str = "uniform"
+    kind: str = "custom"
 
     def __post_init__(self):
         if self.dimension < 3:
@@ -76,11 +74,6 @@ class RadialGrid:
     @property
     def n_points(self) -> int:
         return self.nodes.size
-
-    def ball_volume(self) -> float:
-        """Volume of the truncation ball B(0, r_max)."""
-        n = self.dimension
-        return sphere_area(n) * self.r_max ** n / n
 
     def field(self, values) -> "RadialField":
         return RadialField(self, np.asarray(values, dtype=complex))
@@ -113,41 +106,6 @@ class RadialField:
         return RadialField(self.grid, values, self.warnings + tuple(extra_warnings))
 
 
-def make_uniform_grid(dimension: int, n_points: int, r_max: float) -> RadialGrid:
-    """Uniform nodes on [0, r_max] with trapezoid weights times the
-    sphere-area volume factor.
-
-    The trapezoid rule assigns the origin node zero volume share (the
-    radial measure r^{n-1} dr vanishes there); it keeps a denormal-small
-    positive weight only to satisfy the all-weights-positive contract.
-    """
-    if n_points < 3:
-        raise GridError("need at least 3 nodes")
-    r = np.linspace(0.0, float(r_max), n_points)
-    h = r[1] - r[0]
-    trap = np.full(n_points, h)
-    trap[0] = trap[-1] = h / 2.0
-    w = sphere_area(dimension) * trap * r ** (dimension - 1)
-    w[0] = float(np.finfo(float).tiny)
-    return RadialGrid(dimension, r, w, float(r_max), kind="uniform")
-
-
-def integrate(f: RadialField) -> float:
-    """Quadrature of a real-valued radial field over R^n.
-
-    Rejects complex or non-finite samples; use ``lp_norm`` or integrate
-    explicit real quantities like ``abs(u)**2`` for complex fields.
-    """
-    v = np.asarray(f.values)
-    if np.iscomplexobj(v):
-        if np.any(v.imag != 0):
-            raise ValueError("integrate expects real samples")
-        v = v.real
-    if not np.all(np.isfinite(v)):
-        raise ValueError("integrate rejects non-finite samples")
-    return float(np.sum(f.grid.weights * v))
-
-
 def lp_norm(u: RadialField, p: float) -> float:
     """The L^p(R^n) norm of a radial field, p in [1, inf]."""
     if p < 1:
@@ -156,89 +114,6 @@ def lp_norm(u: RadialField, p: float) -> float:
     if math.isinf(p):
         return float(a.max(initial=0.0))
     return float(np.sum(u.grid.weights * a ** p) ** (1.0 / p))
-
-
-def _stencil_coeffs(x0: float, x1: float, x2: float):
-    """First- and second-derivative weights at x1 for nodes (x0, x1, x2).
-
-    Exact for quadratics at any node spacing.
-    """
-    hm = x1 - x0
-    hp = x2 - x1
-    denom = hm * hp * (hm + hp)
-    d1 = np.array([-hp * hp, hp * hp - hm * hm, hm * hm]) / denom
-    d2 = 2.0 * np.array([hp, -(hm + hp), hm]) / denom
-    return d1, d2
-
-
-def _one_sided_coeffs(x0: float, x1: float, x2: float):
-    """Derivative weights at x2 for the quadratic through (x0, x1, x2)."""
-    hm = x1 - x0
-    hp = x2 - x1
-    denom = hm * hp * (hm + hp)
-    d1 = np.array([hp * hp, -((hm + hp) ** 2), hm * (hm + 2 * hp)]) / denom
-    d2 = 2.0 * np.array([hp, -(hm + hp), hm]) / denom
-    return d1, d2
-
-
-def radial_laplacian(u: RadialField) -> RadialField:
-    """Finite-difference Laplacian u_rr + (n-1)/r u_r of a radial field.
-
-    Interior nodes use the three-point stencil on (possibly non-uniform)
-    neighbours.  The inner boundary uses the even extension of radial
-    fields across r = 0; at an actual r = 0 node this reduces to the
-    symmetric limit  lap u(0) = n u_rr(0).  The outer boundary falls back
-    to a one-sided stencil (still exact on quadratics).
-    """
-    g = u.grid
-    r = g.nodes
-    v = u.values
-    if r.size < 3:
-        raise GridError("grid too coarse for a Laplacian stencil")
-    n = g.dimension
-    out = np.empty_like(v)
-
-    for i in range(1, r.size - 1):
-        d1, d2 = _stencil_coeffs(r[i - 1], r[i], r[i + 1])
-        tri = v[i - 1 : i + 2]
-        out[i] = d2 @ tri + (n - 1) / r[i] * (d1 @ tri)
-
-    if r[0] == 0.0:
-        # symmetric limit: u_r(0) = 0 and lap u(0) = n u_rr(0)
-        u_rr0 = 2.0 * (v[1] - v[0]) / r[1] ** 2
-        out[0] = n * u_rr0
-    else:
-        # mirror ghost node at -r_0 with value u_0 (even extension)
-        d1, d2 = _stencil_coeffs(-r[0], r[0], r[1])
-        tri = np.array([v[0], v[0], v[1]])
-        out[0] = d2 @ tri + (n - 1) / r[0] * (d1 @ tri)
-
-    # one-sided: differentiate the quadratic through the last three nodes
-    # at the final node instead of the middle one
-    d1e, d2e = _one_sided_coeffs(r[-3], r[-2], r[-1])
-    tri = v[-3:]
-    out[-1] = d2e @ tri + (n - 1) / r[-1] * (d1e @ tri)
-    return u.with_values(out)
-
-
-def radial_derivative(u: RadialField) -> RadialField:
-    """Finite-difference radial derivative u_r (three-point stencils,
-    even extension at the inner boundary)."""
-    g = u.grid
-    r = g.nodes
-    v = u.values
-    out = np.empty_like(v)
-    for i in range(1, r.size - 1):
-        d1, _ = _stencil_coeffs(r[i - 1], r[i], r[i + 1])
-        out[i] = d1 @ v[i - 1 : i + 2]
-    if r[0] == 0.0:
-        out[0] = 0.0
-    else:
-        d1, _ = _stencil_coeffs(-r[0], r[0], r[1])
-        out[0] = d1 @ np.array([v[0], v[0], v[1]])
-    d1e, _ = _one_sided_coeffs(r[-3], r[-2], r[-1])
-    out[-1] = d1e @ v[-3:]
-    return u.with_values(out)
 
 
 # number of mirrored nodes used to enforce evenness of the interpolant at r=0

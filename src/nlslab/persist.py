@@ -146,7 +146,8 @@ def _config_dict(cfg: EvolutionConfig) -> dict:
     }
 
 
-def _blowup_dict(b: BlowupRecord | None) -> dict | None:
+def blowup_dict(b: BlowupRecord | None) -> dict | None:
+    """JSON form of a blowup record, for the store and the report."""
     if b is None:
         return None
     return {
@@ -173,7 +174,7 @@ def save_trajectory(traj: Trajectory, directory) -> Path:
         "times": list(traj.times),
         "status": traj.status,
         "abort_reason": traj.abort_reason,
-        "blowup": _blowup_dict(traj.blowup),
+        "blowup": blowup_dict(traj.blowup),
         "series": {
             "mass": list(traj.mass_series),
             "energy": list(traj.energy_series),
@@ -206,15 +207,7 @@ def load_trajectory(directory) -> Trajectory:
     blow = None
     if meta["blowup"] is not None:
         b = meta["blowup"]
-        blow = BlowupRecord(
-            flagged=b["flagged"],
-            first_alarm_time=b["first_alarm_time"],
-            gradient_history=tuple(b["gradient_history"]),
-            initial_gradient=b["initial_gradient"],
-            factor=b["factor"],
-            potential_exceeds_kinetic=b["potential_exceeds_kinetic"],
-            blowup_expected=b["blowup_expected"],
-        )
+        blow = BlowupRecord(**{**b, "gradient_history": tuple(b["gradient_history"])})
     prov = {
         k: (tuple(v) if isinstance(v, list) else v)
         for k, v in meta.get("provenance", {}).items()

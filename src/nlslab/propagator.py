@@ -59,19 +59,15 @@ class FreePropagator:
     oracle_tolerance: float
 
     def evolve(self, u: RadialField, t: float) -> RadialField:
-        if abs(t) > self.validated_t_max:
-            raise TimeRangeError(
-                f"|t|={abs(t):.3g} exceeds validated span {self.validated_t_max:.3g} "
-                "(boundary reflection artifacts); enlarge r_max"
-            )
         tr = self.transform
-        return tr.multiplier(u, np.exp(-1j * tr.frequencies**2 * t))
+        return u.with_values(tr.backward(self.evolve_coeffs(tr.forward(u), t)))
 
     def evolve_coeffs(self, coeffs: np.ndarray, t: float) -> np.ndarray:
         """Phase-advance mode coefficients without leaving spectral space."""
         if abs(t) > self.validated_t_max:
             raise TimeRangeError(
-                f"|t|={abs(t):.3g} exceeds validated span {self.validated_t_max:.3g}"
+                f"|t|={abs(t):.3g} exceeds validated span {self.validated_t_max:.3g} "
+                "(boundary reflection artifacts); enlarge r_max"
             )
         return coeffs * np.exp(-1j * self.transform.frequencies**2 * t)
 

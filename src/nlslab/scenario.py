@@ -21,7 +21,7 @@ from . import concentration as conc
 from . import functionals as fn
 from .dynamics import EvolutionConfig, Trajectory, blowup_monitor, duhamel_residual, evolve
 from .grid import RadialField
-from .persist import decode_snapshot, load_trajectory, read_json
+from .persist import blowup_dict, decode_snapshot, load_trajectory, read_json
 from .transform import make_spectral_grid
 
 
@@ -234,7 +234,7 @@ def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:
             "energy_drift_rel": energy_drift,
             "energy_drift_tolerance": tol["energy_drift_rel"],
         },
-        "blowup": _blowup_entry(traj),
+        "blowup": blowup_dict(blowup_monitor(traj)),
     }
 
     # inequality tables (meaningful only while the run is trusted)
@@ -249,19 +249,6 @@ def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:
         if s["analysis"]["certify_resolution"]:
             report["resolution_certification"] = _certify_resolution(s, traj)
     return report
-
-
-def _blowup_entry(traj: Trajectory) -> dict:
-    b = blowup_monitor(traj)
-    return {
-        "flagged": b.flagged,
-        "first_alarm_time": b.first_alarm_time,
-        "initial_gradient": b.initial_gradient,
-        "factor": b.factor,
-        "potential_exceeds_kinetic": b.potential_exceeds_kinetic,
-        "blowup_expected": b.blowup_expected,
-        "gradient_history": list(b.gradient_history),
-    }
 
 
 def _flux_table(s, traj, tol):

@@ -95,14 +95,20 @@ class SpectralTransform:
     def forward(self, u: RadialField) -> NDArray[np.complex128]:
         """Mode coefficients of a field."""
         self._check(u)
-        return self.kernel.T @ (self.sqrt_weights * u.values)
+        return self.coefficients(u.values)
+
+    def coefficients(self, values) -> NDArray[np.complex128]:
+        """Mode coefficients of raw node samples on this grid."""
+        return self.kernel.T @ (self.sqrt_weights * values)
 
     def backward(self, coeffs: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """Node samples from mode coefficients."""
         return (self.kernel @ coeffs) / self.sqrt_weights
 
-    def to_field(self, coeffs, warnings=()) -> RadialField:
-        return RadialField(self.grid, self.backward(coeffs), tuple(warnings))
+    def step_operator(self, multiplier) -> NDArray[np.complex128]:
+        """Dense matrix of a diagonal frequency multiplier, acting on
+        weighted samples sqrt(w) * u."""
+        return (self.kernel * multiplier[None, :]) @ self.kernel.T
 
     def multiplier(self, u: RadialField, values) -> RadialField:
         """Apply a diagonal frequency multiplier."""

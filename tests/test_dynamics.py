@@ -10,7 +10,6 @@ from nlslab import (
     evolve,
     free_evolve,
     gaussian_field,
-    linear_flows,
     lp_norm,
     make_spectral_grid,
     nonlinear_phase_step,
@@ -156,25 +155,6 @@ def test_duhamel_second_order_in_snapshot_spacing(g3_mid):
 def test_duhamel_rejects_non_snapshot_time(traj_defocusing):
     with pytest.raises(ValueError):
         duhamel_residual(traj_defocusing, 0.0, 0.12345)
-
-
-# ---------------------------------------------------------------------------
-# linear flows
-
-
-def test_linear_flows_match_endpoints(traj_defocusing):
-    um, _ = linear_flows(traj_defocusing, traj_defocusing.t_minus)
-    np.testing.assert_array_equal(um.values, traj_defocusing.snapshots[0].values)
-    _, up = linear_flows(traj_defocusing, traj_defocusing.t_plus)
-    np.testing.assert_array_equal(up.values, traj_defocusing.snapshots[-1].values)
-
-
-def test_linear_flows_free_case_collapse(traj_free):
-    t = traj_free.times[len(traj_free.times) // 2]
-    um, up = linear_flows(traj_free, float(t))
-    u = traj_free.field_at(float(t))
-    assert np.abs(um.values - u.values).max() < 1e-9
-    assert np.abs(up.values - u.values).max() < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from nlslab import EvolutionConfig, evolve, gaussian_field, make_spectral_grid
-from nlslab.cli import EXIT_CONFIG_ERROR, EXIT_OK, EXIT_RUNTIME_ALARM, EXIT_VERIFY_FAILED, main
+from nlslab.cli import (
+    EXIT_CONFIG_ERROR,
+    EXIT_INTERNAL_ERROR,
+    EXIT_OK,
+    EXIT_RUNTIME_ALARM,
+    EXIT_VERIFY_FAILED,
+    main,
+)
 from nlslab.persist import (
     canonical_json,
     decode_snapshot,
@@ -236,6 +243,15 @@ def test_cli_corrupted_snapshot_fails_verify(tmp_path):
     mass_check = next(c for c in checks if c["check"] == "mass_conservation")
     assert not mass_check["passed"]
     assert mass_check["measured"] > 1e-3      # the injected magnitude is visible
+
+
+def test_cli_crash_is_internal_error_not_verify_failure(tmp_path, capsys):
+    out = tmp_path / "broken"
+    out.mkdir()
+    report = {"scenario": normalize_scenario(SMALL_SCENARIO), "status": "complete"}
+    write_json(out / "report.json", report)  # no "conserved" section
+    assert main(["verify", "--out", str(out)]) == EXIT_INTERNAL_ERROR
+    assert "internal error: KeyError" in capsys.readouterr().err
 
 
 def test_cli_sweep(tmp_path):

@@ -54,8 +54,17 @@ def test_group_law(g3):
 def test_refuses_beyond_validated_span(g3):
     prop = get_propagator(g3)
     u = gaussian_field(g3)
-    with pytest.raises(TimeRangeError):
+    with pytest.raises(TimeRangeError, match="enlarge r_max"):
         prop.evolve(u, 4.0 * prop.validated_t_max)
+
+
+def test_evolve_coeffs_refuses_beyond_validated_span(g3):
+    prop = get_propagator(g3)
+    coeffs = prop.transform.forward(gaussian_field(g3))
+    for t in (prop.validated_t_max, -prop.validated_t_max):
+        prop.evolve_coeffs(coeffs, t)  # the certified span itself is accepted
+        with pytest.raises(TimeRangeError, match="enlarge r_max"):
+            prop.evolve_coeffs(coeffs, 1.01 * t)
 
 
 def test_validated_span_covers_unit_time(g3):
