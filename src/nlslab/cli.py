@@ -3,7 +3,8 @@
 Subcommands::
 
     simulate      evolve a scenario and write its trajectory store
-    analyze       produce report.json (+ series CSVs) for a scenario,
+                  (no report: nothing is analyzed)
+    analyze       build report.json (+ series CSVs) for a scenario,
                   reusing a stored trajectory when one is present
     verify        evaluate every invariant; exit 0 on all-pass, 1 otherwise
     sweep         run a list of scenarios into per-scenario directories
@@ -29,6 +30,7 @@ from .scenario import (
     RunResult,
     ScenarioError,
     build_report,
+    evolve_scenario,
     normalize_scenario,
     run_scenario,
     verify_report,
@@ -119,12 +121,12 @@ def _finish_run(result: RunResult, out_dir: Path, store: bool) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
-    result = run_scenario(scenario, seed=args.seed)
+    _, traj = evolve_scenario(scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_trajectory(result.trajectory, out_dir / "trajectory")
+    save_trajectory(traj, out_dir / "trajectory")
     write_json(out_dir / "scenario.json", scenario)
-    status = result.report["status"]
+    status = traj.status
     print(f"simulate: {scenario['scenario_id']} -> {out_dir / 'trajectory'} ({status})")
     return EXIT_OK if status == "complete" else EXIT_RUNTIME_ALARM
 

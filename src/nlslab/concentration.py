@@ -10,6 +10,7 @@ accumulating at a single time.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -359,10 +360,20 @@ def window_statistics(decomp: IntervalDecomposition) -> dict:
     """Supremum of the half-norm ratio and the matching largest-fraction
     value over all windows whose endpoints are decomposition boundaries."""
     b = decomp.boundaries
+    roots = [math.sqrt(hi - lo) for lo, hi in zip(b[:-1], b[1:])]
+    # with half_norm_ratio's 1e-12 slack, the window from b[i] to b[j]
+    # contains intervals first[i] <= k < stop[j]; both grow with the index
+    first = [bisect.bisect_left(b, x - 1e-12) for x in b]
+    stop = [bisect.bisect_right(b, x + 1e-12) - 1 for x in b]
     sup_ratio, arg = 0.0, None
     for i in range(len(b) - 1):
+        # the running sum makes half_norm_ratio's additions in its order
+        total, k = 0.0, first[i]
         for j in range(i + 1, len(b)):
-            ratio = half_norm_ratio(decomp, (b[i], b[j]))
+            while k < stop[j]:
+                total += roots[k]
+                k += 1
+            ratio = total / math.sqrt(b[j] - b[i])
             if ratio > sup_ratio:
                 sup_ratio, arg = ratio, (b[i], b[j])
     out = {"sup_half_norm_ratio": sup_ratio, "window": arg}

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import RadialField, RadialGrid
-from .transform import SpectralTransform, get_transform
+from .transform import CACHED_GRIDS, GridCache, SpectralTransform, get_transform
 
 
 class TimeRangeError(ValueError):
@@ -72,7 +72,7 @@ class FreePropagator:
         return coeffs * np.exp(-1j * self.transform.frequencies**2 * t)
 
 
-_propagators: dict[int, FreePropagator] = {}
+_propagators = GridCache(CACHED_GRIDS)
 
 
 def get_propagator(grid: RadialGrid, oracle_tolerance: float = 1e-6) -> FreePropagator:
@@ -81,9 +81,10 @@ def get_propagator(grid: RadialGrid, oracle_tolerance: float = 1e-6) -> FreeProp
     The validated span is the largest ladder time at which the evolved
     reference Gaussian matches the closed form pointwise within
     ``oracle_tolerance`` (checked in both time directions via symmetry),
-    together with a machine-accuracy round-trip test at t = 0.
+    together with a machine-accuracy round-trip test at t = 0.  A cached
+    propagator certified at an equal or stricter tolerance is reused.
     """
-    p = _propagators.get(id(grid))
+    p = _propagators.get(grid)
     if p is not None and p.oracle_tolerance <= oracle_tolerance:
         return p
     tr = get_transform(grid)
@@ -101,7 +102,7 @@ def get_propagator(grid: RadialGrid, oracle_tolerance: float = 1e-6) -> FreeProp
     if t_max == 0.0:
         raise RuntimeError("no ladder time passed the Gaussian oracle self-test")
     p = FreePropagator(tr, t_max, oracle_tolerance)
-    _propagators[id(grid)] = p
+    _propagators.put(grid, p)
     return p
 
 

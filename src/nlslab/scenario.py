@@ -190,6 +190,13 @@ def run_scenario(scenario: dict, seed: int = 0) -> RunResult:
     a report, marked with the truncation reason, containing every
     diagnostic that remains meaningful.
     """
+    s, traj = evolve_scenario(scenario)
+    return RunResult(build_report(s, traj, seed=seed), traj)
+
+
+def evolve_scenario(scenario: dict) -> tuple[dict, Trajectory]:
+    """Normalize one scenario and evolve it: (normalized scenario,
+    trajectory), with no report."""
     s = normalize_scenario(scenario)
     u0 = build_initial_data(s)
     cfg = EvolutionConfig(
@@ -207,8 +214,7 @@ def run_scenario(scenario: dict, seed: int = 0) -> RunResult:
         cfg,
         provenance={"scenario_id": s["scenario_id"], "initial_data": dict(s["initial_data"])},
     )
-    report = build_report(s, traj, seed=seed)
-    return RunResult(report, traj)
+    return s, traj
 
 
 def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:

@@ -16,11 +16,29 @@ sampled, weighted mode matrix is orthonormal to near machine precision;
 we replace it by its exactly orthogonal polar factor so that the discrete
 transform is an exact isometry.  Free evolution and fractional powers then
 conserve the discrete L^2 mass by construction.
+
+The kernel is real and the fields are complex.  ``real_matrix @
+complex_vector`` makes numpy cast the whole N x N matrix to a fresh
+complex copy on every call (16 MB at N = 1024) before one zgemv.  The
+transform instead keeps the kernel in row-major order both ways round
+(``kernel`` and ``kernel_t``) and applies it ``_ROWS`` rows at a time,
+casting only that block.  Each output entry is a dot product over one
+row, so blocking the rows repeats numpy's own cast-then-zgemv arithmetic
+bit for bit without the full-matrix temporary.  Applying the kernel to
+the float view of the complex data (one real GEMM) would be faster
+still, but it rounds differently, and the pinned reports sit on an exact
+tie of the greedy interval subdivision that one ulp can flip.
+
+The polar factor comes from an SVD.  Where LAPACK's SVD does not
+converge, Newton-Schulz iterations X <- X (3I - X^T X) / 2 from the
+sampled matrix give the same factor: it is already orthonormal to about
+1e-12, and the iteration converges quadratically from there.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,6 +107,7 @@ class SpectralTransform:
     order: float
     frequencies: NDArray[np.float64]
     kernel: NDArray[np.float64]        # orthogonal: columns = weighted modes
+    kernel_t: NDArray[np.float64]      # kernel.T, C-contiguous
     deriv_matrix: NDArray[np.float64]  # coefficients -> d/dr samples
     sqrt_weights: NDArray[np.float64]
 
@@ -99,16 +118,26 @@ class SpectralTransform:
 
     def coefficients(self, values) -> NDArray[np.complex128]:
         """Mode coefficients of raw node samples on this grid."""
-        return self.kernel.T @ (self.sqrt_weights * values)
+        x = self.sqrt_weights * values
+        if not np.iscomplexobj(x):
+            # the transposed view selects the same real BLAS kernel (and
+            # rounding) as ever; kernel_t @ x would round differently
+            return self.kernel.T @ x
+        return _apply(self.kernel_t, x)
 
     def backward(self, coeffs: NDArray[np.complex128]) -> NDArray[np.complex128]:
         """Node samples from mode coefficients."""
-        return (self.kernel @ coeffs) / self.sqrt_weights
+        return _apply(self.kernel, coeffs) / self.sqrt_weights
 
     def step_operator(self, multiplier) -> NDArray[np.complex128]:
         """Dense matrix of a diagonal frequency multiplier, acting on
         weighted samples sqrt(w) * u."""
-        return (self.kernel * multiplier[None, :]) @ self.kernel.T
+        right = self.kernel_t.astype(complex)
+        out = np.empty(self.kernel.shape, dtype=complex)
+        for start in range(0, out.shape[0], _ROWS):
+            rows = slice(start, start + _ROWS)
+            np.matmul(self.kernel[rows] * multiplier[None, :], right, out=out[rows])
+        return out
 
     def multiplier(self, u: RadialField, values) -> RadialField:
         """Apply a diagonal frequency multiplier."""
@@ -116,7 +145,7 @@ class SpectralTransform:
 
     def derivative(self, u: RadialField) -> RadialField:
         """Spectrally accurate radial derivative u_r."""
-        return u.with_values(self.deriv_matrix @ self.forward(u))
+        return u.with_values(_apply(self.deriv_matrix, self.forward(u)))
 
     def kinetic_energy(self, u: RadialField) -> float:
         """(1/2) integral of |grad u|^2, exact in the discrete mode basis."""
@@ -136,6 +165,51 @@ class SpectralTransform:
         return float(np.abs(self.backward(self.forward(u)) - u.values).max())
 
 
+# rows of a real matrix cast to complex at a time (a 1 MB block at
+# N = 1024); the tests hold the bits to the full-cast product for N that
+# are and are not multiples of it
+_ROWS = 64
+
+
+def _apply(mat: NDArray[np.float64], x) -> NDArray:
+    """``mat @ x`` with the same bits, casting ``mat`` one row block at a
+    time when ``x`` is complex.  ``mat`` is C-contiguous, so a row block
+    is one contiguous cast."""
+    if not np.iscomplexobj(x):
+        return mat @ x
+    out = np.empty(mat.shape[0], dtype=complex)
+    for start in range(0, mat.shape[0], _ROWS):
+        rows = slice(start, start + _ROWS)
+        np.matmul(mat[rows].astype(complex), x, out=out[rows])
+    return out
+
+
+def _polar_factor(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The orthogonal polar factor of a near-orthogonal square matrix."""
+    try:
+        u, _, vt = np.linalg.svd(a)
+    except np.linalg.LinAlgError:
+        return _newton_schulz_polar(a)
+    return u @ vt
+
+
+# a sampled mode matrix starts with an orthogonality defect of about
+# 1e-12 and needs one or two steps
+_NEWTON_SCHULZ_STEPS = 8
+
+
+def _newton_schulz_polar(a: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Polar factor by X <- X (3I - X^T X) / 2 until max|X^T X - I| < 1e-14."""
+    eye = np.eye(a.shape[0])
+    x = a
+    for _ in range(_NEWTON_SCHULZ_STEPS):
+        gram = x.T @ x
+        if np.abs(gram - eye).max() < 1e-14:
+            return x
+        x = 0.5 * (x @ (3.0 * eye - gram))
+    raise RuntimeError("polar factor: Newton-Schulz iteration did not converge")
+
+
 def _build_transform(grid: RadialGrid) -> SpectralTransform:
     n = grid.dimension
     nu = n / 2.0 - 1.0
@@ -151,25 +225,54 @@ def _build_transform(grid: RadialGrid) -> SpectralTransform:
     sampled = (sw[:, None] * phi) / mode_norm[None, :]
     # polar factor: the nearest exactly orthogonal matrix to the sampled
     # (already near-orthonormal) mode matrix
-    U, _, Vt = np.linalg.svd(sampled)
-    kernel = U @ Vt
+    kernel = _polar_factor(sampled)
     # d/dr [J_nu(k r)/r^nu] = -k J_{nu+1}(k r)/r^nu
     dphi = -k[None, :] * special.jv(nu + 1, np.outer(r, k)) / r[:, None] ** nu
     deriv = dphi / mode_norm[None, :]
-    return SpectralTransform(grid, nu, k, kernel, deriv, sw)
+    return SpectralTransform(grid, nu, k, kernel, np.ascontiguousarray(kernel.T), deriv, sw)
 
 
-_transforms: dict[int, SpectralTransform] = {}
+class GridCache:
+    """Values keyed by grid object, at most ``size`` of them; the least
+    recently used entry is dropped first.
+
+    Grids hash by identity.  A cached value keeps its grid key alive, so
+    an entry can never be found again by a different grid.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self._items: OrderedDict = OrderedDict()
+
+    def get(self, grid: RadialGrid):
+        value = self._items.get(grid)
+        if value is not None:
+            self._items.move_to_end(grid)
+        return value
+
+    def put(self, grid: RadialGrid, value) -> None:
+        self._items[grid] = value
+        self._items.move_to_end(grid)
+        if len(self._items) > self.size:
+            self._items.popitem(last=False)
+
+
+# grids whose transform (three N x N arrays, 24 MB at N = 1024) and
+# propagator stay cached
+CACHED_GRIDS = 8
+
+_transforms = GridCache(CACHED_GRIDS)
 
 
 def get_transform(grid: RadialGrid) -> SpectralTransform:
-    """Transform attached to a bessel-kind grid (cached per grid object)."""
+    """Transform attached to a bessel-kind grid (cached per grid object,
+    for the ``CACHED_GRIDS`` most recently used grids)."""
     if grid.kind != "bessel":
         raise GridError("spectral transform requires a bessel-kind grid")
-    t = _transforms.get(id(grid))
+    t = _transforms.get(grid)
     if t is None:
         t = _build_transform(grid)
-        _transforms[id(grid)] = t
+        _transforms.put(grid, t)
     return t
 
 

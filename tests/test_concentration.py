@@ -322,6 +322,29 @@ def test_window_stats_match_brute_force(lengths):
         assert largest_fraction(d, window) * half_norm_ratio(d, window) ** 2 >= 1.0 - 1e-9
 
 
+@given(
+    st.lists(
+        st.sampled_from([3e-13, 0.25, 1.0, 2.0]) | st.floats(min_value=0.05, max_value=4.0),
+        min_size=1,
+        max_size=30,
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_window_statistics_equals_brute_force_sup(lengths):
+    """Exact equality with the O(J^3) search, equal-length ties and
+    intervals inside the 1e-12 containment slack included."""
+    d = synthetic_decomposition(lengths)
+    b = d.boundaries
+    sup, arg = 0.0, None
+    for i, j in itertools.combinations(range(len(b)), 2):
+        ratio = brute_force_half_norm(d, (b[i], b[j]))
+        if ratio > sup:
+            sup, arg = ratio, (b[i], b[j])
+    stats = window_statistics(d)
+    assert stats["sup_half_norm_ratio"] == sup
+    assert stats["window"] == arg
+
+
 def test_window_statistics_sup(g3):
     rng = np.random.default_rng(11)
     d = synthetic_decomposition(rng.uniform(0.1, 2.0, 40))

@@ -193,6 +193,21 @@ def test_cli_simulate_analyze_verify(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_simulate_builds_no_report(tmp_path, monkeypatch):
+    from nlslab import cli, scenario
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate must not build a report")
+
+    monkeypatch.setattr(scenario, "build_report", refuse)
+    monkeypatch.setattr(cli, "build_report", refuse)
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert (out / "trajectory" / "metadata.json").exists()
+    assert not (out / "report.json").exists()
+
+
 def test_cli_override_and_config_error(tmp_path):
     cfg_path = write_config(tmp_path, SMALL_SCENARIO)
     out = tmp_path / "run2"

@@ -1,13 +1,15 @@
+import gc
 import math
+import weakref
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlslab import fractional_power, gaussian_field, make_spectral_grid
+from nlslab import fractional_power, gaussian_field, get_propagator, make_spectral_grid
 from nlslab.grid import sample_even, sphere_area
-from nlslab.transform import bessel_zeros, get_transform
+from nlslab.transform import CACHED_GRIDS, _build_transform, bessel_zeros, get_transform
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
@@ -32,6 +34,61 @@ def test_roundtrip_on_reference_gaussian(g3):
 def test_kernel_exactly_orthogonal(g3):
     q = get_transform(g3).kernel
     assert np.abs(q.T @ q - np.eye(q.shape[0])).max() < 1e-12
+
+
+@pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1024)])
+def test_dense_application_matches_full_cast_products(n, n_points):
+    """Row-blocked application keeps numpy's bits for real and complex
+    input, including a last block shorter than the others (N = 1000)."""
+    tr = get_transform(make_spectral_grid(n, n_points, 32.0))
+    rng = np.random.default_rng(n_points + n)
+    real = rng.standard_normal(n_points)
+    cplx = real + 1j * rng.standard_normal(n_points)
+    sw = tr.sqrt_weights
+    for x in (real, cplx):
+        assert np.array_equal(tr.coefficients(x), tr.kernel.T @ (sw * x))
+        assert np.array_equal(tr.backward(x), (tr.kernel @ x) / sw)
+    u = tr.grid.field(cplx)
+    assert np.array_equal(tr.derivative(u).values, tr.deriv_matrix @ tr.forward(u))
+    phases = np.exp(-1j * tr.frequencies**2 * 1e-3)
+    assert np.array_equal(
+        tr.step_operator(phases), (tr.kernel * phases[None, :]) @ tr.kernel.T
+    )
+
+
+def test_polar_factor_survives_svd_failure(monkeypatch):
+    grid = make_spectral_grid(5, 160, 16.0)
+    reference = _build_transform(grid).kernel
+    calls = []
+
+    def no_convergence(*args, **kwargs):
+        calls.append(args)
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    kernel = _build_transform(grid).kernel
+    assert calls
+    assert np.abs(kernel.T @ kernel - np.eye(kernel.shape[0])).max() < 1e-12
+    assert np.abs(kernel - reference).max() < 1e-12
+
+
+def test_caches_are_bounded():
+    refs = []
+    for i in range(40):
+        prop = get_propagator(make_spectral_grid(3, 64, 12.0 + 0.25 * i))
+        refs.append((weakref.ref(prop.transform), weakref.ref(prop)))
+    del prop
+    gc.collect()
+    assert sum(t() is not None for t, _ in refs) <= CACHED_GRIDS
+    assert sum(p() is not None for _, p in refs) <= CACHED_GRIDS
+
+
+def test_stricter_cached_propagator_is_reused():
+    grid = make_spectral_grid(3, 96, 14.0)
+    strict = get_propagator(grid, oracle_tolerance=1e-7)
+    assert get_propagator(grid, oracle_tolerance=1e-6) is strict
+    stricter = get_propagator(grid, oracle_tolerance=1e-8)
+    assert stricter is not strict and stricter.oracle_tolerance == 1e-8
 
 
 def test_fractional_identity(g3):
