@@ -8,6 +8,8 @@ concentration diagnostics, all behind a scenario-driven CLI with
 deterministic, verifiable reports.
 """
 
+from types import ModuleType as _ModuleType
+
 from .concentration import (
     BubbleReport,
     IntervalDecomposition,
@@ -58,52 +60,8 @@ from .transform import fractional_power, get_transform, make_spectral_grid
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissiblePair",
-    "BubbleReport",
-    "EvolutionConfig",
-    "IntervalDecomposition",
-    "MorawetzWeight",
-    "NestResult",
-    "RadialField",
-    "RadialGrid",
-    "Trajectory",
-    "blowup_monitor",
-    "bourgain_nest",
-    "classify_exceptional",
-    "default_admissible_pairs",
-    "dispersive_decay_fit",
-    "duhamel_residual",
-    "energy",
-    "evolve",
-    "find_bubble",
-    "fractional_power",
-    "free_evolve",
-    "gaussian_field",
-    "gaussian_free_evolution",
-    "get_propagator",
-    "get_transform",
-    "greedy_subdivide",
-    "half_norm_ratio",
-    "hardy_bound_check",
-    "is_admissible",
-    "largest_fraction",
-    "linear_flow_check",
-    "load_trajectory",
-    "local_mass",
-    "lp_norm",
-    "make_spectral_grid",
-    "mass_flux_check",
-    "momentum_flux_identity_check",
-    "morawetz_check",
-    "morawetz_weight_eval",
-    "nonlinear_phase_step",
-    "normalize_scenario",
-    "rescale",
-    "run_scenario",
-    "save_trajectory",
-    "spacetime_norm",
-    "strichartz_norm",
-    "synthetic_decomposition",
-    "verify_report",
-]
+# the public names are exactly the names imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

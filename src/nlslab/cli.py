@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .persist import read_json, save_trajectory, write_csv, write_json
+from .persist import load_trajectory, read_json, save_trajectory, write_csv, write_json
 from .scenario import (
     RunResult,
     ScenarioError,
@@ -54,12 +54,14 @@ def _apply_overrides(doc: dict, overrides: list[str]) -> dict:
         except json.JSONDecodeError:
             value = raw
         node = out
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
+        *path, leaf = key.split(".")
+        for part in path:
             if not isinstance(node, dict):
-                raise ScenarioError([f"override path {key!r} crosses a non-object"])
-        node[parts[-1]] = value
+                break
+            node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ScenarioError([f"override path {key!r} crosses a non-object"])
+        node[leaf] = value
     return out
 
 
@@ -134,17 +136,13 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     scenario = _load_scenario(args)
     out_dir = Path(args.out)
-    store = out_dir / "trajectory"
-    if store.is_dir():
-        from .persist import load_trajectory
-
-        traj = load_trajectory(store)
-        report = build_report(scenario, traj, seed=args.seed)
-        result = RunResult(report, traj)
-        code = _finish_run(result, out_dir, store=False)
+    stored = (out_dir / "trajectory").is_dir()
+    if stored:
+        traj = load_trajectory(out_dir / "trajectory")
+        result = RunResult(build_report(scenario, traj, seed=args.seed), traj)
     else:
         result = run_scenario(scenario, seed=args.seed)
-        code = _finish_run(result, out_dir, store=True)
+    code = _finish_run(result, out_dir, store=not stored)
     print(f"analyze: report written to {out_dir / 'report.json'}")
     return code
 
@@ -165,13 +163,22 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     doc = read_json(args.config)
-    scenarios = doc["scenarios"] if isinstance(doc, dict) else doc
+    listed = doc.get("scenarios") if isinstance(doc, dict) else doc
+    if not isinstance(listed, list):
+        raise ScenarioError(['a sweep needs a list of scenarios (or {"scenarios": [...]})'])
+    # every scenario is checked before any runs: each writes into the
+    # directory named by its id
+    scenarios = [
+        normalize_scenario(_apply_overrides(raw, args.override) if args.override else raw)
+        for raw in listed
+    ]
+    ids = [s["scenario_id"] for s in scenarios]
+    repeated = sorted({i for i in ids if ids.count(i) > 1})
+    if repeated:
+        raise ScenarioError([f"scenario_id {i!r} is used more than once" for i in repeated])
     out_root = Path(args.out)
     worst = EXIT_OK
-    for raw in scenarios:
-        scenario = normalize_scenario(
-            _apply_overrides(raw, args.override) if args.override else raw
-        )
+    for scenario in scenarios:
         result = run_scenario(scenario, seed=args.seed)
         sub = out_root / scenario["scenario_id"]
         code = _finish_run(result, sub, store=True)

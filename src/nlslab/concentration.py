@@ -18,7 +18,7 @@ import numpy as np
 
 from . import timegrid
 from .dynamics import Trajectory
-from .functionals import critical_density, local_mass
+from .functionals import _critical_densities, _local_masses, critical_density
 from .propagator import get_propagator
 from .transform import get_transform
 
@@ -155,25 +155,17 @@ class ExceptionalReport:
     count: int
     count_bound: float         # total_linear_mass / threshold
 
-    @property
-    def bound_satisfied(self) -> bool:
-        return self.count <= self.count_bound
-
-
 def _linear_flow_density(traj: Trajectory, anchor_index: int, times) -> np.ndarray:
     """Critical-norm density, at ``times``, of the free flow launched from
     the snapshot at ``anchor_index``."""
     tr = get_transform(traj.grid)
     prop = get_propagator(traj.grid)
-    n = traj.grid.dimension
-    expo = 2.0 * (n + 2) / (n - 2)
     t_anchor = traj.times[anchor_index]
-    coeffs = tr.forward(traj.snapshots[anchor_index])
-    out = np.empty(len(times))
+    coeffs = tr.forward(traj.field(anchor_index))
+    flow = np.empty((len(times), traj.grid.n_points), dtype=complex)
     for i, t in enumerate(times):
-        vals = tr.backward(prop.evolve_coeffs(coeffs, t - t_anchor))
-        out[i] = float(np.sum(traj.grid.weights * np.abs(vals) ** expo))
-    return out
+        flow[i] = tr.backward(prop.evolve_coeffs(coeffs, t - t_anchor))
+    return _critical_densities(traj.grid, flow)
 
 
 def classify_exceptional(
@@ -244,17 +236,17 @@ def linear_flow_check(
     """
     a, b = float(interval[0]), float(interval[1])
     ts = traj.times
-    dens = critical_density(traj)
-    mass = timegrid.pl_integral(ts, dens, a, b)
+    # every density is only needed on the snapshot panels overlapping [a, b]
+    i0 = max(0, int(np.searchsorted(ts, a, side="right")) - 1)
+    i1 = min(ts.size - 1, int(np.searchsorted(ts, b, side="left")))
+    sub = ts[i0 : i1 + 1]
+    dens = _critical_densities(traj.grid, traj.values[i0 : i1 + 1])
+    mass = timegrid.pl_integral(sub, dens, a, b)
     if eta is not None and not (eta / 2.0 <= mass <= 2.0 * eta):
         raise ValueError(
             f"interval mass {mass:.4g} outside [eta/2, 2 eta] = "
             f"[{eta / 2:.4g}, {2 * eta:.4g}]"
         )
-    # flows are only needed on the snapshot panels overlapping [a, b]
-    i0 = max(0, int(np.searchsorted(ts, a, side="right")) - 1)
-    i1 = min(ts.size - 1, int(np.searchsorted(ts, b, side="left")))
-    sub = ts[i0 : i1 + 1]
     lin = []
     for t_anchor_req in (a, b):
         idx = int(np.argmin(np.abs(ts - t_anchor_req)))
@@ -294,8 +286,8 @@ def find_bubble(
     if not (0.0 < mass_fraction < 1.0):
         raise ValueError("mass_fraction must lie in (0, 1)")
     a, b = decomp.interval(j)
-    sel = [i for i, t in enumerate(traj.times) if a - 1e-12 <= t <= b + 1e-12]
-    if not sel:
+    sel = np.nonzero((traj.times >= a - 1e-12) & (traj.times <= b + 1e-12))[0]
+    if not sel.size:
         raise ValueError("interval contains no snapshot")
     e = float(traj.energy_series[0])
     threshold = mass_fraction * math.sqrt(max(e, 0.0)) * math.sqrt(b - a)
@@ -310,13 +302,15 @@ def find_bubble(
         ladder.append(radius)
         radius *= ladder_ratio
     ladder.append(float(g.r_max))
+    values = traj.values[sel]
     for radius in ladder:
-        masses = [(local_mass(traj.snapshots[i], radius), i) for i in sel]
-        m_min, i_min = min(masses)
+        masses = _local_masses(g, values, radius)
+        k = int(np.argmin(masses))   # the earliest snapshot on ties
+        m_min = masses[k]
         if m_min >= threshold:
             return BubbleReport(
                 interval_index=j,
-                witness_time=float(traj.times[i_min]),
+                witness_time=float(traj.times[sel[k]]),
                 radius=float(radius),
                 inverse_scale=1.0 / float(radius),
                 attained_mass=float(m_min),

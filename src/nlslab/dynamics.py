@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import energy
-from .grid import RadialField, RadialGrid
+from .functionals import _mass_series, energy
+from .grid import GridError, RadialField, RadialGrid
 from .propagator import get_propagator
 from .transform import get_transform
 
@@ -57,12 +57,6 @@ class EvolutionConfig:
         """Nonlinearity exponent 4/(n-2) of the energy-critical power."""
         return 4.0 / (self.dimension - 2)
 
-    @property
-    def critical_exponent(self) -> float:
-        """The scale-invariant Lebesgue exponent 2n/(n-2)."""
-        n = self.dimension
-        return 2.0 * n / (n - 2)
-
 
 def nonlinear_phase_step(u: RadialField, mu: int, tau: float) -> RadialField:
     """Exact flow of  i u_t = mu |u|^{4/(n-2)} u  for time tau.
@@ -91,12 +85,16 @@ class BlowupRecord:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered snapshots of one evolution, immutable once produced."""
+    """Time-ordered snapshots of one evolution, immutable once produced.
+
+    ``values`` holds snapshot i in row i: one read-only, C-contiguous
+    (S, N) complex array.  ``field(i)`` is the single-snapshot view.
+    """
 
     config: EvolutionConfig
     grid: RadialGrid
     times: np.ndarray
-    snapshots: tuple
+    values: np.ndarray
     mass_series: np.ndarray
     energy_series: np.ndarray
     kinetic_series: np.ndarray
@@ -109,8 +107,17 @@ class Trajectory:
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("snapshot times must be strictly increasing")
-        if len(self.snapshots) != self.times.size:
-            raise ValueError("one snapshot per time required")
+        values = np.ascontiguousarray(self.values, dtype=complex).view()
+        if values.shape != (self.times.size, self.grid.n_points):
+            raise ValueError("one snapshot row of grid samples per time required")
+        if not np.all(np.isfinite(values)):
+            raise GridError("snapshot contains non-finite samples")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def field(self, i: int) -> RadialField:
+        """Snapshot i as a field (a view of row i)."""
+        return RadialField(self.grid, self.values[i])
 
     @property
     def t_minus(self) -> float:
@@ -193,26 +200,22 @@ def evolve(
     pot_exceeds = abs(p0) > k0
     e_scale = max(abs(e0), 1e-30)
 
+    # the initial state, one row per stride and the final (or abort) state
+    values = np.empty((2 + (n_steps - 1) // cfg.snapshot_stride, u.size), dtype=complex)
+    values[0] = u
     times = [t_minus]
-    snaps = [u0.with_values(u.copy())]
-    masses = [float(np.sum(u0.grid.weights * np.abs(u) ** 2))]
     energies, kinetics, potentials = [e0], [k0], [p0]
-    grads = [grad0]
     status, reason = "complete", ""
     blow_time = None
 
     def record(step: int, u_now: np.ndarray):
-        t = t_minus + step * dt
-        fld = u0.with_values(u_now.copy())
-        e = energy(fld, mu)
-        times.append(t)
-        snaps.append(fld)
-        masses.append(float(np.sum(u0.grid.weights * np.abs(u_now) ** 2)))
+        values[len(times)] = u_now
+        times.append(t_minus + step * dt)
+        e = energy(u0.with_values(u_now), mu)
         energies.append(e.total)
         kinetics.append(e.kinetic)
         potentials.append(e.potential)
-        grads.append(math.sqrt(2.0 * e.kinetic))
-        return e.total, grads[-1]
+        return e.total, math.sqrt(2.0 * e.kinetic)
 
     for step in range(1, n_steps + 1):
         if mu != 0:
@@ -245,10 +248,11 @@ def evolve(
                 reason = f"energy drift {abs(e - e0) / e_scale:.3e} exceeds alarm"
                 break
 
+    values = values[: len(times)]
     blow = BlowupRecord(
         flagged=(status == "aborted-blowup"),
         first_alarm_time=blow_time,
-        gradient_history=tuple(grads),
+        gradient_history=_gradient_history(kinetics),
         initial_gradient=grad0,
         factor=cfg.blowup_grad_factor,
         potential_exceeds_kinetic=pot_exceeds,
@@ -261,8 +265,8 @@ def evolve(
         config=cfg,
         grid=u0.grid,
         times=np.asarray(times),
-        snapshots=tuple(snaps),
-        mass_series=np.asarray(masses),
+        values=values,
+        mass_series=_mass_series(u0.grid, values),
         energy_series=np.asarray(energies),
         kinetic_series=np.asarray(kinetics),
         potential_series=np.asarray(potentials),
@@ -306,16 +310,23 @@ def duhamel_residual(traj: Trajectory, t0: float, t: float) -> float:
             wgt = 0.5 * (s - traj.times[j - 1])
         else:
             wgt = 0.5 * (traj.times[j + 1] - traj.times[j - 1])
-        f = nonlinearity(traj.snapshots[j], traj.config.mu)
+        f = nonlinearity(traj.field(j), traj.config.mu)
         acc += wgt * prop.evolve_coeffs(tr.forward(f), t - s)
     integral = tr.backward(acc)
-    lin = prop.evolve(traj.snapshots[i0], t - t0)
-    resid = traj.snapshots[i1].values - lin.values + 1j * integral
+    lin = prop.evolve(traj.field(i0), t - t0)
+    resid = traj.values[i1] - lin.values + 1j * integral
     return float(math.sqrt(np.sum(traj.grid.weights * np.abs(resid) ** 2)))
 
 
+def _gradient_history(kinetic_series) -> tuple:
+    """||grad u||_{L^2} at each snapshot, from the kinetic energies
+    (1/2)||grad u||^2 (the same bits as taking the square root of the
+    spectral sum directly: halving and doubling are exact)."""
+    return tuple(math.sqrt(2.0 * float(k)) for k in kinetic_series)
+
+
 def blowup_monitor(traj: Trajectory) -> BlowupRecord:
-    """Blowup record recomputed from the stored snapshots.
+    """Blowup record recomputed from the trajectory's kinetic series.
 
     Flags the first snapshot time where the gradient norm exceeds the
     configured multiple of its initial value, and reports whether the
@@ -323,9 +334,9 @@ def blowup_monitor(traj: Trajectory) -> BlowupRecord:
     focusing sign this is the classical sufficient condition for
     finite-time blowup of the virial argument).
     """
-    tr = get_transform(traj.grid)
-    grads = np.array([tr.gradient_norm(s) for s in traj.snapshots])
-    g0 = grads[0]
+    history = _gradient_history(traj.kinetic_series)
+    grads = np.asarray(history)
+    g0 = history[0]
     factor = traj.config.blowup_grad_factor
     flagged = False
     first = None
@@ -341,8 +352,8 @@ def blowup_monitor(traj: Trajectory) -> BlowupRecord:
     return BlowupRecord(
         flagged=flagged,
         first_alarm_time=first,
-        gradient_history=tuple(float(g) for g in grads),
-        initial_gradient=float(g0),
+        gradient_history=history,
+        initial_gradient=g0,
         factor=factor,
         potential_exceeds_kinetic=bool(pot_exceeds),
         blowup_expected=(traj.config.mu == -1 and bool(pot_exceeds)),

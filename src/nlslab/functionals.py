@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import timegrid
-from .grid import RadialField, lp_norm
+from .grid import RadialField, RadialGrid, _lp_norms, _row_sums
 from .transform import fractional_power, get_transform
 
 if TYPE_CHECKING:  # dynamics imports this module for the energy
@@ -110,6 +110,11 @@ def energy(u: RadialField, mu: int = 1) -> EnergyBreakdown:
     return EnergyBreakdown(kin + pot, kin, pot)
 
 
+def _mass_series(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """Discrete L^2 mass  int |u|^2 dx  of each row of ``values``."""
+    return _row_sums(lambda v: grid.weights * np.abs(v) ** 2, values)
+
+
 # ---------------------------------------------------------------------------
 # cutoff bump and localized mass
 
@@ -149,12 +154,15 @@ def local_mass(u: RadialField, radius: float) -> float:
     Non-decreasing in R because the cutoff is pointwise non-decreasing
     in R at every radius.
     """
+    return float(_local_masses(u.grid, u.values[None, :], radius)[0])
+
+
+def _local_masses(grid: RadialGrid, values: np.ndarray, radius: float) -> np.ndarray:
+    """``local_mass`` of each row of ``values``."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    chi = bump(u.grid.nodes / radius)
-    return float(
-        math.sqrt(np.sum(u.grid.weights * chi**2 * np.abs(u.values) ** 2))
-    )
+    chi = bump(grid.nodes / radius)
+    return np.sqrt(_row_sums(lambda v: grid.weights * chi**2 * np.abs(v) ** 2, values))
 
 
 @dataclass(frozen=True)
@@ -175,13 +183,11 @@ def mass_flux_check(traj: Trajectory, radius: float) -> FluxReport:
     defocusing flows (for the focusing sign the kinetic term is not
     dominated by E and no bound is asserted).
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
     if traj.times.size < 3:
         raise ValueError("need at least 3 snapshots for a time derivative")
     if traj.config.mu < 0:
         raise ValueError("flux bound applies to free or defocusing runs only")
-    masses = np.array([local_mass(s, radius) for s in traj.snapshots])
+    masses = _local_masses(traj.grid, traj.values, radius)
     rates = (masses[2:] - masses[:-2]) / (traj.times[2:] - traj.times[:-2])
     e_used = float(traj.energy_series[0])
     bound = MASS_FLUX_CONSTANT * math.sqrt(max(e_used, 0.0)) / radius
@@ -227,15 +233,15 @@ def spacetime_norm(traj: Trajectory, q: float, r: float, interval=None) -> float
     The time integral treats the sampled r-norm density as piecewise
     linear; q = inf takes the supremum over the interval.
     """
-    return _mixed_norm(traj, traj.snapshots, q, r, interval)
+    return _mixed_norm(traj, traj.values, q, r, interval)
 
 
-def _mixed_norm(traj: Trajectory, snapshots, q: float, r: float, interval) -> float:
-    """``spacetime_norm`` of the given snapshots at the trajectory's times."""
+def _mixed_norm(traj: Trajectory, values: np.ndarray, q: float, r: float, interval) -> float:
+    """``spacetime_norm`` of the (S, N) ``values`` at the trajectory's times."""
     if q < 1 or r < 1:
         raise ValueError("exponents must be >= 1")
     a, b = _resolve_interval(traj, interval)
-    norms = np.array([lp_norm(s, r) for s in snapshots])
+    norms = _lp_norms(traj.grid, values, r)
     if math.isinf(q):
         return timegrid.pl_maximum(traj.times, norms, a, b)
     dens = norms**q
@@ -273,10 +279,17 @@ def strichartz_norm(
     for pr in pairs:
         if not is_admissible(pr.q, pr.r, n):
             raise ValueError(f"pair ({pr.q},{pr.r}) fails admissibility")
-    snaps = traj.snapshots
-    if k == 1:
-        snaps = tuple(fractional_power(s, 1.0) for s in snaps)
-    return max(_mixed_norm(traj, snaps, pr.q, pr.r, interval) for pr in pairs)
+    values = traj.values if k == 0 else _gradient_values(traj)
+    return max(_mixed_norm(traj, values, pr.q, pr.r, interval) for pr in pairs)
+
+
+def _gradient_values(traj: Trajectory) -> np.ndarray:
+    """(S, N) samples of |grad| u at every snapshot (one transform pair
+    per snapshot)."""
+    out = np.empty_like(traj.values)
+    for i in range(len(out)):
+        out[i] = fractional_power(traj.field(i), 1.0).values
+    return out
 
 
 def critical_density(traj: Trajectory) -> np.ndarray:
@@ -286,11 +299,14 @@ def critical_density(traj: Trajectory) -> np.ndarray:
     raised to its own exponent; the interval machinery subdivides its
     cumulative integral.
     """
-    n = traj.grid.dimension
+    return _critical_densities(traj.grid, traj.values)
+
+
+def _critical_densities(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """``critical_density`` of each row of ``values``."""
+    n = grid.dimension
     expo = 2.0 * (n + 2) / (n - 2)
-    return np.array(
-        [float(np.sum(traj.grid.weights * np.abs(s.values) ** expo)) for s in traj.snapshots]
-    )
+    return _row_sums(lambda v: grid.weights * np.abs(v) ** expo, values)
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +372,9 @@ def _morawetz_lhs(traj: Trajectory, a: float, b: float, A: float, denominator) -
     mask = traj.grid.nodes <= A * math.sqrt(b - a)
     wq = traj.grid.weights[mask] / denominator(traj.grid.nodes[mask])
     expo = 2.0 * n / (n - 2)
-    dens = np.array(
-        [float(np.sum(wq * np.abs(s.values[mask]) ** expo)) for s in traj.snapshots]
-    )
+    # numpy lays a boolean column selection out in Fortran order; the row
+    # sums repeat the per-snapshot sums bit for bit only on C-ordered rows
+    dens = _row_sums(lambda v: wq * np.abs(np.ascontiguousarray(v[:, mask])) ** expo, traj.values)
     return timegrid.pl_integral(traj.times, dens, a, b)
 
 
@@ -450,18 +466,19 @@ def momentum_flux_identity_check(traj: Trajectory, eps: float) -> FluxIdentityRe
     mu = traj.config.mu
     expo = 2.0 * n / (n - 2)
 
-    lhs_density = []
-    rhs = []
-    for snap in traj.snapshots:
-        ur = tr.derivative(snap).values
-        lhs_density.append(float(np.sum(w * a_r * np.imag(ur * np.conj(snap.values)))))
-        val = 2.0 * float(np.sum(w * a_rr * np.abs(ur) ** 2))
-        val += 0.5 * float(np.sum(w * neg_bilap * np.abs(snap.values) ** 2))
-        if mu != 0:
-            val += mu * (2.0 / n) * float(np.sum(w * lap_a * np.abs(snap.values) ** expo))
-        rhs.append(val)
-    lhs_density = np.asarray(lhs_density)
-    rhs = np.asarray(rhs)
+    u = traj.values
+    ur = np.empty_like(u)
+    for i in range(len(ur)):
+        ur[i] = tr.derivative(traj.field(i)).values
+
+    # np.multiply, not "*": the operator would reuse the large conjugate
+    # temporary as its output with the factors swapped, and the complex
+    # product is not bitwise commutative
+    lhs_density = _row_sums(lambda d, v: w * a_r * np.imag(np.multiply(d, np.conj(v))), ur, u)
+    rhs = 2.0 * _row_sums(lambda d: w * a_rr * np.abs(d) ** 2, ur)
+    rhs += 0.5 * _row_sums(lambda v: w * neg_bilap * np.abs(v) ** 2, u)
+    if mu != 0:
+        rhs += mu * (2.0 / n) * _row_sums(lambda v: w * lap_a * np.abs(v) ** expo, u)
     rates = (lhs_density[2:] - lhs_density[:-2]) / (traj.times[2:] - traj.times[:-2])
     defects = np.abs(rates - rhs[1:-1])
     scale = max(np.abs(rates).max(initial=0.0), np.abs(rhs).max(initial=0.0), 1e-300)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -119,58 +120,30 @@ def snapshot_filename(index: int) -> str:
 # trajectory store
 
 
-def _grid_spec(grid: RadialGrid) -> dict:
-    return {
-        "dimension": grid.dimension,
-        "n_points": grid.n_points,
-        "r_max": grid.r_max,
-        "kind": grid.kind,
-    }
-
-
 def grid_from_spec(spec: dict) -> RadialGrid:
     if spec["kind"] != "bessel":
         raise ValueError(f"unsupported stored grid kind {spec['kind']!r}")
     return make_spectral_grid(int(spec["dimension"]), int(spec["n_points"]), float(spec["r_max"]))
 
 
-def _config_dict(cfg: EvolutionConfig) -> dict:
-    return {
-        "dimension": cfg.dimension,
-        "mu": cfg.mu,
-        "dt": cfg.dt,
-        "snapshot_stride": cfg.snapshot_stride,
-        "energy_drift_tol": cfg.energy_drift_tol,
-        "blowup_grad_factor": cfg.blowup_grad_factor,
-        "boundary_decay_tol": cfg.boundary_decay_tol,
-    }
-
-
 def blowup_dict(b: BlowupRecord | None) -> dict | None:
-    """JSON form of a blowup record, for the store and the report."""
-    if b is None:
-        return None
-    return {
-        "flagged": b.flagged,
-        "first_alarm_time": b.first_alarm_time,
-        "gradient_history": list(b.gradient_history),
-        "initial_gradient": b.initial_gradient,
-        "factor": b.factor,
-        "potential_exceeds_kinetic": b.potential_exceeds_kinetic,
-        "blowup_expected": b.blowup_expected,
-    }
+    """JSON form of a blowup record (fields in declaration order), for the
+    store and the report."""
+    return None if b is None else asdict(b)
 
 
 def save_trajectory(traj: Trajectory, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    g = traj.grid
     prov = {
         k: (list(v) if isinstance(v, tuple) else v) for k, v in traj.provenance.items()
     }
     meta = {
         "format_version": FORMAT_VERSION,
-        "grid": _grid_spec(traj.grid),
-        "config": _config_dict(traj.config),
+        "grid": {"dimension": g.dimension, "n_points": g.n_points, "r_max": g.r_max,
+                 "kind": g.kind},
+        "config": asdict(traj.config),
         "times": list(traj.times),
         "status": traj.status,
         "abort_reason": traj.abort_reason,
@@ -184,8 +157,8 @@ def save_trajectory(traj: Trajectory, directory) -> Path:
         "provenance": prov,
     }
     write_json(directory / "metadata.json", meta)
-    for i, snap in enumerate(traj.snapshots):
-        (directory / snapshot_filename(i)).write_bytes(encode_snapshot(snap.values))
+    for i, row in enumerate(traj.values):
+        (directory / snapshot_filename(i)).write_bytes(encode_snapshot(row))
     return directory
 
 
@@ -197,13 +170,12 @@ def load_trajectory(directory) -> Trajectory:
     grid = grid_from_spec(meta["grid"])
     cfg = EvolutionConfig(**meta["config"])
     times = np.asarray(meta["times"], dtype=float)
-    snaps = []
+    values = np.empty((times.size, grid.n_points), dtype=complex)
     for i in range(times.size):
-        blob = (directory / snapshot_filename(i)).read_bytes()
-        vals = decode_snapshot(blob)
+        vals = decode_snapshot((directory / snapshot_filename(i)).read_bytes())
         if vals.size != grid.n_points:
             raise ValueError(f"snapshot {i} has {vals.size} samples, grid has {grid.n_points}")
-        snaps.append(grid.field(vals))
+        values[i] = vals
     blow = None
     if meta["blowup"] is not None:
         b = meta["blowup"]
@@ -216,7 +188,7 @@ def load_trajectory(directory) -> Trajectory:
         config=cfg,
         grid=grid,
         times=times,
-        snapshots=tuple(snaps),
+        values=values,
         mass_series=np.asarray(meta["series"]["mass"], dtype=float),
         energy_series=np.asarray(meta["series"]["energy"], dtype=float),
         kinetic_series=np.asarray(meta["series"]["kinetic"], dtype=float),

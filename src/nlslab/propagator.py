@@ -49,6 +49,9 @@ def gaussian_free_evolution(
 
 _T_LADDER = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
+#: pointwise tolerance of the Gaussian oracle that certifies the horizon
+ORACLE_TOLERANCE = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class FreePropagator:
@@ -56,7 +59,6 @@ class FreePropagator:
 
     transform: SpectralTransform
     validated_t_max: float
-    oracle_tolerance: float
 
     def evolve(self, u: RadialField, t: float) -> RadialField:
         tr = self.transform
@@ -75,17 +77,17 @@ class FreePropagator:
 _propagators = GridCache(CACHED_GRIDS)
 
 
-def get_propagator(grid: RadialGrid, oracle_tolerance: float = 1e-6) -> FreePropagator:
-    """Propagator for a bessel grid, certified at construction.
+def get_propagator(grid: RadialGrid) -> FreePropagator:
+    """Propagator for a bessel grid, certified at construction (cached per
+    grid object, like the transform).
 
     The validated span is the largest ladder time at which the evolved
     reference Gaussian matches the closed form pointwise within
-    ``oracle_tolerance`` (checked in both time directions via symmetry),
-    together with a machine-accuracy round-trip test at t = 0.  A cached
-    propagator certified at an equal or stricter tolerance is reused.
+    ``ORACLE_TOLERANCE`` (checked in both time directions via symmetry),
+    together with a machine-accuracy round-trip test at t = 0.
     """
     p = _propagators.get(grid)
-    if p is not None and p.oracle_tolerance <= oracle_tolerance:
+    if p is not None:
         return p
     tr = get_transform(grid)
     u0 = gaussian_field(grid)
@@ -95,13 +97,13 @@ def get_propagator(grid: RadialGrid, oracle_tolerance: float = 1e-6) -> FreeProp
     for t in _T_LADDER:
         evolved = tr.multiplier(u0, np.exp(-1j * tr.frequencies**2 * t))
         oracle = gaussian_free_evolution(grid, t)
-        if np.abs(evolved.values - oracle.values).max() < oracle_tolerance:
+        if np.abs(evolved.values - oracle.values).max() < ORACLE_TOLERANCE:
             t_max = t
         else:
             break
     if t_max == 0.0:
         raise RuntimeError("no ladder time passed the Gaussian oracle self-test")
-    p = FreePropagator(tr, t_max, oracle_tolerance)
+    p = FreePropagator(tr, t_max)
     _propagators.put(grid, p)
     return p
 

@@ -12,7 +12,7 @@ invariant and returns a machine-readable pass/fail list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from . import concentration as conc
 from . import functionals as fn
 from .dynamics import EvolutionConfig, Trajectory, blowup_monitor, duhamel_residual, evolve
 from .grid import RadialField
-from .persist import blowup_dict, decode_snapshot, load_trajectory, read_json
+from .persist import blowup_dict, decode_snapshot, load_trajectory
 from .transform import make_spectral_grid
 
 
@@ -81,12 +81,27 @@ def _merge(base: dict, overlay: dict) -> dict:
     return out
 
 
+# sections of a scenario that must be JSON objects
+_SECTIONS = ("grid", "time", "initial_data", "analysis", "evolution")
+
+
 def normalize_scenario(raw: dict) -> dict:
     """Fill defaults and validate; raises ScenarioError listing every
     violated field."""
+    if raw is not None and not isinstance(raw, dict):
+        raise ScenarioError([f"a scenario must be a JSON object, got {type(raw).__name__}"])
     s = _merge(DEFAULT_SCENARIO, raw or {})
-    bad = []
-    if not isinstance(s["dimension"], int) or s["dimension"] < 3:
+    bad = [f"{key} must be an object, got {s[key]!r}"
+           for key in _SECTIONS if not isinstance(s[key], dict)]
+    if not bad and not isinstance(s["analysis"]["tolerances"], dict):
+        bad.append(f"analysis.tolerances must be an object, got {s['analysis']['tolerances']!r}")
+    if bad:
+        raise ScenarioError(bad)
+    sid = s["scenario_id"]
+    if not isinstance(sid, str) or sid in ("", ".", "..") or "/" in sid or "\\" in sid:
+        bad.append(f"scenario_id must name a single directory, got {sid!r}")
+    dimension_ok = isinstance(s["dimension"], int) and s["dimension"] >= 3
+    if not dimension_ok:
         bad.append(f"dimension must be an integer >= 3, got {s['dimension']!r}")
     if s["mu"] not in (-1, 0, 1):
         bad.append(f"mu must be -1, 0, or +1, got {s['mu']!r}")
@@ -129,6 +144,11 @@ def normalize_scenario(raw: dict) -> dict:
         vals = a[key]
         if not vals or any(not (isinstance(v, (int, float)) and v > 0) for v in vals):
             bad.append(f"analysis.{key} must be a list of positive numbers")
+    if dimension_ok:
+        try:
+            _pairs_for(s)
+        except (TypeError, ValueError) as exc:
+            bad.append(f"analysis.admissible_pairs must list admissible [q, r] pairs: {exc}")
     if bad:
         raise ScenarioError(bad)
     return s
@@ -253,7 +273,7 @@ def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:
         report["duhamel"] = _duhamel_table(traj, tol)
         report["concentration"] = _concentration_block(s, traj)
         if s["analysis"]["certify_resolution"]:
-            report["resolution_certification"] = _certify_resolution(s, traj)
+            report["resolution_certification"] = _certify_resolution(traj)
     return report
 
 
@@ -276,9 +296,9 @@ def _flux_table(s, traj, tol):
 
 
 def _hardy_table(s, traj):
-    u0 = traj.snapshots[0]
+    u0 = traj.field(0)
     mu = traj.config.mu
-    if fn.energy(u0, mu).total <= 0 and np.any(u0.values != 0):
+    if traj.energy_series[0] <= 0 and np.any(u0.values != 0):
         return {"skipped": "growth bound requires positive energy"}
     rows = [
         {"radius": float(r), "ratio": fn.hardy_bound_check(u0, float(r), mu),
@@ -325,16 +345,15 @@ def _identity_entry(s, traj, tol):
 
 
 def _strichartz_table(s, traj):
+    """``strichartz_norm`` of every pair and their supremum, for k = 0
+    and 1, with the k = 1 gradient computed once."""
     pairs = _pairs_for(s)
     rows = []
-    for k in (0, 1):
-        for pr in pairs:
-            val = fn.strichartz_norm(traj, None, k, (pr,))
-            rows.append({"k": k, "q": _finite(pr.q), "r": _finite(pr.r), "value": val})
-        rows.append(
-            {"k": k, "q": "sup", "r": "sup",
-             "value": fn.strichartz_norm(traj, None, k, pairs)}
-        )
+    for k, values in ((0, traj.values), (1, fn._gradient_values(traj))):
+        norms = [fn._mixed_norm(traj, values, pr.q, pr.r, None) for pr in pairs]
+        rows += [{"k": k, "q": _finite(pr.q), "r": _finite(pr.r), "value": v}
+                 for pr, v in zip(pairs, norms)]
+        rows.append({"k": k, "q": "sup", "r": "sup", "value": max(norms)})
     return {"pairs": [[_finite(p.q), _finite(p.r)] for p in pairs], "rows": rows}
 
 
@@ -439,27 +458,22 @@ def _concentration_block(s, traj):
     return block
 
 
-def _certify_resolution(s, traj):
+def _certify_resolution(traj):
     """Coarsened-twin self-convergence: order estimate from dt, 2dt, 4dt."""
-    u0 = build_initial_data(s)
     base_cfg = traj.config
-    finals = [traj.snapshots[-1].values]
+    finals = [traj.values[-1]]
     for factor in (2, 4):
-        cfg = EvolutionConfig(
-            dimension=base_cfg.dimension,
-            mu=base_cfg.mu,
+        cfg = replace(
+            base_cfg,
             dt=base_cfg.dt * factor,
             snapshot_stride=max(1, base_cfg.snapshot_stride // factor),
-            energy_drift_tol=base_cfg.energy_drift_tol,
-            blowup_grad_factor=base_cfg.blowup_grad_factor,
         )
-        tw = evolve(u0, traj.t_minus, traj.t_plus, cfg)
+        tw = evolve(traj.field(0), traj.t_minus, traj.t_plus, cfg)
         if tw.status != "complete":
             return {"skipped": f"coarse twin at {factor}x dt aborted: {tw.abort_reason}"}
-        finals.append(tw.snapshots[-1].values)
-    w = traj.grid.weights
-    d1 = math.sqrt(float(np.sum(w * np.abs(finals[1] - finals[0]) ** 2)))
-    d2 = math.sqrt(float(np.sum(w * np.abs(finals[2] - finals[1]) ** 2)))
+        finals.append(tw.values[-1])
+    # L^2 norms of the fine and coarse self-differences
+    d1, d2 = (math.sqrt(m) for m in fn._mass_series(traj.grid, np.diff(finals, axis=0)))
     order = math.log2(d2 / d1) if d1 > 0 and d2 > 0 else math.inf
     return {
         "dt_levels": [base_cfg.dt, base_cfg.dt * 2, base_cfg.dt * 4],
@@ -497,12 +511,10 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
 
     if store_dir is not None:
         traj = load_trajectory(store_dir)
-        masses = np.array(
-            [float(np.sum(traj.grid.weights * np.abs(f.values) ** 2)) for f in traj.snapshots]
-        )
+        masses = fn._mass_series(traj.grid, traj.values)
         mass_drift = float(np.abs(masses - masses[0]).max())
         energies = np.array(
-            [fn.energy(f, traj.config.mu).total for f in traj.snapshots]
+            [fn.energy(traj.field(i), traj.config.mu).total for i in range(len(traj.times))]
         )
         e_scale = max(abs(energies[0]), 1e-30)
         energy_drift = float(np.abs(energies - energies[0]).max() / e_scale)
@@ -625,12 +637,3 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
                    cert["measured_order"], 1.5, "self-convergence of the splitting")
         )
     return checks
-
-
-def verify_run(run_dir) -> list[dict]:
-    """Verify a run directory holding report.json and optionally a
-    trajectory store."""
-    run_dir = Path(run_dir)
-    report = read_json(run_dir / "report.json")
-    store = run_dir / "trajectory"
-    return verify_report(report, store if store.is_dir() else None)

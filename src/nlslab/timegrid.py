@@ -13,11 +13,6 @@ import math
 import numpy as np
 
 
-def pl_value(ts: np.ndarray, vs: np.ndarray, t: float) -> float:
-    """Interpolant value at t (clamped to the sampled span)."""
-    return float(np.interp(t, ts, vs))
-
-
 def pl_integral(ts: np.ndarray, vs: np.ndarray, a: float, b: float) -> float:
     """Integral of the interpolant over [a, b] (within the sampled span)."""
     if b < a:
@@ -37,7 +32,7 @@ def pl_integral(ts: np.ndarray, vs: np.ndarray, a: float, b: float) -> float:
 def pl_maximum(ts: np.ndarray, vs: np.ndarray, a: float, b: float) -> float:
     """Maximum of the interpolant over [a, b]."""
     inner = vs[(ts > a) & (ts < b)]
-    ends = np.array([pl_value(ts, vs, a), pl_value(ts, vs, b)])
+    ends = np.interp([a, b], ts, vs)
     return float(max(inner.max(initial=-np.inf), ends.max()))
 
 

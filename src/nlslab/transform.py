@@ -113,7 +113,8 @@ class SpectralTransform:
 
     def forward(self, u: RadialField) -> NDArray[np.complex128]:
         """Mode coefficients of a field."""
-        self._check(u)
+        if u.grid is not self.grid:
+            raise GridError("field grid does not match transform grid")
         return self.coefficients(u.values)
 
     def coefficients(self, values) -> NDArray[np.complex128]:
@@ -151,15 +152,6 @@ class SpectralTransform:
         """(1/2) integral of |grad u|^2, exact in the discrete mode basis."""
         b = self.forward(u)
         return float(0.5 * np.sum(self.frequencies**2 * np.abs(b) ** 2))
-
-    def gradient_norm(self, u: RadialField) -> float:
-        """The homogeneous H^1 seminorm ||grad u||_{L^2}."""
-        b = self.forward(u)
-        return float(math.sqrt(np.sum(self.frequencies**2 * np.abs(b) ** 2)))
-
-    def _check(self, u: RadialField):
-        if u.grid is not self.grid:
-            raise GridError("field grid does not match transform grid")
 
     def roundtrip_error(self, u: RadialField) -> float:
         return float(np.abs(self.backward(self.forward(u)) - u.values).max())

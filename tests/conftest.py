@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from nlslab import EvolutionConfig, Trajectory, evolve, gaussian_field, make_spectral_grid
-from nlslab.functionals import energy
-from nlslab.transform import get_transform
+from nlslab.functionals import _mass_series, energy
 
 
 @pytest.fixture(scope="session")
@@ -40,25 +39,18 @@ def make_synthetic_trajectory(grid, times, profiles, mu=0):
     downstream diagnostics (which read the series) stay consistent.
     """
     times = np.asarray(times, dtype=float)
-    tr = get_transform(grid)
-    snaps = tuple(profiles)
-    masses, es, ks, ps = [], [], [], []
-    for s in snaps:
-        masses.append(float(np.sum(grid.weights * np.abs(s.values) ** 2)))
-        e = energy(s, mu)
-        es.append(e.total)
-        ks.append(e.kinetic)
-        ps.append(e.potential)
+    values = np.array([p.values for p in profiles], dtype=complex)
+    parts = [energy(p, mu) for p in profiles]
     cfg = EvolutionConfig(dimension=grid.dimension, mu=mu, dt=float(times[1] - times[0]))
     return Trajectory(
         config=cfg,
         grid=grid,
         times=times,
-        snapshots=snaps,
-        mass_series=np.asarray(masses),
-        energy_series=np.asarray(es),
-        kinetic_series=np.asarray(ks),
-        potential_series=np.asarray(ps),
+        values=values,
+        mass_series=_mass_series(grid, values),
+        energy_series=np.array([e.total for e in parts]),
+        kinetic_series=np.array([e.kinetic for e in parts]),
+        potential_series=np.array([e.potential for e in parts]),
         provenance={"synthetic": True},
     )
 

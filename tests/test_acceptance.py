@@ -112,7 +112,7 @@ def test_criterion_3_duhamel(reference_grid):
     cfg = EvolutionConfig(dimension=3, mu=1, dt=1e-3, snapshot_stride=5)
     traj = evolve(u0, 0.0, 1.0, cfg)
     resid = duhamel_residual(traj, 0.0, 1.0)
-    rel = resid / lp_norm(traj.snapshots[-1], 2)
+    rel = resid / lp_norm(traj.field(-1), 2)
     assert rel < 1e-3
 
     # refinement order on a smaller grid
@@ -148,7 +148,7 @@ def test_criterion_4_morawetz(reference_grid):
     traj = evolve(u0, 0.0, 0.4, cfg)
     rep0 = morawetz_check(traj, None, 2.0)
     lam = 0.5
-    snaps = [rescale(s, lam) for s in traj.snapshots]
+    snaps = [rescale(traj.field(i), lam) for i in range(len(traj.times))]
     scaled = make_synthetic_trajectory(g, lam**2 * traj.times, snaps, mu=1)
     rep1 = morawetz_check(scaled, None, 2.0)
     scale_dev = abs(rep1.ratio - rep0.ratio) / rep0.ratio
@@ -292,7 +292,7 @@ def test_criterion_8_scaling_symmetry(reference_grid):
         rescale(u0, lam), 0.0, T * lam**2,
         EvolutionConfig(dimension=3, mu=1, dt=1e-3 * lam**2, snapshot_stride=10**6),
     )
-    diff = scaled.snapshots[-1].values - rescale(ref.snapshots[-1], lam).values
+    diff = scaled.values[-1] - rescale(ref.field(-1), lam).values
     cov = math.sqrt(float(np.sum(g.weights * np.abs(diff) ** 2)))
     assert cov < 1e-4
     ok(
@@ -389,8 +389,7 @@ def test_criterion_10_determinism_persistence(tmp_path):
     store = tmp_path / "traj"
     save_trajectory(r1.trajectory, store)
     back = load_trajectory(store)
-    for a, b in zip(back.snapshots, r1.trajectory.snapshots):
-        assert a.values.tobytes() == b.values.tobytes()   # bit-exact
+    assert back.values.tobytes() == r1.trajectory.values.tobytes()   # bit-exact
     store2 = tmp_path / "traj2"
     save_trajectory(back, store2)
     assert (store / "metadata.json").read_bytes() == (store2 / "metadata.json").read_bytes()

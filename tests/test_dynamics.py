@@ -15,6 +15,7 @@ from nlslab import (
     nonlinear_phase_step,
     rescale,
 )
+from nlslab.transform import get_transform
 
 
 # ---------------------------------------------------------------------------
@@ -52,11 +53,21 @@ def test_phase_step_rejects_nonfinite_tau(g3):
 # evolve
 
 
+def test_trajectory_values_read_only(traj_defocusing):
+    values = traj_defocusing.values
+    assert values.shape == (traj_defocusing.times.size, traj_defocusing.grid.n_points)
+    assert values.flags.c_contiguous and not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+    row = traj_defocusing.field(3).values
+    assert np.shares_memory(row, values) and not row.flags.writeable
+
+
 def test_zero_data_zero_trajectory(g3):
     cfg = EvolutionConfig(dimension=3, mu=1, dt=1e-2, snapshot_stride=5)
     traj = evolve(g3.zeros(), 0.0, 0.3, cfg)
     assert traj.status == "complete"
-    assert all(np.abs(s.values).max() == 0.0 for s in traj.snapshots)
+    assert np.abs(traj.values).max() == 0.0
 
 
 def test_small_amplitude_matches_free_flow(g3_mid):
@@ -64,7 +75,7 @@ def test_small_amplitude_matches_free_flow(g3_mid):
     cfg = EvolutionConfig(dimension=3, mu=1, dt=2e-3, snapshot_stride=50)
     traj = evolve(u0, 0.0, 1.0, cfg)
     lin = free_evolve(u0, 1.0)
-    diff = traj.snapshots[-1].values - lin.values
+    diff = traj.values[-1] - lin.values
     err = math.sqrt(float(np.sum(g3_mid.weights * np.abs(diff) ** 2)))
     assert err < 1e-5 * lp_norm(u0, 2) + 1e-12
 
@@ -86,7 +97,7 @@ def test_second_order_self_convergence(g3_mid):
     for dt in (4e-3, 2e-3, 1e-3):
         cfg = EvolutionConfig(dimension=3, mu=1, dt=dt, snapshot_stride=10**6)
         traj = evolve(u0, 0.0, 0.4, cfg)
-        finals.append(traj.snapshots[-1].values)
+        finals.append(traj.values[-1])
     w = g3_mid.weights
     d1 = math.sqrt(float(np.sum(w * np.abs(finals[0] - finals[1]) ** 2)))
     d2 = math.sqrt(float(np.sum(w * np.abs(finals[1] - finals[2]) ** 2)))
@@ -101,8 +112,8 @@ def test_scaling_covariance(g3_mid):
     ref = evolve(u0, 0.0, T, cfg)
     cfg2 = EvolutionConfig(dimension=3, mu=1, dt=1e-3 * lam**2, snapshot_stride=10**6)
     scaled = evolve(rescale(u0, lam), 0.0, T * lam**2, cfg2)
-    expected = rescale(ref.snapshots[-1], lam)
-    diff = scaled.snapshots[-1].values - expected.values
+    expected = rescale(ref.field(-1), lam)
+    diff = scaled.values[-1] - expected.values
     err = math.sqrt(float(np.sum(g3_mid.weights * np.abs(diff) ** 2)))
     assert err < 1e-4
 
@@ -169,6 +180,27 @@ def test_defocusing_no_flag(traj_defocusing):
 
 def test_free_run_no_flag(traj_free):
     assert not blowup_monitor(traj_free).flagged
+
+
+def test_blowup_monitor_transforms_nothing(traj_defocusing, monkeypatch):
+    from nlslab.transform import SpectralTransform
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("blowup_monitor must reuse the kinetic series")
+
+    monkeypatch.setattr(SpectralTransform, "forward", refuse)
+    rec = blowup_monitor(traj_defocusing)
+    assert len(rec.gradient_history) == traj_defocusing.times.size
+
+
+@pytest.mark.parametrize("name", ["traj_defocusing", "traj_free"])
+def test_gradient_history_is_the_spectral_gradient_norm(name, request):
+    # sqrt(2 * kinetic) carries the bits of the spectral H^1 seminorm
+    traj = request.getfixturevalue(name)
+    tr = get_transform(traj.grid)
+    for i, grad in enumerate(blowup_monitor(traj).gradient_history):
+        b = tr.forward(traj.field(i))
+        assert grad == math.sqrt(np.sum(tr.frequencies**2 * np.abs(b) ** 2))
 
 
 def test_focusing_glassey_blowup():

@@ -302,7 +302,7 @@ def test_morawetz_ratio_under_bound(traj_defocusing, A):
 def test_morawetz_scale_invariance(traj_defocusing, synth_factory):
     lam = 0.5
     rep0 = morawetz_check(traj_defocusing, None, 2.0)
-    snaps = [rescale(s, lam) for s in traj_defocusing.snapshots]
+    snaps = [rescale(traj_defocusing.field(i), lam) for i in range(len(traj_defocusing.times))]
     times = lam**2 * traj_defocusing.times
     scaled = synth_factory(traj_defocusing.grid, times, snaps, mu=1)
     rep1 = morawetz_check(scaled, None, 2.0)
@@ -344,3 +344,68 @@ def test_identity_free_gaussian_reference_resolution():
 def test_identity_rejects_unresolved_eps(traj_defocusing):
     with pytest.raises(ValueError):
         momentum_flux_identity_check(traj_defocusing, 1e-3)
+
+
+# ---------------------------------------------------------------------------
+# row reductions against the per-snapshot loops they replaced
+
+
+def test_row_reductions_equal_per_snapshot_loops(traj_defocusing):
+    # every reference below is the old one-snapshot-at-a-time arithmetic;
+    # the row sums must reproduce it bit for bit, not within a tolerance
+    from nlslab import timegrid
+    from nlslab.functionals import (
+        _critical_densities,
+        _local_masses,
+        _mass_series,
+        _morawetz_lhs,
+        _weight_derivs,
+    )
+    from nlslab.grid import _lp_norms
+    from nlslab.transform import get_transform
+
+    traj = traj_defocusing
+    g = traj.grid
+    w, r, n = g.weights, g.nodes, g.dimension
+    rows = [traj.values[i].copy() for i in range(traj.times.size)]
+
+    def loop(f):
+        return np.array([f(v) for v in rows])
+
+    assert np.array_equal(_mass_series(g, traj.values), loop(lambda v: np.sum(w * np.abs(v) ** 2)))
+    assert np.array_equal(_critical_densities(g, traj.values),
+                          loop(lambda v: np.sum(w * np.abs(v) ** 10.0)))
+    chi = bump(r / 2.0)
+    assert np.array_equal(_local_masses(g, traj.values, 2.0),
+                          loop(lambda v: math.sqrt(np.sum(w * chi**2 * np.abs(v) ** 2))))
+    for p in (2.0, 10.0 / 3.0, 6.0):
+        assert np.array_equal(_lp_norms(g, traj.values, p),
+                              loop(lambda v: np.sum(w * np.abs(v) ** p) ** (1.0 / p)))
+    assert np.array_equal(_lp_norms(g, traj.values, math.inf), loop(lambda v: np.abs(v).max()))
+
+    # one snapshot panel at a time, so that one ulp of one density shows
+    ts = traj.times
+    for a, b in zip(ts[:-1], ts[1:]):
+        mask = r <= 20.0 * math.sqrt(b - a)
+        wq = w[mask] / r[mask]
+        dens = loop(lambda v: np.sum(wq * np.abs(v[mask]) ** 6.0))
+        lhs = _morawetz_lhs(traj, a, b, 20.0, lambda x: x)
+        assert lhs == timegrid.pl_integral(ts, dens, a, b)
+
+    eps = 0.5
+    s2 = eps * eps + r * r
+    a_r, a_rr = r / np.sqrt(s2), eps * eps / s2**1.5
+    _, lap_a, neg_bilap = _weight_derivs(eps, n, r)
+    tr = get_transform(g)
+    lhs, rhs = [], []
+    for v in rows:
+        ur = tr.derivative(g.field(v)).values
+        lhs.append(float(np.sum(w * a_r * np.imag(ur * np.conj(v)))))
+        val = 2.0 * float(np.sum(w * a_rr * np.abs(ur) ** 2))
+        val += 0.5 * float(np.sum(w * neg_bilap * np.abs(v) ** 2))
+        val += (2.0 / n) * float(np.sum(w * lap_a * np.abs(v) ** 6.0))
+        rhs.append(val)
+    lhs = np.asarray(lhs)
+    rep = momentum_flux_identity_check(traj, eps)
+    assert rep.rhs_values == tuple(rhs)
+    assert rep.lhs_rates == tuple((lhs[2:] - lhs[:-2]) / (traj.times[2:] - traj.times[:-2]))

@@ -93,8 +93,7 @@ def test_trajectory_roundtrip_bit_exact(tmp_path):
     save_trajectory(traj, store)
     back = load_trajectory(store)
     assert np.array_equal(back.times, traj.times)
-    for a, b in zip(back.snapshots, traj.snapshots):
-        assert np.array_equal(a.values, b.values)
+    assert np.array_equal(back.values, traj.values)
     assert np.array_equal(back.mass_series, traj.mass_series)
     assert back.config == traj.config
     assert back.grid is traj.grid              # rebuilt through the cached constructor
@@ -102,7 +101,7 @@ def test_trajectory_roundtrip_bit_exact(tmp_path):
     store2 = tmp_path / "store2"
     save_trajectory(back, store2)
     assert (store / "metadata.json").read_bytes() == (store2 / "metadata.json").read_bytes()
-    for i in range(len(traj.snapshots)):
+    for i in range(len(traj.times)):
         assert (store / snapshot_filename(i)).read_bytes() == (
             store2 / snapshot_filename(i)
         ).read_bytes()
@@ -161,6 +160,23 @@ def test_free_scenario_flow_ratios_one():
             assert abs(row["ratios"][0] - 1.0) < 1e-6
             assert abs(row["ratios"][1] - 1.0) < 1e-6
     assert rep["duhamel"][0]["residual"] < 1e-9
+
+
+def test_build_report_takes_one_gradient_per_snapshot(monkeypatch):
+    from nlslab import functionals
+    from nlslab.scenario import build_report, evolve_scenario
+
+    s, traj = evolve_scenario(SMALL_SCENARIO)
+    original = functionals.fractional_power
+    calls = []
+
+    def counted(u, alpha):
+        calls.append(alpha)
+        return original(u, alpha)
+
+    monkeypatch.setattr(functionals, "fractional_power", counted)
+    build_report(s, traj)
+    assert len(calls) == traj.times.size
 
 
 def test_verify_report_all_pass(small_run):
@@ -284,3 +300,61 @@ def test_cli_sweep(tmp_path):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
     assert (out / "sweep-a" / "report.json").exists()
     assert (out / "sweep-b" / "report.json").exists()
+
+
+def test_cli_grid_not_an_object_is_config_error(tmp_path, capsys):
+    doc = dict(json.loads(json.dumps(SMALL_SCENARIO)), grid=5)
+    cfg_path = write_config(tmp_path, doc)
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG_ERROR
+    assert "grid must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [[], ["--override", "mu=0"],
+                                      ["--override", "grid.n_points=64"]])
+def test_cli_list_config_is_config_error(tmp_path, capsys, override):
+    cfg_path = write_config(tmp_path, [SMALL_SCENARIO])
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out), *override]) == (
+        EXIT_CONFIG_ERROR
+    )
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_cli_inadmissible_pairs_is_config_error(tmp_path, capsys):
+    doc = json.loads(json.dumps(SMALL_SCENARIO))
+    doc["analysis"]["admissible_pairs"] = [["inf", 2.0], [3.0, 3.0]]
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "admissible_pairs" in capsys.readouterr().err
+    assert not out.exists()                    # rejected before anything ran
+
+
+@pytest.mark.parametrize("sid", ["../x", "a/b", "a\\b", "", ".", "..", 7])
+def test_scenario_id_must_name_one_directory(sid):
+    with pytest.raises(ScenarioError, match="scenario_id"):
+        normalize_scenario(dict(SMALL_SCENARIO, scenario_id=sid))
+
+
+def test_cli_sweep_rejects_escaping_id(tmp_path):
+    doc = {"scenarios": [dict(SMALL_SCENARIO, scenario_id="../x")]}
+    cfg_path = write_config(tmp_path, doc, "sweep.json")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert not (tmp_path / "x").exists() and not out.exists()
+
+
+def test_cli_sweep_rejects_duplicate_ids_before_running(tmp_path, monkeypatch, capsys):
+    from nlslab import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("no scenario may run")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    doc = {"scenarios": [SMALL_SCENARIO, dict(SMALL_SCENARIO, mu=0), dict(SMALL_SCENARIO)]}
+    cfg_path = write_config(tmp_path, doc, "sweep.json")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "'test-small' is used more than once" in capsys.readouterr().err
+    assert not out.exists()

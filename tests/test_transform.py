@@ -83,14 +83,6 @@ def test_caches_are_bounded():
     assert sum(p() is not None for _, p in refs) <= CACHED_GRIDS
 
 
-def test_stricter_cached_propagator_is_reused():
-    grid = make_spectral_grid(3, 96, 14.0)
-    strict = get_propagator(grid, oracle_tolerance=1e-7)
-    assert get_propagator(grid, oracle_tolerance=1e-6) is strict
-    stricter = get_propagator(grid, oracle_tolerance=1e-8)
-    assert stricter is not strict and stricter.oracle_tolerance == 1e-8
-
-
 def test_fractional_identity(g3):
     u = gaussian_field(g3)
     out = fractional_power(u, 0.0)
