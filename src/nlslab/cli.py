@@ -245,6 +245,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except json.JSONDecodeError as exc:
+        print(f"configuration error: an input file is not valid JSON: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     except Exception as exc:  # a crash must not read as a verification failure
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -161,7 +161,7 @@ def _linear_flow_density(traj: Trajectory, anchor_index: int, times) -> np.ndarr
     tr = get_transform(traj.grid)
     prop = get_propagator(traj.grid)
     t_anchor = traj.times[anchor_index]
-    coeffs = tr.forward(traj.field(anchor_index))
+    coeffs = tr.coefficients(traj.values[anchor_index])
     flow = np.empty((len(times), traj.grid.n_points), dtype=complex)
     for i, t in enumerate(times):
         flow[i] = tr.backward(prop.evolve_coeffs(coeffs, t - t_anchor))
@@ -394,7 +394,6 @@ class NestResult:
 
 def bourgain_nest(
     decomp: IntervalDecomposition,
-    kappa: float | None = None,
     half_factor: float = 0.5,
     min_intervals: int = 1,
 ) -> NestResult | None:
@@ -411,9 +410,8 @@ def bourgain_nest(
     t_star.  Returns None when the decomposition has no unexceptional
     interval.
 
-    ``kappa``, when given, is only recorded as the closeness tolerance the
-    caller intends to verify against; the achieved value is reported
-    either way.
+    The achieved closeness (largest distance from t_star over length) is
+    reported; ``check_nest`` verifies it against a tolerance.
     """
     if not decomp.exceptional:
         raise ValueError("decomposition has no exceptional flags; classify first")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .functionals import _mass_series, energy
+from .functionals import _energy_rows, _mass_series
 from .grid import GridError, RadialField, RadialGrid
 from .propagator import get_propagator
 from .transform import get_transform
@@ -194,28 +194,24 @@ def evolve(
     step_op = None if watch_every_step else tr.step_operator(phases)
 
     u = np.asarray(u0.values, dtype=complex).copy()
-    first = energy(u0, mu)
-    e0, k0, p0 = first.total, first.kinetic, first.potential
-    grad0 = math.sqrt(2.0 * k0)
-    pot_exceeds = abs(p0) > k0
-    e_scale = max(abs(e0), 1e-30)
-
     # the initial state, one row per stride and the final (or abort) state
     values = np.empty((2 + (n_steps - 1) // cfg.snapshot_stride, u.size), dtype=complex)
-    values[0] = u
-    times = [t_minus]
-    energies, kinetics, potentials = [e0], [k0], [p0]
+    times, energies, kinetics, potentials = [], [], [], []
+
+    def record(t: float, u_now: np.ndarray):
+        values[len(times)] = u_now
+        times.append(t)
+        e, kin, pot = (float(x[0]) for x in _energy_rows(u0.grid, u_now[None, :], mu))
+        energies.append(e)
+        kinetics.append(kin)
+        potentials.append(pot)
+        return e, math.sqrt(2.0 * kin)
+
+    e0, grad0 = record(t_minus, u)
+    pot_exceeds = abs(potentials[0]) > kinetics[0]
+    e_scale = max(abs(e0), 1e-30)
     status, reason = "complete", ""
     blow_time = None
-
-    def record(step: int, u_now: np.ndarray):
-        values[len(times)] = u_now
-        times.append(t_minus + step * dt)
-        e = energy(u0.with_values(u_now), mu)
-        energies.append(e.total)
-        kinetics.append(e.kinetic)
-        potentials.append(e.potential)
-        return e.total, math.sqrt(2.0 * e.kinetic)
 
     for step in range(1, n_steps + 1):
         if mu != 0:
@@ -233,12 +229,12 @@ def evolve(
             blow_time = t_minus + step * dt
             break
         if watch_every_step and grad0 > 0 and grad_lin > cfg.blowup_grad_factor * grad0:
-            record(step, u)
+            record(t_minus + step * dt, u)
             status, reason = "aborted-blowup", "gradient-norm blowup threshold"
             blow_time = t_minus + step * dt
             break
         if step % cfg.snapshot_stride == 0 or step == n_steps:
-            e, g = record(step, u)
+            e, g = record(t_minus + step * dt, u)
             if grad0 > 0 and g > cfg.blowup_grad_factor * grad0:
                 status, reason = "aborted-blowup", "gradient-norm blowup threshold"
                 blow_time = t_minus + step * dt
@@ -277,12 +273,6 @@ def evolve(
     )
 
 
-def nonlinearity(u: RadialField, mu: int) -> RadialField:
-    """The forcing  mu |u|^{4/(n-2)} u."""
-    p = 4.0 / (u.grid.dimension - 2)
-    return u.with_values(mu * np.abs(u.values) ** p * u.values)
-
-
 def duhamel_residual(traj: Trajectory, t0: float, t: float) -> float:
     """L^2 defect of the integral form of the equation between snapshots.
 
@@ -301,6 +291,7 @@ def duhamel_residual(traj: Trajectory, t0: float, t: float) -> float:
         t0, t = t, t0
     tr = get_transform(traj.grid)
     prop = get_propagator(traj.grid)
+    mu, p = traj.config.mu, traj.config.phase_exponent
     acc = np.zeros(traj.grid.n_points, dtype=complex)
     for j in range(i0, i1 + 1):
         s = traj.times[j]
@@ -310,11 +301,13 @@ def duhamel_residual(traj: Trajectory, t0: float, t: float) -> float:
             wgt = 0.5 * (s - traj.times[j - 1])
         else:
             wgt = 0.5 * (traj.times[j + 1] - traj.times[j - 1])
-        f = nonlinearity(traj.field(j), traj.config.mu)
-        acc += wgt * prop.evolve_coeffs(tr.forward(f), t - s)
+        # the forcing  mu |u|^{4/(n-2)} u  at snapshot j
+        row = traj.values[j]
+        f = mu * np.abs(row) ** p * row
+        acc += wgt * prop.evolve_coeffs(tr.coefficients(f), t - s)
     integral = tr.backward(acc)
-    lin = prop.evolve(traj.field(i0), t - t0)
-    resid = traj.values[i1] - lin.values + 1j * integral
+    lin = tr.backward(prop.evolve_coeffs(tr.coefficients(traj.values[i0]), t - t0))
+    resid = traj.values[i1] - lin + 1j * integral
     return float(math.sqrt(np.sum(traj.grid.weights * np.abs(resid) ** 2)))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import timegrid
 from .grid import RadialField, RadialGrid, _lp_norms, _row_sums
-from .transform import fractional_power, get_transform
+from .transform import get_transform
 
 if TYPE_CHECKING:  # dynamics imports this module for the energy
     from .dynamics import Trajectory
@@ -101,13 +101,16 @@ def energy(u: RadialField, mu: int = 1) -> EnergyBreakdown:
     The kinetic part is evaluated spectrally (exact in the discrete mode
     basis); the potential part by grid quadrature and signed by mu.
     """
-    n = u.grid.dimension
-    tr = get_transform(u.grid)
-    kin = tr.kinetic_energy(u)
-    pot = mu * (n - 2) / (2.0 * n) * float(
-        np.sum(u.grid.weights * np.abs(u.values) ** (2.0 * n / (n - 2)))
-    )
-    return EnergyBreakdown(kin + pot, kin, pot)
+    return EnergyBreakdown(*(float(x[0]) for x in _energy_rows(u.grid, u.values[None, :], mu)))
+
+
+def _energy_rows(grid: RadialGrid, values: np.ndarray, mu: int):
+    """(total, kinetic, potential) energy of each row of ``values``."""
+    n = grid.dimension
+    kin = get_transform(grid).kinetic_energy(values)
+    expo = 2.0 * n / (n - 2)
+    pot = mu * (n - 2) / (2.0 * n) * _row_sums(lambda v: grid.weights * np.abs(v) ** expo, values)
+    return kin + pot, kin, pot
 
 
 def _mass_series(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
@@ -215,7 +218,11 @@ def hardy_bound_check(u: RadialField, radius: float, mu: int = 1) -> float:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    e = energy(u, mu).total
+    return _hardy_ratio(u, radius, energy(u, mu).total)
+
+
+def _hardy_ratio(u: RadialField, radius: float, e: float) -> float:
+    """``hardy_bound_check`` of a field whose energy ``e`` is known."""
     if e <= 0:
         if np.any(u.values != 0):
             raise ValueError("nonzero field with nonpositive energy")
@@ -286,10 +293,8 @@ def strichartz_norm(
 def _gradient_values(traj: Trajectory) -> np.ndarray:
     """(S, N) samples of |grad| u at every snapshot (one transform pair
     per snapshot)."""
-    out = np.empty_like(traj.values)
-    for i in range(len(out)):
-        out[i] = fractional_power(traj.field(i), 1.0).values
-    return out
+    tr = get_transform(traj.grid)
+    return tr.multiplier(traj.values, tr.frequencies**1.0)
 
 
 def critical_density(traj: Trajectory) -> np.ndarray:
@@ -467,9 +472,7 @@ def momentum_flux_identity_check(traj: Trajectory, eps: float) -> FluxIdentityRe
     expo = 2.0 * n / (n - 2)
 
     u = traj.values
-    ur = np.empty_like(u)
-    for i in range(len(ur)):
-        ur[i] = tr.derivative(traj.field(i)).values
+    ur = tr.derivative(u)
 
     # np.multiply, not "*": the operator would reuse the large conjugate
     # temporary as its output with the factors swapped, and the complex

@@ -11,6 +11,7 @@ invariant and returns a machine-readable pass/fail list.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -85,6 +86,45 @@ def _merge(base: dict, overlay: dict) -> dict:
 _SECTIONS = ("grid", "time", "initial_data", "analysis", "evolution")
 
 
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _within(low, high=math.inf, closed=False):
+    """A number in (low, high), or in [low, high) when ``closed``."""
+    return lambda v: _number(v) and (low <= v if closed else low < v) and v < high
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(ok(x) for x in v)
+
+
+# (dotted path, predicate, requirement) of every single-valued knob
+_KNOBS = (
+    ("mu", lambda v: v in (-1, 0, 1), "be -1, 0, or +1"),
+    ("grid.n_points", lambda v: isinstance(v, int) and v >= 16, "be an integer >= 16"),
+    ("grid.r_max", _within(0), "be positive"),
+    ("time.dt", _within(0), "be positive"),
+    ("time.snapshot_stride", lambda v: isinstance(v, int) and v >= 1, "be a positive integer"),
+    ("analysis.eta", lambda v: v is None or _within(0)(v), "be positive or null"),
+    ("analysis.c0", _within(0), "be positive"),
+    ("analysis.c1", _within(1), "exceed 1 (threshold below eta)"),
+    ("analysis.c2", _within(0), "be positive"),
+    ("analysis.morawetz_A", _list_of(_within(1, closed=True)),
+     "be a non-empty list of numbers >= 1"),
+    ("analysis.morawetz_eps", _list_of(_within(0)), "be a non-empty list of positive numbers"),
+    ("analysis.identity_eps", _within(0), "be positive"),
+    ("analysis.mass_radii", _list_of(_within(0)), "be a non-empty list of positive numbers"),
+    ("analysis.bubble_fraction", _within(0, 1), "lie in (0,1)"),
+    ("analysis.kappa", _within(0), "be positive"),
+    ("analysis.nest_half_factor", _within(0, 1), "lie in (0,1)"),
+    *((f"analysis.tolerances.{key}", _within(0, closed=True), "be a non-negative number")
+      for key in DEFAULT_SCENARIO["analysis"]["tolerances"]),
+    ("evolution.energy_drift_alarm", _within(0), "be positive"),
+    ("evolution.blowup_grad_factor", _within(0), "be positive"),
+)
+
+
 def normalize_scenario(raw: dict) -> dict:
     """Fill defaults and validate; raises ScenarioError listing every
     violated field."""
@@ -103,47 +143,23 @@ def normalize_scenario(raw: dict) -> dict:
     dimension_ok = isinstance(s["dimension"], int) and s["dimension"] >= 3
     if not dimension_ok:
         bad.append(f"dimension must be an integer >= 3, got {s['dimension']!r}")
-    if s["mu"] not in (-1, 0, 1):
-        bad.append(f"mu must be -1, 0, or +1, got {s['mu']!r}")
-    g = s["grid"]
-    if not isinstance(g.get("n_points"), int) or g["n_points"] < 16:
-        bad.append(f"grid.n_points must be an integer >= 16, got {g.get('n_points')!r}")
-    if not (isinstance(g.get("r_max"), (int, float)) and g["r_max"] > 0):
-        bad.append(f"grid.r_max must be positive, got {g.get('r_max')!r}")
+    for path, ok, requirement in _KNOBS:
+        value = functools.reduce(dict.__getitem__, path.split("."), s)
+        if not ok(value):
+            bad.append(f"{path} must {requirement}, got {value!r}")
     t = s["time"]
-    if not (
-        isinstance(t.get("t_minus"), (int, float))
-        and isinstance(t.get("t_plus"), (int, float))
-        and t["t_plus"] > t["t_minus"]
-    ):
+    if not (_number(t["t_minus"]) and _number(t["t_plus"]) and t["t_plus"] > t["t_minus"]):
         bad.append("time span must be nonempty (t_plus > t_minus)")
-    if not (isinstance(t.get("dt"), (int, float)) and t["dt"] > 0):
-        bad.append(f"time.dt must be positive, got {t.get('dt')!r}")
-    if not isinstance(t.get("snapshot_stride"), int) or t["snapshot_stride"] < 1:
-        bad.append(f"time.snapshot_stride must be a positive integer, got {t.get('snapshot_stride')!r}")
     init = s["initial_data"]
     fam = init.get("family")
     if fam not in _FAMILIES:
         bad.append(f"initial_data.family must be one of {_FAMILIES}, got {fam!r}")
     elif fam in ("gaussian", "ring"):
         for key in ("amplitude", "width") + (("center",) if fam == "ring" else ()):
-            if not (isinstance(init.get(key), (int, float)) and (key == "amplitude" or init[key] > 0)):
+            if not (_number(init.get(key)) and (key == "amplitude" or init[key] > 0)):
                 bad.append(f"initial_data.{key} must be positive, got {init.get(key)!r}")
     elif fam == "file" and not init.get("path"):
         bad.append("initial_data.path required for the file family")
-    a = s["analysis"]
-    if a["eta"] is not None and not (isinstance(a["eta"], (int, float)) and a["eta"] > 0):
-        bad.append(f"analysis.eta must be positive or null, got {a['eta']!r}")
-    if not a["c1"] > 1:
-        bad.append(f"analysis.c1 must exceed 1 (threshold below eta), got {a['c1']!r}")
-    if not (0 < a["bubble_fraction"] < 1):
-        bad.append(f"analysis.bubble_fraction must lie in (0,1), got {a['bubble_fraction']!r}")
-    if not a["kappa"] > 0:
-        bad.append(f"analysis.kappa must be positive, got {a['kappa']!r}")
-    for key in ("morawetz_A", "morawetz_eps", "mass_radii"):
-        vals = a[key]
-        if not vals or any(not (isinstance(v, (int, float)) and v > 0) for v in vals):
-            bad.append(f"analysis.{key} must be a list of positive numbers")
     if dimension_ok:
         try:
             _pairs_for(s)
@@ -297,16 +313,16 @@ def _flux_table(s, traj, tol):
 
 def _hardy_table(s, traj):
     u0 = traj.field(0)
-    mu = traj.config.mu
-    if traj.energy_series[0] <= 0 and np.any(u0.values != 0):
+    e0 = float(traj.energy_series[0])
+    if e0 <= 0 and np.any(u0.values != 0):
         return {"skipped": "growth bound requires positive energy"}
     rows = [
-        {"radius": float(r), "ratio": fn.hardy_bound_check(u0, float(r), mu),
+        {"radius": float(r), "ratio": fn._hardy_ratio(u0, float(r), e0),
          "bound": fn.HARDY_RATIO_BOUND}
         for r in s["analysis"]["mass_radii"]
     ]
     sweep = [
-        fn.hardy_bound_check(u0, float(r), mu)
+        fn._hardy_ratio(u0, float(r), e0)
         for r in np.geomspace(0.25, min(8.0, traj.grid.r_max / 2), 17)
     ]
     return {"rows": rows, "sweep_sup": float(max(sweep)), "bound": fn.HARDY_RATIO_BOUND}
@@ -441,7 +457,7 @@ def _concentration_block(s, traj):
                 }
             )
     block["bubbles"] = bubbles
-    nest = conc.bourgain_nest(decomp, float(a["kappa"]), float(a["nest_half_factor"]))
+    nest = conc.bourgain_nest(decomp, half_factor=float(a["nest_half_factor"]))
     if nest is None:
         block["nest"] = {"empty": True, "reason": "all intervals exceptional"}
     else:
@@ -513,9 +529,7 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
         traj = load_trajectory(store_dir)
         masses = fn._mass_series(traj.grid, traj.values)
         mass_drift = float(np.abs(masses - masses[0]).max())
-        energies = np.array(
-            [fn.energy(traj.field(i), traj.config.mu).total for i in range(len(traj.times))]
-        )
+        energies = fn._energy_rows(traj.grid, traj.values, traj.config.mu)[0]
         e_scale = max(abs(energies[0]), 1e-30)
         energy_drift = float(np.abs(energies - energies[0]).max() / e_scale)
     else:

@@ -29,6 +29,12 @@ the float view of the complex data (one real GEMM) would be faster
 still, but it rounds differently, and the pinned reports sit on an exact
 tie of the greedy interval subdivision that one ulp can flip.
 
+Apart from ``forward``, which takes a field, the transform methods take
+complex node samples: one row (N,) or a stack (S, N) such as
+``Trajectory.values``.  ``_apply`` is the one place that loops over a
+stack, one row at a time into a preallocated output: one GEMM over the
+stack would be faster but rounds differently (by up to 7e-14).
+
 The polar factor comes from an SVD.  Where LAPACK's SVD does not
 converge, Newton-Schulz iterations X <- X (3I - X^T X) / 2 from the
 sampled matrix give the same factor: it is already orthonormal to about
@@ -38,7 +44,6 @@ sampled matrix give the same factor: it is already orthonormal to about
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -118,17 +123,25 @@ class SpectralTransform:
         return self.coefficients(u.values)
 
     def coefficients(self, values) -> NDArray[np.complex128]:
-        """Mode coefficients of raw node samples on this grid."""
-        x = self.sqrt_weights * values
-        if not np.iscomplexobj(x):
-            # the transposed view selects the same real BLAS kernel (and
-            # rounding) as ever; kernel_t @ x would round differently
-            return self.kernel.T @ x
-        return _apply(self.kernel_t, x)
+        """Mode coefficients of node samples."""
+        return _apply(self._coefficients, values)
 
-    def backward(self, coeffs: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    def backward(self, coeffs) -> NDArray[np.complex128]:
         """Node samples from mode coefficients."""
-        return _apply(self.kernel, coeffs) / self.sqrt_weights
+        return _apply(self._backward, coeffs)
+
+    def multiplier(self, values, m) -> NDArray[np.complex128]:
+        """Node samples after the diagonal frequency multiplier ``m``."""
+        return _apply(lambda row: self._backward(self._coefficients(row) * m), values)
+
+    def derivative(self, values) -> NDArray[np.complex128]:
+        """Spectrally accurate radial derivative u_r."""
+        return _apply(lambda row: _matvec(self.deriv_matrix, self._coefficients(row)), values)
+
+    def kinetic_energy(self, values):
+        """(1/2) integral of |grad u|^2, exact in the discrete mode basis: a
+        float for one row, one value per row for a stack."""
+        return _apply(self._kinetic_energy, values, scalar=True)
 
     def step_operator(self, multiplier) -> NDArray[np.complex128]:
         """Dense matrix of a diagonal frequency multiplier, acting on
@@ -140,21 +153,29 @@ class SpectralTransform:
             np.matmul(self.kernel[rows] * multiplier[None, :], right, out=out[rows])
         return out
 
-    def multiplier(self, u: RadialField, values) -> RadialField:
-        """Apply a diagonal frequency multiplier."""
-        return u.with_values(self.backward(self.forward(u) * values))
+    def _coefficients(self, row):
+        return _matvec(self.kernel_t, self.sqrt_weights * row)
 
-    def derivative(self, u: RadialField) -> RadialField:
-        """Spectrally accurate radial derivative u_r."""
-        return u.with_values(_apply(self.deriv_matrix, self.forward(u)))
+    def _backward(self, row):
+        return _matvec(self.kernel, row) / self.sqrt_weights
 
-    def kinetic_energy(self, u: RadialField) -> float:
-        """(1/2) integral of |grad u|^2, exact in the discrete mode basis."""
-        b = self.forward(u)
+    def _kinetic_energy(self, row) -> float:
+        b = self._coefficients(row)
         return float(0.5 * np.sum(self.frequencies**2 * np.abs(b) ** 2))
 
-    def roundtrip_error(self, u: RadialField) -> float:
-        return float(np.abs(self.backward(self.forward(u)) - u.values).max())
+
+def _apply(row_op, values, scalar: bool = False):
+    """``row_op`` on one row, or on each row of a stack in turn, written
+    into one preallocated output (one float per row when ``scalar``).
+    Every row is transformed alone, with the bits of a single-row call,
+    and no other (S, N) array is made."""
+    values = np.asarray(values)
+    if values.ndim == 1:
+        return row_op(values)
+    out = np.empty(len(values)) if scalar else np.empty(values.shape, dtype=complex)
+    for i, row in enumerate(values):
+        out[i] = row_op(row)
+    return out
 
 
 # rows of a real matrix cast to complex at a time (a 1 MB block at
@@ -163,12 +184,10 @@ class SpectralTransform:
 _ROWS = 64
 
 
-def _apply(mat: NDArray[np.float64], x) -> NDArray:
-    """``mat @ x`` with the same bits, casting ``mat`` one row block at a
-    time when ``x`` is complex.  ``mat`` is C-contiguous, so a row block
-    is one contiguous cast."""
-    if not np.iscomplexobj(x):
-        return mat @ x
+def _matvec(mat: NDArray[np.float64], x: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """``mat @ x`` for a complex vector with the same bits, casting ``mat``
+    one row block at a time.  ``mat`` is C-contiguous, so a row block is
+    one contiguous cast."""
     out = np.empty(mat.shape[0], dtype=complex)
     for start in range(0, mat.shape[0], _ROWS):
         rows = slice(start, start + _ROWS)
@@ -224,48 +243,19 @@ def _build_transform(grid: RadialGrid) -> SpectralTransform:
     return SpectralTransform(grid, nu, k, kernel, np.ascontiguousarray(kernel.T), deriv, sw)
 
 
-class GridCache:
-    """Values keyed by grid object, at most ``size`` of them; the least
-    recently used entry is dropped first.
-
-    Grids hash by identity.  A cached value keeps its grid key alive, so
-    an entry can never be found again by a different grid.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._items: OrderedDict = OrderedDict()
-
-    def get(self, grid: RadialGrid):
-        value = self._items.get(grid)
-        if value is not None:
-            self._items.move_to_end(grid)
-        return value
-
-    def put(self, grid: RadialGrid, value) -> None:
-        self._items[grid] = value
-        self._items.move_to_end(grid)
-        if len(self._items) > self.size:
-            self._items.popitem(last=False)
-
-
 # grids whose transform (three N x N arrays, 24 MB at N = 1024) and
 # propagator stay cached
 CACHED_GRIDS = 8
 
-_transforms = GridCache(CACHED_GRIDS)
 
-
+@lru_cache(maxsize=CACHED_GRIDS)
 def get_transform(grid: RadialGrid) -> SpectralTransform:
     """Transform attached to a bessel-kind grid (cached per grid object,
-    for the ``CACHED_GRIDS`` most recently used grids)."""
+    for the ``CACHED_GRIDS`` most recently used grids; grids hash by
+    identity)."""
     if grid.kind != "bessel":
         raise GridError("spectral transform requires a bessel-kind grid")
-    t = _transforms.get(grid)
-    if t is None:
-        t = _build_transform(grid)
-        _transforms.put(grid, t)
-    return t
+    return _build_transform(grid)
 
 
 def fractional_power(u: RadialField, alpha: float) -> RadialField:
@@ -281,4 +271,4 @@ def fractional_power(u: RadialField, alpha: float) -> RadialField:
     if alpha > 2:
         raise ValueError(f"alpha={alpha} > 2 is out of range")
     t = get_transform(u.grid)
-    return t.multiplier(u, t.frequencies**alpha)
+    return u.with_values(t.multiplier(u.values, t.frequencies**alpha))

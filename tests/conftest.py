@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlslab import EvolutionConfig, Trajectory, evolve, gaussian_field, make_spectral_grid
-from nlslab.functionals import _mass_series, energy
+from nlslab.functionals import _energy_rows, _mass_series
 
 
 @pytest.fixture(scope="session")
@@ -40,7 +40,7 @@ def make_synthetic_trajectory(grid, times, profiles, mu=0):
     """
     times = np.asarray(times, dtype=float)
     values = np.array([p.values for p in profiles], dtype=complex)
-    parts = [energy(p, mu) for p in profiles]
+    total, kinetic, potential = _energy_rows(grid, values, mu)
     cfg = EvolutionConfig(dimension=grid.dimension, mu=mu, dt=float(times[1] - times[0]))
     return Trajectory(
         config=cfg,
@@ -48,9 +48,9 @@ def make_synthetic_trajectory(grid, times, profiles, mu=0):
         times=times,
         values=values,
         mass_series=_mass_series(grid, values),
-        energy_series=np.array([e.total for e in parts]),
-        kinetic_series=np.array([e.kinetic for e in parts]),
-        potential_series=np.array([e.potential for e in parts]),
+        energy_series=total,
+        kinetic_series=kinetic,
+        potential_series=potential,
         provenance={"synthetic": True},
     )
 

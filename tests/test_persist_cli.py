@@ -163,20 +163,37 @@ def test_free_scenario_flow_ratios_one():
 
 
 def test_build_report_takes_one_gradient_per_snapshot(monkeypatch):
+    from nlslab.scenario import build_report, evolve_scenario
+    from nlslab.transform import SpectralTransform
+
+    s, traj = evolve_scenario(SMALL_SCENARIO)
+    original = SpectralTransform.multiplier
+    rows = []
+
+    def counted(self, values, m):
+        rows.append(np.atleast_2d(values).shape[0])
+        return original(self, values, m)
+
+    monkeypatch.setattr(SpectralTransform, "multiplier", counted)
+    build_report(s, traj)
+    assert sum(rows) == traj.times.size
+
+
+def test_hardy_table_reuses_the_initial_energy(monkeypatch):
     from nlslab import functionals
     from nlslab.scenario import build_report, evolve_scenario
 
-    s, traj = evolve_scenario(SMALL_SCENARIO)
-    original = functionals.fractional_power
-    calls = []
+    s, traj = evolve_scenario(dict(SMALL_SCENARIO, analysis={"certify_resolution": False}))
 
-    def counted(u, alpha):
-        calls.append(alpha)
-        return original(u, alpha)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the hardy table must read energy_series[0]")
 
-    monkeypatch.setattr(functionals, "fractional_power", counted)
-    build_report(s, traj)
-    assert len(calls) == traj.times.size
+    monkeypatch.setattr(functionals, "energy", refuse)
+    hardy = build_report(s, traj)["hardy"]
+    assert len(hardy["rows"]) == 3 and hardy["sweep_sup"] > 0
+    u0 = traj.field(0)
+    monkeypatch.undo()
+    assert hardy["rows"][0]["ratio"] == functionals.hardy_bound_check(u0, 1.0, traj.config.mu)
 
 
 def test_verify_report_all_pass(small_run):
@@ -328,6 +345,29 @@ def test_cli_inadmissible_pairs_is_config_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG_ERROR
     assert "admissible_pairs" in capsys.readouterr().err
+    assert not out.exists()                    # rejected before anything ran
+
+
+@pytest.mark.parametrize("command,section,knob", [
+    ("analyze", "analysis", {"c1": "x"}),
+    ("analyze", "analysis", {"identity_eps": "x"}),
+    ("analyze", "analysis", {"nest_half_factor": 2.0}),
+    ("analyze", "analysis", {"tolerances": {"flux_ratio": "x"}}),
+    ("analyze", "evolution", {"energy_drift_alarm": -1}),
+    ("simulate", None, None),                     # a config file that is not JSON
+])
+def test_cli_bad_knob_or_json_is_config_error(tmp_path, capsys, command, section, knob):
+    if section is None:
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text('{"dimension": 3,', encoding="utf-8")
+    else:
+        doc = json.loads(json.dumps(SMALL_SCENARIO))
+        doc.setdefault(section, {}).update(knob)
+        cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "internal error" not in err
     assert not out.exists()                    # rejected before anything ran
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nlslab import fractional_power, gaussian_field, get_propagator, make_spectral_grid
+from nlslab import energy, fractional_power, gaussian_field, get_propagator, make_spectral_grid
+from nlslab.functionals import _energy_rows
 from nlslab.grid import sample_even, sphere_area
 from nlslab.transform import CACHED_GRIDS, _build_transform, bessel_zeros, get_transform
 
@@ -28,7 +29,8 @@ def test_frequencies_increasing(g3):
 
 def test_roundtrip_on_reference_gaussian(g3):
     t = get_transform(g3)
-    assert t.roundtrip_error(gaussian_field(g3)) < 1e-9
+    u = gaussian_field(g3).values
+    assert np.abs(t.backward(t.coefficients(u)) - u).max() < 1e-9
 
 
 def test_kernel_exactly_orthogonal(g3):
@@ -38,22 +40,68 @@ def test_kernel_exactly_orthogonal(g3):
 
 @pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1024)])
 def test_dense_application_matches_full_cast_products(n, n_points):
-    """Row-blocked application keeps numpy's bits for real and complex
-    input, including a last block shorter than the others (N = 1000)."""
+    """Row-blocked application keeps numpy's bits for complex input,
+    including a last block shorter than the others (N = 1000)."""
     tr = get_transform(make_spectral_grid(n, n_points, 32.0))
     rng = np.random.default_rng(n_points + n)
-    real = rng.standard_normal(n_points)
-    cplx = real + 1j * rng.standard_normal(n_points)
+    x = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
     sw = tr.sqrt_weights
-    for x in (real, cplx):
-        assert np.array_equal(tr.coefficients(x), tr.kernel.T @ (sw * x))
-        assert np.array_equal(tr.backward(x), (tr.kernel @ x) / sw)
-    u = tr.grid.field(cplx)
-    assert np.array_equal(tr.derivative(u).values, tr.deriv_matrix @ tr.forward(u))
+    assert np.array_equal(tr.coefficients(x), tr.kernel.T @ (sw * x))
+    assert np.array_equal(tr.backward(x), (tr.kernel @ x) / sw)
+    assert np.array_equal(tr.derivative(x), tr.deriv_matrix @ tr.coefficients(x))
     phases = np.exp(-1j * tr.frequencies**2 * 1e-3)
     assert np.array_equal(
         tr.step_operator(phases), (tr.kernel * phases[None, :]) @ tr.kernel.T
     )
+
+
+@pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1000)])
+def test_row_stacks_equal_per_field_loops(n, n_points):
+    """Every row method, on a stack (S, N) or on one row, has the bits of
+    the per-field arithmetic applied one snapshot at a time."""
+    grid = make_spectral_grid(n, n_points, 32.0)
+    tr = get_transform(grid)
+    rng = np.random.default_rng(7 * n_points + n)
+    stack = rng.standard_normal((5, n_points)) + 1j * rng.standard_normal((5, n_points))
+    sw, k = tr.sqrt_weights, tr.frequencies
+    m = np.exp(-1j * k**2 * 1e-3)
+
+    # the full-cast products equal the row-blocked apply on one vector
+    def coef(v):
+        return tr.kernel.T @ (sw * v)
+
+    def back(b):
+        return (tr.kernel @ b) / sw
+
+    def kinetic(v):
+        return float(0.5 * np.sum(k**2 * np.abs(coef(v)) ** 2))
+
+    cases = {
+        "coefficients": (tr.coefficients, coef),
+        "forward": (tr.coefficients, lambda v: tr.forward(grid.field(v))),
+        "backward": (tr.backward, back),
+        "multiplier": (lambda x: tr.multiplier(x, m), lambda v: back(coef(v) * m)),
+        "fractional_power": (lambda x: tr.multiplier(x, k**1.0),
+                             lambda v: fractional_power(grid.field(v), 1.0).values),
+        "derivative": (tr.derivative, lambda v: tr.deriv_matrix @ coef(v)),
+        "kinetic_energy": (tr.kinetic_energy, kinetic),
+    }
+    for name, (rows, per_field) in cases.items():
+        expected = np.array([per_field(v) for v in stack])
+        assert np.array_equal(rows(stack), expected), name
+        assert np.array_equal(rows(stack[3]), expected[3]), name
+
+    for mu in (-1, 0, 1):
+        expo = 2.0 * n / (n - 2)
+        pot = [mu * (n - 2) / (2.0 * n) * float(np.sum(grid.weights * np.abs(v) ** expo))
+               for v in stack]
+        kin = [kinetic(v) for v in stack]
+        total, kinetic_rows, potential_rows = _energy_rows(grid, stack, mu)
+        assert np.array_equal(kinetic_rows, kin)
+        assert np.array_equal(potential_rows, pot)
+        assert np.array_equal(total, [a + b for a, b in zip(kin, pot)])
+        one = energy(grid.field(stack[3]), mu)
+        assert (one.total, one.kinetic, one.potential) == (total[3], kin[3], pot[3])
 
 
 def test_polar_factor_survives_svd_failure(monkeypatch):
