@@ -133,16 +133,6 @@ def bump(s) -> np.ndarray:
     return 1.0 - x**3 * (10.0 - 15.0 * x + 6.0 * x * x)
 
 
-def bump_derivative(s) -> np.ndarray:
-    """d/ds of the cutoff (nonzero only on the ramp [1/2, 1])."""
-    s = np.asarray(s, dtype=float)
-    x = 2.0 * s - 1.0
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.clip(x, 0.0, 1.0)
-    d = -2.0 * 30.0 * x**2 * (1.0 - x) ** 2
-    return np.where(inside, d, 0.0)
-
-
 #: sup |d bump / ds|, attained at the ramp midpoint s = 3/4
 BUMP_SLOPE_MAX = 2.0 * 30.0 / 16.0  # = 3.75
 

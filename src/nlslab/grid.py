@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
 
 
 class GridError(ValueError):
@@ -142,7 +141,13 @@ def _row_sums(integrand, *arrays) -> NDArray[np.float64]:
 _MIRROR = 8
 
 
-def _even_spline(grid: RadialGrid, values) -> CubicSpline:
+def _even_spline(grid: RadialGrid, values):
+    """Cubic spline through the even extension of ``values`` across r = 0."""
+    # imported here, not at module level: scipy.interpolate pulls in
+    # scipy.optimize, about 0.3 s of every process, and only rescale and
+    # sample_even, which no CLI command reaches, interpolate
+    from scipy.interpolate import CubicSpline
+
     r = grid.nodes
     m = min(_MIRROR, r.size - 1)
     if r[0] == 0.0:

@@ -4,18 +4,20 @@ Layout of a trajectory store::
 
     <dir>/metadata.json        grid spec, evolution config, snapshot times,
                                status and conserved-quantity series
-    <dir>/snapshot_000000.bin  one little-endian float64 array per snapshot,
-                               interleaved (re, im), index zero-padded to 6
+    <dir>/snapshot_000000.bin  one snapshot as numpy ``<c16`` bytes: little-
+                               endian float64 (re, im) pairs, index
+                               zero-padded to 6; bit-exact on round-trip,
+                               signed zeros included
 
-Numbers in JSON and CSV are written as decimal with 17 significant digits,
-which round-trips IEEE float64 exactly; two runs of the same scenario
-therefore produce byte-identical artifacts.
+JSON is ``json.dumps`` with floats in their shortest round-trip form
+(``0.8``, ``16.0``); CSV writes decimals with 17 significant digits.  Both
+read back to the same float64, so two runs of the same scenario produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -32,57 +34,9 @@ FORMAT_VERSION = 1
 # canonical JSON
 
 
-def _emit(obj, out: list, indent: int):
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError("non-finite float in serialized document; encode as string")
-        out.append(format(x, ".17g"))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(items):
-            out.append(pad + "  ")
-            _emit(item, out, indent + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = list(obj.keys())
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError(f"non-string key {key!r}")
-            out.append(pad + "  " + json.dumps(key) + ": ")
-            _emit(obj[key], out, indent + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj)}")
-
-
 def canonical_json(obj) -> str:
-    """Deterministic JSON text with floats at 17 significant digits."""
-    out: list[str] = []
-    _emit(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    """Deterministic JSON text, floats in their shortest round-trip form."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path: Path, obj):
@@ -98,18 +52,13 @@ def read_json(path: Path):
 
 
 def encode_snapshot(values: np.ndarray) -> bytes:
-    v = np.asarray(values, dtype=complex)
-    inter = np.empty(2 * v.size, dtype="<f8")
-    inter[0::2] = v.real
-    inter[1::2] = v.imag
-    return inter.tobytes()
+    return np.asarray(values, dtype="<c16").tobytes()
 
 
 def decode_snapshot(blob: bytes) -> np.ndarray:
-    inter = np.frombuffer(blob, dtype="<f8")
-    if inter.size % 2:
-        raise ValueError("corrupt snapshot: odd float count")
-    return inter[0::2] + 1j * inter[1::2]
+    if len(blob) % 16:
+        raise ValueError("corrupt snapshot: not a whole number of complex samples")
+    return np.frombuffer(blob, dtype="<c16")
 
 
 def snapshot_filename(index: int) -> str:
@@ -136,9 +85,6 @@ def save_trajectory(traj: Trajectory, directory) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     g = traj.grid
-    prov = {
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in traj.provenance.items()
-    }
     meta = {
         "format_version": FORMAT_VERSION,
         "grid": {"dimension": g.dimension, "n_points": g.n_points, "r_max": g.r_max,
@@ -154,7 +100,7 @@ def save_trajectory(traj: Trajectory, directory) -> Path:
             "kinetic": list(traj.kinetic_series),
             "potential": list(traj.potential_series),
         },
-        "provenance": prov,
+        "provenance": traj.provenance,
     }
     write_json(directory / "metadata.json", meta)
     for i, row in enumerate(traj.values):
@@ -206,11 +152,7 @@ def load_trajectory(directory) -> Trajectory:
 
 def write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     """Write aligned numeric columns with a descriptive header row."""
-    rows = [",".join(header)]
-    length = len(columns[0])
-    for col in columns:
-        if len(col) != length:
-            raise ValueError("ragged CSV columns")
-    for i in range(length):
-        rows.append(",".join(format(float(c[i]), ".17g") for c in columns))
-    Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+    if any(len(col) != len(columns[0]) for col in columns):
+        raise ValueError("ragged CSV columns")
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="", encoding="utf-8")

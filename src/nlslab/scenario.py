@@ -513,6 +513,15 @@ def _check(name, passed, measured, bound, note="") -> dict:
     }
 
 
+def _exponent_name(x) -> str:
+    """A pair exponent as check names spell it: integral values without a
+    point, others by repr, "inf" as it is; the same whether the report is in
+    memory or read back from report.json."""
+    if isinstance(x, str):
+        return x
+    return str(int(x)) if float(x).is_integer() else repr(float(x))
+
+
 def verify_report(report: dict, store_dir=None) -> list[dict]:
     """Evaluate every applicable invariant; returns a pass/fail list.
 
@@ -552,7 +561,8 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
         qv = float(q) if not isinstance(q, str) else math.inf
         rv = float(r) if not isinstance(r, str) else math.inf
         checks.append(
-            _check(f"admissible({q},{r})", fn.is_admissible(qv, rv, n), [q, r], "identity")
+            _check(f"admissible({_exponent_name(q)},{_exponent_name(r)})",
+                   fn.is_admissible(qv, rv, n), [q, r], "identity")
         )
 
     flux = report.get("mass_flux")

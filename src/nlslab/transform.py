@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
@@ -109,12 +109,20 @@ class SpectralTransform:
     """
 
     grid: RadialGrid
-    order: float
     frequencies: NDArray[np.float64]
     kernel: NDArray[np.float64]        # orthogonal: columns = weighted modes
     kernel_t: NDArray[np.float64]      # kernel.T, C-contiguous
-    deriv_matrix: NDArray[np.float64]  # coefficients -> d/dr samples
     sqrt_weights: NDArray[np.float64]
+
+    @cached_property
+    def deriv_matrix(self) -> NDArray[np.float64]:
+        """Coefficients -> d/dr samples, built on first use: only the
+        momentum-flux identity check differentiates."""
+        nu, _, mode_norm = _modes(self.grid)
+        k, r = self.frequencies, self.grid.nodes
+        # d/dr [J_nu(k r)/r^nu] = -k J_{nu+1}(k r)/r^nu
+        dphi = -k[None, :] * special.jv(nu + 1, np.outer(r, k)) / r[:, None] ** nu
+        return dphi / mode_norm[None, :]
 
     def forward(self, u: RadialField) -> NDArray[np.complex128]:
         """Mode coefficients of a field."""
@@ -221,30 +229,30 @@ def _newton_schulz_polar(a: NDArray[np.float64]) -> NDArray[np.float64]:
     raise RuntimeError("polar factor: Newton-Schulz iteration did not converge")
 
 
+def _modes(grid: RadialGrid):
+    """Order nu, Bessel zeros j_m and L^2(R^n) norms of the Dirichlet modes
+    J_nu(k_m r)/r^nu, k_m = j_m / r_max, of a grid."""
+    nu = grid.dimension / 2.0 - 1.0
+    j = bessel_zeros(nu, grid.n_points + 1)[: grid.n_points]
+    norm = math.sqrt(sphere_area(grid.dimension) / 2.0) * grid.r_max * np.abs(special.jv(nu + 1, j))
+    return nu, j, norm
+
+
 def _build_transform(grid: RadialGrid) -> SpectralTransform:
-    n = grid.dimension
-    nu = n / 2.0 - 1.0
-    N = grid.n_points
-    r = grid.nodes
-    z = bessel_zeros(nu, N + 1)
-    j = z[:N]
+    nu, j, mode_norm = _modes(grid)
     k = j / grid.r_max
-    # L^2(R^n) norms of the Dirichlet modes J_nu(k_m r)/r^nu
-    mode_norm = math.sqrt(sphere_area(n) / 2.0) * grid.r_max * np.abs(special.jv(nu + 1, j))
+    r = grid.nodes
     phi = special.jv(nu, np.outer(r, k)) / r[:, None] ** nu
     sw = np.sqrt(grid.weights)
     sampled = (sw[:, None] * phi) / mode_norm[None, :]
     # polar factor: the nearest exactly orthogonal matrix to the sampled
     # (already near-orthonormal) mode matrix
     kernel = _polar_factor(sampled)
-    # d/dr [J_nu(k r)/r^nu] = -k J_{nu+1}(k r)/r^nu
-    dphi = -k[None, :] * special.jv(nu + 1, np.outer(r, k)) / r[:, None] ** nu
-    deriv = dphi / mode_norm[None, :]
-    return SpectralTransform(grid, nu, k, kernel, np.ascontiguousarray(kernel.T), deriv, sw)
+    return SpectralTransform(grid, k, kernel, np.ascontiguousarray(kernel.T), sw)
 
 
-# grids whose transform (three N x N arrays, 24 MB at N = 1024) and
-# propagator stay cached
+# grids whose transform (two N x N arrays, 16 MB at N = 1024, and a third
+# once ``deriv_matrix`` is read) and propagator stay cached
 CACHED_GRIDS = 8
 
 

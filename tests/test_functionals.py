@@ -30,7 +30,6 @@ from nlslab.functionals import (
     AdmissiblePair,
     MorawetzWeight,
     bump,
-    bump_derivative,
     default_admissible_pairs,
     hardy_bound_check,
     morawetz_check_regularized,
@@ -122,9 +121,11 @@ def test_bump_shape():
     assert np.all((0 <= chi) & (chi <= 1))
     assert np.all(np.diff(chi) <= 1e-15)          # non-increasing
     assert bump(0.5) == 1.0 and bump(1.0) == 0.0
-    # C^2: derivative vanishes at both ramp ends
-    assert bump_derivative(0.5) == 0.0 and bump_derivative(1.0) == 0.0
-    assert abs(np.abs(bump_derivative(s)).max() - MASS_FLUX_CONSTANT / (2 * math.sqrt(2))) < 1e-3
+    # C^2: the slope vanishes at both ramp ends, and its largest size is
+    # the one MASS_FLUX_CONSTANT is built from
+    slope = np.gradient(chi, s)
+    assert abs(slope[250]) < 1e-3 and abs(slope[500]) < 1e-3   # s = 1/2, s = 1
+    assert abs(np.abs(slope).max() - MASS_FLUX_CONSTANT / (2 * math.sqrt(2))) < 1e-3
 
 
 def test_local_mass_zero(g3):

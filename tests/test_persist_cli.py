@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlslab
 from nlslab import EvolutionConfig, evolve, gaussian_field, make_spectral_grid
 from nlslab.cli import (
     EXIT_CONFIG_ERROR,
@@ -76,6 +81,12 @@ def test_snapshot_codec_bit_exact():
     assert np.array_equal(back, vals)          # bit-exact, not approx
 
 
+def test_snapshot_codec_keeps_signed_zeros():
+    # np.array_equal takes -0.0 for 0.0, so compare the bytes
+    blob = struct.pack("<6d", -0.0, -0.0, -0.0, 0.0, 0.0, -0.0)
+    assert encode_snapshot(decode_snapshot(blob)) == blob
+
+
 def test_snapshot_filename_padding():
     assert snapshot_filename(7) == "snapshot_000007.bin"
     assert snapshot_filename(123456) == "snapshot_123456.bin"
@@ -131,6 +142,15 @@ def test_scenario_validation_lists_all_violations():
 def test_report_deterministic_bytes(small_run):
     again = run_scenario(SMALL_SCENARIO)
     assert canonical_json(small_run.report) == canonical_json(again.report)
+
+
+def test_check_names_equal_in_memory_and_read_back(small_run):
+    # integral exponents read back from report.json as floats (10.0) or, from
+    # older reports, as ints (10); the check names must not tell them apart
+    read_back = json.loads(canonical_json(small_run.report))
+    names = [c["check"] for c in verify_report(small_run.report)]
+    assert any(name.startswith("admissible(") for name in names)
+    assert names == [c["check"] for c in verify_report(read_back)]
 
 
 def test_zero_amplitude_scenario_all_zero():
@@ -291,6 +311,33 @@ def test_cli_corrupted_snapshot_fails_verify(tmp_path):
     mass_check = next(c for c in checks if c["check"] == "mass_conservation")
     assert not mass_check["passed"]
     assert mass_check["measured"] > 1e-3      # the injected magnitude is visible
+
+
+def test_cli_file_initial_data_is_read_bit_exact(tmp_path):
+    # the decoder hands back a read-only view of the file's bytes
+    g = make_spectral_grid(3, 192, 16.0)
+    blob = encode_snapshot(gaussian_field(g).values * (1 - 0.5j))
+    (tmp_path / "u0.bin").write_bytes(blob)
+    scenario = json.loads(json.dumps(SMALL_SCENARIO))
+    scenario["initial_data"] = {"family": "file", "path": str(tmp_path / "u0.bin")}
+    scenario["time"]["t_plus"] = 0.02
+    cfg_path = write_config(tmp_path, scenario)
+    out = tmp_path / "file"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert (out / "trajectory" / snapshot_filename(0)).read_bytes() == blob
+
+
+def test_cli_import_leaves_interpolation_unloaded():
+    # only rescale and sample_even interpolate, and no command reaches them
+    src = str(Path(nlslab.__file__).resolve().parents[1])
+    code = (
+        "import sys, nlslab.cli; "
+        "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_crash_is_internal_error_not_verify_failure(tmp_path, capsys):
