@@ -10,9 +10,9 @@ Subcommands::
     sweep         run a list of scenarios into per-scenario directories
     export-plots  re-emit the CSV series from an existing report
 
-Exit codes: 0 all-pass, 1 verification failures, 2 configuration error,
-3 runtime alarm (blowup or energy drift), 4 internal error (an unexpected
-exception, reported on stderr).
+Exit codes: 0 all-pass, 1 verification failures, 2 configuration error
+or unresolvable grid, 3 runtime alarm (blowup or energy drift), 4 internal
+error (an unexpected exception, reported on stderr).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .grid import UnresolvedGridError
 from .persist import load_trajectory, read_json, save_trajectory, write_csv, write_json
 from .scenario import (
     RunResult,
@@ -242,7 +243,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"configuration error: {violation}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UnresolvedGridError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except json.JSONDecodeError as exc:

@@ -160,12 +160,9 @@ def _linear_flow_density(traj: Trajectory, anchor_index: int, times) -> np.ndarr
     the snapshot at ``anchor_index``."""
     tr = get_transform(traj.grid)
     prop = get_propagator(traj.grid)
-    t_anchor = traj.times[anchor_index]
     coeffs = tr.coefficients(traj.values[anchor_index])
-    flow = np.empty((len(times), traj.grid.n_points), dtype=complex)
-    for i, t in enumerate(times):
-        flow[i] = tr.backward(prop.evolve_coeffs(coeffs, t - t_anchor))
-    return _critical_densities(traj.grid, flow)
+    offsets = (np.asarray(times) - traj.times[anchor_index])[:, None]
+    return _critical_densities(traj.grid, tr.backward(prop.evolve_coeffs(coeffs, offsets)))
 
 
 def classify_exceptional(

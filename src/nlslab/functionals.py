@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,27 +27,10 @@ if TYPE_CHECKING:  # dynamics imports this module for the energy
 
 
 def is_admissible(q: float, r: float, n: int) -> bool:
-    """Schrodinger admissibility:  2 <= q, r <= inf  and  1/q + n/(2r) = n/4.
-
-    Exact rational arithmetic where both exponents are rational; otherwise
-    a 1e-12 tolerance on the scaling identity.
-    """
+    """Schrodinger admissibility:  2 <= q, r <= inf  and  1/q + n/(2r) = n/4,
+    the identity to a 1e-12 tolerance."""
     if q < 2 or r < 2:
         return False
-    # exact-rational acceptance for pairs expressed by simple fractions;
-    # anything it cannot certify falls through to the float tolerance
-    try:
-        fq = Fraction(0) if math.isinf(q) else Fraction(q).limit_denominator(10**6)
-        fr = Fraction(0) if math.isinf(r) else Fraction(r).limit_denominator(10**6)
-        rep_q = math.isinf(q) or abs(float(fq) - q) < 1e-15 * max(1.0, q)
-        rep_r = math.isinf(r) or abs(float(fr) - r) < 1e-15 * max(1.0, r)
-        if rep_q and rep_r:
-            inv_q = Fraction(0) if math.isinf(q) else 1 / fq
-            inv_r = Fraction(0) if math.isinf(r) else 1 / fr
-            if inv_q + Fraction(n, 2) * inv_r == Fraction(n, 4):
-                return True
-    except (OverflowError, ZeroDivisionError):
-        pass
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
     inv_r = 0.0 if math.isinf(r) else 1.0 / r
     return abs(inv_q + n / 2.0 * inv_r - n / 4.0) < 1e-12
@@ -359,6 +341,7 @@ class MorawetzReport:
     window_radius: float
     A: float
     interval: tuple[float, float]
+    regularized: dict         # eps -> LHS with 1/(eps^2+|x|^2)^{1/2}, and "richardson"
 
 
 def _morawetz_lhs(traj: Trajectory, a: float, b: float, A: float, denominator) -> float:
@@ -373,12 +356,17 @@ def _morawetz_lhs(traj: Trajectory, a: float, b: float, A: float, denominator) -
     return timegrid.pl_integral(traj.times, dens, a, b)
 
 
-def morawetz_check(traj: Trajectory, interval=None, A: float = 1.0) -> MorawetzReport:
+def morawetz_check(traj: Trajectory, interval=None, A: float = 1.0, eps=()) -> MorawetzReport:
     """Weighted spacetime concentration integral against  A |I|^{1/2} E.
 
     LHS = int_I int_{|x| <= A |I|^{1/2}}  |u|^{2n/(n-2)} / |x|  dx dt.
     The 1/|x| singularity is absorbed by the volume factor (the radial
     integrand carries r^{n-2}, finite for n >= 3).
+
+    The same integral with the regularized weight 1/(eps^2+|x|^2)^{1/2} is
+    reported at each epsilon of ``eps``; with two or more, together with
+    the linear-in-epsilon Richardson value, which converges monotonically
+    from below to the sharp 1/|x| integral as eps -> 0.
     """
     if A < 1.0:
         raise ValueError("A must be >= 1")
@@ -389,29 +377,16 @@ def morawetz_check(traj: Trajectory, interval=None, A: float = 1.0) -> MorawetzR
     e = float(traj.energy_series[0])
     rhs = A * math.sqrt(length) * e
     ratio = lhs / rhs if rhs > 0 else math.inf if lhs > 0 else 0.0
-    return MorawetzReport(lhs, rhs, ratio, rad, A, (a, b))
-
-
-def morawetz_check_regularized(
-    traj: Trajectory, eps_list=(1e-2, 1e-3), interval=None, A: float = 1.0
-) -> dict:
-    """The same integral with the regularized weight 1/(eps^2+|x|^2)^{1/2}.
-
-    Reported at each epsilon together with the linear-in-epsilon
-    Richardson value, which converges monotonically from below to the
-    sharp 1/|x| integral as eps -> 0.
-    """
-    a, b = _resolve_interval(traj, interval)
-    out = {
-        eps: _morawetz_lhs(traj, a, b, A, lambda r, eps=eps: np.sqrt(eps**2 + r**2))
-        for eps in eps_list
+    reg = {
+        ep: _morawetz_lhs(traj, a, b, A, lambda r, ep=ep: np.sqrt(ep**2 + r**2))
+        for ep in eps
     }
-    eps_sorted = sorted(out)
+    eps_sorted = sorted(reg)
     if len(eps_sorted) >= 2:
         e1, e0 = eps_sorted[-1], eps_sorted[0]  # largest, smallest
-        v1, v0 = out[e1], out[e0]
-        out["richardson"] = v0 + (v0 - v1) * e0 / (e1 - e0)
-    return out
+        v1, v0 = reg[e1], reg[e0]
+        reg["richardson"] = v0 + (v0 - v1) * e0 / (e1 - e0)
+    return MorawetzReport(lhs, rhs, ratio, rad, A, (a, b), reg)
 
 
 @dataclass(frozen=True)

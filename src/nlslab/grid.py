@@ -25,6 +25,13 @@ class GridError(ValueError):
     """Invalid grid construction or grid/field mismatch."""
 
 
+class UnresolvedGridError(GridError):
+    """A grid too coarse for the transform or propagator self-tests."""
+
+    def __init__(self, reason: str):
+        super().__init__(f"{reason}; raise n_points, enlarge r_max or lower dimension")
+
+
 def sphere_area(n: int) -> float:
     """Surface area of the unit sphere S^{n-1} in R^n."""
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)

@@ -331,10 +331,7 @@ def _hardy_table(s, traj):
 def _morawetz_table(s, traj):
     rows = []
     for A in s["analysis"]["morawetz_A"]:
-        rep = fn.morawetz_check(traj, None, float(A))
-        reg = fn.morawetz_check_regularized(
-            traj, tuple(s["analysis"]["morawetz_eps"]), None, float(A)
-        )
+        rep = fn.morawetz_check(traj, None, float(A), tuple(s["analysis"]["morawetz_eps"]))
         rows.append(
             {
                 "A": rep.A,
@@ -342,7 +339,7 @@ def _morawetz_table(s, traj):
                 "rhs_without_constant": rep.rhs_without_constant,
                 "ratio": rep.ratio,
                 "bound": fn.MORAWETZ_RATIO_BOUND,
-                "regularized": {str(k): v for k, v in reg.items()},
+                "regularized": {str(k): v for k, v in rep.regularized.items()},
             }
         )
     return {"rows": rows, "bound": fn.MORAWETZ_RATIO_BOUND}

@@ -15,6 +15,8 @@ from nlslab import (
     evolve,
     find_bubble,
     gaussian_field,
+    get_propagator,
+    get_transform,
     greedy_subdivide,
     half_norm_ratio,
     largest_fraction,
@@ -22,7 +24,12 @@ from nlslab import (
     make_spectral_grid,
     synthetic_decomposition,
 )
-from nlslab.concentration import ResolutionError, check_nest, window_statistics
+from nlslab.concentration import (
+    ResolutionError,
+    _linear_flow_density,
+    check_nest,
+    window_statistics,
+)
 from nlslab.functionals import bump, critical_density
 from nlslab.grid import sphere_area
 
@@ -182,6 +189,21 @@ def test_classify_count_bound_exact(free_traj_for_classify):
         )
         assert rep.count * threshold <= flagged_mass + 1e-12
         assert rep.count <= rep.count_bound + 1e-12
+
+
+def test_linear_flow_density_equals_per_time_loop(free_traj_for_classify):
+    traj = free_traj_for_classify
+    tr, prop = get_transform(traj.grid), get_propagator(traj.grid)
+    n = traj.grid.dimension
+    expo = 2.0 * (n + 2) / (n - 2)
+    for anchor in (0, 17, traj.times.size - 1):
+        coeffs = tr.coefficients(traj.values[anchor])
+        for times in (traj.times, traj.times[20:31]):
+            expected = []
+            for t in times:
+                flow = tr.backward(prop.evolve_coeffs(coeffs, t - traj.times[anchor]))
+                expected.append(np.sum(traj.grid.weights * np.abs(flow) ** expo))
+            assert np.array_equal(_linear_flow_density(traj, anchor, times), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from nlslab.functionals import (
     bump,
     default_admissible_pairs,
     hardy_bound_check,
-    morawetz_check_regularized,
 )
 
 
@@ -311,10 +310,12 @@ def test_morawetz_scale_invariance(traj_defocusing, synth_factory):
 
 
 def test_morawetz_regularized_converges_from_below(traj_defocusing):
-    sharp = morawetz_check(traj_defocusing, None, 1.0).lhs
-    reg = morawetz_check_regularized(traj_defocusing, (1e-2, 1e-3), None, 1.0)
+    rep = morawetz_check(traj_defocusing, None, 1.0, (1e-2, 1e-3))
+    sharp, reg = rep.lhs, rep.regularized
     assert reg[1e-2] < reg[1e-3] < sharp
     assert abs(reg["richardson"] - sharp) < abs(reg[1e-2] - sharp)
+    # a Richardson value needs two epsilons
+    assert morawetz_check(traj_defocusing, None, 1.0, (1e-2,)).regularized == {1e-2: reg[1e-2]}
 
 
 def test_morawetz_rejects_small_A(traj_defocusing):

@@ -275,6 +275,18 @@ def test_cli_override_and_config_error(tmp_path):
     assert code == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("n,n_points,r_max", [(4, 16, 16.0), (10, 512, 8.0)])
+def test_cli_unresolvable_grid_is_config_error(tmp_path, capsys, n, n_points, r_max):
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    out = tmp_path / "run"
+    overrides = [f"dimension={n}", f"grid.n_points={n_points}", f"grid.r_max={r_max}"]
+    args = ["simulate", "--config", str(cfg_path), "--out", str(out)]
+    assert main(args + [a for o in overrides for a in ("--override", o)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "enlarge r_max" in err
+    assert not out.exists()
+
+
 def test_cli_missing_config(tmp_path):
     assert (
         main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])

@@ -11,6 +11,7 @@ from nlslab import (
     lp_norm,
     make_spectral_grid,
 )
+from nlslab.grid import UnresolvedGridError
 from nlslab.propagator import TimeRangeError
 
 
@@ -65,6 +66,32 @@ def test_evolve_coeffs_refuses_beyond_validated_span(g3):
         prop.evolve_coeffs(coeffs, t)  # the certified span itself is accepted
         with pytest.raises(TimeRangeError, match="enlarge r_max"):
             prop.evolve_coeffs(coeffs, 1.01 * t)
+
+
+def test_evolve_coeffs_column_of_times_equals_per_time_calls(g3):
+    prop = get_propagator(g3)
+    coeffs = prop.transform.forward(gaussian_field(g3))
+    t_max = prop.validated_t_max
+    times = np.linspace(-t_max, t_max, 9)
+    stack = prop.evolve_coeffs(coeffs, times[:, None])
+    assert stack.shape == (times.size, coeffs.size)
+    for row, t in zip(stack, times):
+        assert np.array_equal(row, prop.evolve_coeffs(coeffs, t))
+        assert np.array_equal(row, prop.evolve_coeffs(coeffs, float(t)))
+    for late in (1.01 * t_max, -1.01 * t_max):
+        with pytest.raises(TimeRangeError, match="enlarge r_max"):
+            prop.evolve_coeffs(coeffs, np.array([[0.0], [late], [0.5 * t_max]]))
+
+
+@pytest.mark.parametrize(
+    "n,n_points,r_max",
+    [(4, 16, 16.0), (3, 16, 1e-6), (60, 64, 16.0), (10, 512, 8.0), (200, 32, 16.0)],
+)
+def test_unresolvable_grid_raises_grid_error(n, n_points, r_max):
+    """Oracle, round-trip and Bessel-zero failures all name a remedy."""
+    hint = "raise n_points, enlarge r_max or lower dimension"
+    with pytest.raises(UnresolvedGridError, match=hint):
+        get_propagator(make_spectral_grid(n, n_points, r_max))
 
 
 def test_validated_span_covers_unit_time(g3):

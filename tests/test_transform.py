@@ -57,12 +57,20 @@ def test_dense_application_matches_full_cast_products(n, n_points):
 
 @pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1000)])
 def test_row_stacks_equal_per_field_loops(n, n_points):
-    """Every row method, on a stack (S, N) or on one row, has the bits of
-    the per-field arithmetic applied one snapshot at a time."""
+    """Every row method, on a stack (S, N) of any row count or memory
+    layout, or on one row, has the bits of the per-field arithmetic
+    applied one snapshot at a time."""
     grid = make_spectral_grid(n, n_points, 32.0)
     tr = get_transform(grid)
     rng = np.random.default_rng(7 * n_points + n)
     stack = rng.standard_normal((5, n_points)) + 1j * rng.standard_normal((5, n_points))
+    stacks = {
+        "5 rows": stack,
+        "0 rows": stack[:0],
+        "1 row": stack[:1],
+        "Fortran order": np.asfortranarray(stack),
+        "strided": stack[::2],
+    }
     sw, k = tr.sqrt_weights, tr.frequencies
     m = np.exp(-1j * k**2 * 1e-3)
 
@@ -87,9 +95,13 @@ def test_row_stacks_equal_per_field_loops(n, n_points):
         "kinetic_energy": (tr.kinetic_energy, kinetic),
     }
     for name, (rows, per_field) in cases.items():
-        expected = np.array([per_field(v) for v in stack])
-        assert np.array_equal(rows(stack), expected), name
-        assert np.array_equal(rows(stack[3]), expected[3]), name
+        one = per_field(stack[3])
+        assert np.array_equal(rows(stack[3]), one), name
+        for layout, values in stacks.items():
+            got = rows(values)
+            assert got.shape == values.shape[:1] + np.shape(one), (name, layout)
+            for row, v in zip(got, values):
+                assert np.array_equal(row, per_field(v)), (name, layout)
 
     for mu in (-1, 0, 1):
         expo = 2.0 * n / (n - 2)
