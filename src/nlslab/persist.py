@@ -8,6 +8,12 @@ Layout of a trajectory store::
                                endian float64 (re, im) pairs, index
                                zero-padded to 6; bit-exact on round-trip,
                                signed zeros included
+    <dir>/kernel.bin           optional: the transform's N x N polar factor
+                               that the evolution used, ``<f8`` bytes in
+                               row-major order (8 MB at N = 1024); loading
+                               adopts it once certified, so the transform
+                               keeps the evolution's bits at any BLAS
+                               thread count (see ``transform``)
 
 JSON is ``json.dumps`` with floats in their shortest round-trip form
 (``0.8``, ``16.0``); CSV writes decimals with 17 significant digits.  Both
@@ -25,7 +31,7 @@ import numpy as np
 
 from .dynamics import BlowupRecord, EvolutionConfig, Trajectory
 from .grid import RadialGrid
-from .transform import make_spectral_grid
+from .transform import get_transform, make_spectral_grid
 
 FORMAT_VERSION = 1
 
@@ -105,6 +111,7 @@ def save_trajectory(traj: Trajectory, directory) -> Path:
     write_json(directory / "metadata.json", meta)
     for i, row in enumerate(traj.values):
         (directory / snapshot_filename(i)).write_bytes(encode_snapshot(row))
+    np.asarray(get_transform(g).kernel, dtype="<f8").tofile(directory / "kernel.bin")
     return directory
 
 
@@ -114,6 +121,8 @@ def load_trajectory(directory) -> Trajectory:
     if meta.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported trajectory format {meta.get('format_version')}")
     grid = grid_from_spec(meta["grid"])
+    kernel = directory / "kernel.bin"
+    get_transform(grid, np.fromfile(kernel, dtype="<f8") if kernel.is_file() else np.empty(0))
     cfg = EvolutionConfig(**meta["config"])
     times = np.asarray(meta["times"], dtype=float)
     values = np.empty((times.size, grid.n_points), dtype=complex)

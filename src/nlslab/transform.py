@@ -42,10 +42,21 @@ The polar factor comes from an SVD.  Where LAPACK's SVD does not
 converge, Newton-Schulz iterations X <- X (3I - X^T X) / 2 from the
 sampled matrix give the same factor: it is already orthonormal to about
 1e-12, and the iteration converges quadratically from there.
+
+The SVD's last bits depend on the BLAS thread count.  A stored trajectory
+therefore carries the factor K that its evolution used, and its
+transform adopts K once two GEMMs certify it against the sampled matrix
+A: K^T K = I and H = K^T A = H^T, both to 1e-12, and ||H - I||_F < 1, so
+that H is positive definite.  The polar decomposition of a nonsingular A
+into an orthogonal and a symmetric positive definite factor is unique
+(Higham, SIAM J. Sci. Stat. Comput. 7 (1986) 1160), so this pins K as
+A's polar factor to rounding.  A factor that fails (another grid's, a
+corrupted file) is dropped with a warning, and the SVD runs.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -231,7 +242,28 @@ def _modes(grid: RadialGrid):
     return nu, j, norm
 
 
-def _build_transform(grid: RadialGrid) -> SpectralTransform:
+def _certified(stored: NDArray[np.float64], a: NDArray[np.float64]) -> NDArray[np.float64] | None:
+    """``stored`` (flat, row-major) as the orthogonal polar factor of ``a``
+    if it passes the certificate of the module docstring; else None, with a
+    warning that names the failed check."""
+    eye = np.eye(a.shape[0])
+    # each test passes only on a true comparison, which a NaN never is
+    if stored.size != a.size:
+        reason = f"{stored.size} entries, not {a.size}"
+    elif not np.abs((k := stored.reshape(a.shape)).T @ k - eye).max() <= 1e-12:
+        reason = "K is not orthogonal"
+    elif not np.abs((h := k.T @ a) - h.T).max() <= 1e-12:
+        reason = "K^T A is not symmetric"
+    elif not np.linalg.norm(h - eye) < 1.0:
+        reason = "K^T A is not positive definite"
+    else:
+        return k
+    logging.getLogger("nlslab").warning(
+        "stored polar factor rejected (%s); computing it by SVD", reason)
+    return None
+
+
+def _build_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
     nu, j, mode_norm = _modes(grid)
     k = j / grid.r_max
     r = grid.nodes
@@ -239,8 +271,11 @@ def _build_transform(grid: RadialGrid) -> SpectralTransform:
     sw = np.sqrt(grid.weights)
     sampled = (sw[:, None] * phi) / mode_norm[None, :]
     # polar factor: the nearest exactly orthogonal matrix to the sampled
-    # (already near-orthonormal) mode matrix
-    kernel = _polar_factor(sampled)
+    # (already near-orthonormal) mode matrix, taken from ``stored`` when it
+    # is certified
+    kernel = None if stored is None else _certified(stored, sampled)
+    if kernel is None:
+        kernel = _polar_factor(sampled)
     return SpectralTransform(grid, k, kernel, np.ascontiguousarray(kernel.T), sw)
 
 
@@ -249,14 +284,24 @@ def _build_transform(grid: RadialGrid) -> SpectralTransform:
 CACHED_GRIDS = 8
 
 
+# one slot per cached grid, filled by the first ``get_transform`` call, so
+# that a stored factor is not part of the cache key
 @lru_cache(maxsize=CACHED_GRIDS)
-def get_transform(grid: RadialGrid) -> SpectralTransform:
+def _transform_slot(grid: RadialGrid) -> list:
+    return []
+
+
+def get_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
     """Transform attached to a bessel-kind grid (cached per grid object,
     for the ``CACHED_GRIDS`` most recently used grids; grids hash by
-    identity)."""
+    identity).  A ``stored`` polar factor is certified and adopted only if
+    this call builds the transform, and is not held afterwards."""
     if grid.kind != "bessel":
         raise GridError("spectral transform requires a bessel-kind grid")
-    return _build_transform(grid)
+    slot = _transform_slot(grid)
+    if not slot:
+        slot.append(_build_transform(grid, stored))
+    return slot[0]
 
 
 def fractional_power(u: RadialField, alpha: float) -> RadialField:

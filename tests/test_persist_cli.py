@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -29,7 +30,9 @@ from nlslab.persist import (
     snapshot_filename,
     write_json,
 )
+from nlslab.propagator import get_propagator
 from nlslab.scenario import ScenarioError, normalize_scenario, run_scenario, verify_report
+from nlslab.transform import _transform_slot, get_transform
 
 SMALL_SCENARIO = {
     "scenario_id": "test-small",
@@ -116,6 +119,130 @@ def test_trajectory_roundtrip_bit_exact(tmp_path):
         assert (store / snapshot_filename(i)).read_bytes() == (
             store2 / snapshot_filename(i)
         ).read_bytes()
+
+
+def test_store_carries_the_kernel_bit_equal(tmp_path):
+    g = make_spectral_grid(3, 128, 12.0)
+    cfg = EvolutionConfig(dimension=3, mu=1, dt=5e-3, snapshot_stride=4)
+    store = tmp_path / "store"
+    save_trajectory(evolve(gaussian_field(g), 0.0, 0.1, cfg), store)
+    kernel = get_transform(g).kernel
+    assert (store / "kernel.bin").read_bytes() == kernel.astype("<f8").tobytes()
+    _transform_slot.cache_clear()
+    load_trajectory(store)
+    assert get_transform(g).kernel.tobytes() == kernel.tobytes()
+
+
+def _kernel_file(store: Path) -> np.ndarray:
+    n = read_json(store / "metadata.json")["grid"]["n_points"]
+    return np.fromfile(store / "kernel.bin", dtype="<f8").reshape(n, n)
+
+
+def _swap_columns(store):
+    k = _kernel_file(store)
+    k[:, [3, 40]] = k[:, [40, 3]]
+    k.tofile(store / "kernel.bin")
+
+
+def _flip_column(store):
+    k = _kernel_file(store)
+    k[:, 17] *= -1.0
+    k.tofile(store / "kernel.bin")
+
+
+def _scale_entry(store):
+    k = _kernel_file(store)
+    k[50, 60] *= 1.0 + 1e-6
+    k.tofile(store / "kernel.bin")
+
+
+def _nan_entry(store):
+    k = _kernel_file(store)
+    k[5, 7] = np.nan
+    k.tofile(store / "kernel.bin")
+
+
+def _truncate(store):
+    path = store / "kernel.bin"
+    path.write_bytes(path.read_bytes()[:-13])
+
+
+def _delete(store):
+    (store / "kernel.bin").unlink()              # a store written before kernel.bin
+
+
+def _other_dimension(store):
+    n = read_json(store / "metadata.json")["grid"]["n_points"]
+    get_transform(make_spectral_grid(5, n, 16.0)).kernel.tofile(store / "kernel.bin")
+
+
+@pytest.fixture(scope="module")
+def honest_run(tmp_path_factory):
+    """An analyzed and verified run of a store with its own kernel.bin."""
+    out = tmp_path_factory.mktemp("honest") / "run"
+    cfg_path = write_config(out.parent, SMALL_SCENARIO)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert main(["verify", "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("tamper,reason", [
+    (None, None),
+    (_swap_columns, "not positive definite"),
+    (_flip_column, "not positive definite"),
+    (_scale_entry, "not orthogonal"),
+    (_nan_entry, "not orthogonal"),
+    (_truncate, "36862 entries, not 36864"),
+    (_delete, "0 entries, not 36864"),
+    (_other_dimension, "not symmetric"),
+], ids=["honest", "swapped-columns", "flipped-column", "scaled-entry", "nan-entry",
+        "truncated", "deleted", "other-dimension"])
+def test_stored_kernel_is_certified_on_load(tmp_path, honest_run, caplog, tamper, reason):
+    """A store's kernel.bin is adopted only when it certifies as the polar
+    factor of the grid's sampled modes; anything else is rejected with one
+    warning and the SVD rebuilds it, so analyze and verify write the same
+    bytes either way."""
+    out = tmp_path / "run"
+    shutil.copytree(honest_run, out)
+    if tamper is not None:
+        tamper(out / "trajectory")
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    for command in (["analyze", "--config", str(cfg_path)], ["verify"]):
+        # a cold cache, so that loading the store builds the transform
+        _transform_slot.cache_clear()
+        get_propagator.cache_clear()
+        caplog.clear()
+        assert main([*command, "--out", str(out)]) == EXIT_OK
+        warnings = [r.getMessage() for r in caplog.records if r.name == "nlslab"]
+        assert len(warnings) == (reason is not None)
+        assert all(reason in w and w.endswith("computing it by SVD") for w in warnings)
+    for name in ("report.json", "verification.json"):
+        assert (out / name).read_bytes() == (honest_run / name).read_bytes(), name
+
+
+def test_analyze_and_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """A store written at one BLAS thread is analyzed and verified at one
+    and at two threads into identical bytes: both adopt the stored kernel
+    instead of recomputing its SVD, whose last bits depend on the thread
+    count at this grid size."""
+    root = Path(__file__).resolve().parents[1]
+    cfg = str(root / "scenarios" / "reference-defocusing-n3.json")
+    overrides = ["--override", "time.t_plus=0.2", "--override", "grid.n_points=688"]
+
+    def cli(threads, *args):
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=str(threads))
+        subprocess.run([sys.executable, "-m", "nlslab.cli", *args], env=env, check=True,
+                       capture_output=True)
+
+    cli(1, "simulate", "--config", cfg, "--out", str(tmp_path / "t1"), *overrides)
+    shutil.copytree(tmp_path / "t1", tmp_path / "t2")
+    for threads in (1, 2):
+        out = str(tmp_path / f"t{threads}")
+        cli(threads, "analyze", "--config", cfg, "--out", out, *overrides)
+        cli(threads, "verify", "--out", out)
+    for name in ("report.json", "verification.json"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +402,7 @@ def test_cli_override_and_config_error(tmp_path):
     assert code == EXIT_CONFIG_ERROR
 
 
-@pytest.mark.parametrize("n,n_points,r_max", [(4, 16, 16.0), (10, 512, 8.0)])
+@pytest.mark.parametrize("n,n_points,r_max", [(4, 16, 16.0), (10, 512, 8.0), (3, 256, 1000.0)])
 def test_cli_unresolvable_grid_is_config_error(tmp_path, capsys, n, n_points, r_max):
     cfg_path = write_config(tmp_path, SMALL_SCENARIO)
     out = tmp_path / "run"
@@ -313,6 +440,7 @@ def test_cli_corrupted_snapshot_fails_verify(tmp_path):
     cfg_path = write_config(tmp_path, SMALL_SCENARIO)
     out = tmp_path / "tamper"
     assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert (out / "trajectory" / "kernel.bin").is_file()
     # inject mass into one stored snapshot
     victim = out / "trajectory" / snapshot_filename(3)
     vals = decode_snapshot(victim.read_bytes())

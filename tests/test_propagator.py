@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -92,6 +93,24 @@ def test_unresolvable_grid_raises_grid_error(n, n_points, r_max):
     hint = "raise n_points, enlarge r_max or lower dimension"
     with pytest.raises(UnresolvedGridError, match=hint):
         get_propagator(make_spectral_grid(n, n_points, r_max))
+
+
+@pytest.mark.parametrize(
+    "n,n_points,r_max",
+    list(itertools.product(range(3, 13), (16, 64, 256), (1e-3, 1.0, 16.0, 1e3))),
+)
+def test_every_grid_builds_or_is_unresolved(n, n_points, r_max):
+    """Across dimensions, sizes and radii, a grid either builds its
+    transform and certified propagator or raises UnresolvedGridError with
+    a remedy; nothing else escapes."""
+    try:
+        prop = get_propagator(make_spectral_grid(n, n_points, r_max))
+    except UnresolvedGridError as exc:
+        assert "raise n_points, enlarge r_max or lower dimension" in str(exc)
+        return
+    kernel = prop.transform.kernel
+    assert np.abs(kernel.T @ kernel - np.eye(n_points)).max() < 1e-12
+    assert prop.validated_t_max > 0
 
 
 def test_validated_span_covers_unit_time(g3):
