@@ -8,12 +8,15 @@ Layout of a trajectory store::
                                endian float64 (re, im) pairs, index
                                zero-padded to 6; bit-exact on round-trip,
                                signed zeros included
-    <dir>/kernel.bin           optional: the transform's N x N polar factor
-                               that the evolution used, ``<f8`` bytes in
-                               row-major order (8 MB at N = 1024); loading
-                               adopts it once certified, so the transform
-                               keeps the evolution's bits at any BLAS
-                               thread count (see ``transform``)
+    <dir>/kernel.bin           n != 3 only (``SpectralTransform.factor``):
+                               the N x N polar factor that the evolution
+                               used, ``<f8`` bytes in row-major order (8 MB
+                               at N = 1024); loading adopts it once
+                               certified, so the transform keeps the
+                               evolution's bits at any BLAS thread count
+                               (see ``transform``).  An n = 3 kernel is a
+                               closed form whose bits do not depend on the
+                               thread count, so its store needs none
 
 JSON is ``json.dumps`` with floats in their shortest round-trip form
 (``0.8``, ``16.0``); CSV writes decimals with 17 significant digits.  Both
@@ -111,7 +114,11 @@ def save_trajectory(traj: Trajectory, directory) -> Path:
     write_json(directory / "metadata.json", meta)
     for i, row in enumerate(traj.values):
         (directory / snapshot_filename(i)).write_bytes(encode_snapshot(row))
-    np.asarray(get_transform(g).kernel, dtype="<f8").tofile(directory / "kernel.bin")
+    factor = get_transform(g).factor
+    if factor is None:
+        (directory / "kernel.bin").unlink(missing_ok=True)
+    else:
+        np.asarray(factor, dtype="<f8").tofile(directory / "kernel.bin")
     return directory
 
 

@@ -45,6 +45,16 @@ SMALL_SCENARIO = {
 }
 
 
+# the stored-factor path: an n = 5 grid, whose kernel is a computed polar
+# factor (an n = 3 kernel is a closed form that no store carries).  At
+# N = 192 the n = 5 sampled modes are orthonormal only to 2.9e-10, and a
+# factor with two swapped columns is then as asymmetric as the
+# certificate's 1e-12 bound; at N = 256 it is 2.4e-13, so each tampered
+# factor fails the check its case names
+SMALL_SCENARIO_N5 = dict(SMALL_SCENARIO, scenario_id="test-small-n5", dimension=5,
+                         grid={"n_points": 256, "r_max": 16.0})
+
+
 @pytest.fixture(scope="module")
 def small_run():
     return run_scenario(SMALL_SCENARIO)
@@ -122,14 +132,33 @@ def test_trajectory_roundtrip_bit_exact(tmp_path):
 
 
 def test_store_carries_the_kernel_bit_equal(tmp_path):
-    g = make_spectral_grid(3, 128, 12.0)
-    cfg = EvolutionConfig(dimension=3, mu=1, dt=5e-3, snapshot_stride=4)
+    g = make_spectral_grid(5, 128, 12.0)
+    cfg = EvolutionConfig(dimension=5, mu=1, dt=5e-3, snapshot_stride=4)
     store = tmp_path / "store"
     save_trajectory(evolve(gaussian_field(g), 0.0, 0.1, cfg), store)
     kernel = get_transform(g).kernel
     assert (store / "kernel.bin").read_bytes() == kernel.astype("<f8").tobytes()
     _transform_slot.cache_clear()
     load_trajectory(store)
+    assert get_transform(g).kernel.tobytes() == kernel.tobytes()
+
+
+def test_n3_store_carries_no_kernel(tmp_path, caplog):
+    """An n = 3 kernel is a closed form: its store has no kernel.bin (a
+    stale one is removed) and loads without a warning into the same kernel."""
+    g = make_spectral_grid(3, 128, 12.0)
+    cfg = EvolutionConfig(dimension=3, mu=1, dt=5e-3, snapshot_stride=4)
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "kernel.bin").write_bytes(b"stale")
+    save_trajectory(evolve(gaussian_field(g), 0.0, 0.1, cfg), store)
+    assert get_transform(g).factor is None
+    assert not (store / "kernel.bin").exists()
+    kernel = get_transform(g).kernel
+    _transform_slot.cache_clear()
+    caplog.clear()
+    load_trajectory(store)
+    assert not [r for r in caplog.records if r.name == "nlslab"]
     assert get_transform(g).kernel.tobytes() == kernel.tobytes()
 
 
@@ -173,14 +202,14 @@ def _delete(store):
 
 def _other_dimension(store):
     n = read_json(store / "metadata.json")["grid"]["n_points"]
-    get_transform(make_spectral_grid(5, n, 16.0)).kernel.tofile(store / "kernel.bin")
+    get_transform(make_spectral_grid(4, n, 16.0)).factor.tofile(store / "kernel.bin")
 
 
 @pytest.fixture(scope="module")
 def honest_run(tmp_path_factory):
     """An analyzed and verified run of a store with its own kernel.bin."""
     out = tmp_path_factory.mktemp("honest") / "run"
-    cfg_path = write_config(out.parent, SMALL_SCENARIO)
+    cfg_path = write_config(out.parent, SMALL_SCENARIO_N5)
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
     assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
     assert main(["verify", "--out", str(out)]) == EXIT_OK
@@ -193,8 +222,8 @@ def honest_run(tmp_path_factory):
     (_flip_column, "not positive definite"),
     (_scale_entry, "not orthogonal"),
     (_nan_entry, "not orthogonal"),
-    (_truncate, "36862 entries, not 36864"),
-    (_delete, "0 entries, not 36864"),
+    (_truncate, "65534 entries, not 65536"),
+    (_delete, "0 entries, not 65536"),
     (_other_dimension, "not symmetric"),
 ], ids=["honest", "swapped-columns", "flipped-column", "scaled-entry", "nan-entry",
         "truncated", "deleted", "other-dimension"])
@@ -207,7 +236,7 @@ def test_stored_kernel_is_certified_on_load(tmp_path, honest_run, caplog, tamper
     shutil.copytree(honest_run, out)
     if tamper is not None:
         tamper(out / "trajectory")
-    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO_N5)
     for command in (["analyze", "--config", str(cfg_path)], ["verify"]):
         # a cold cache, so that loading the store builds the transform
         _transform_slot.cache_clear()
@@ -221,26 +250,56 @@ def test_stored_kernel_is_certified_on_load(tmp_path, honest_run, caplog, tamper
         assert (out / name).read_bytes() == (honest_run / name).read_bytes(), name
 
 
-def test_analyze_and_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """A store written at one BLAS thread is analyzed and verified at one
-    and at two threads into identical bytes: both adopt the stored kernel
-    instead of recomputing its SVD, whose last bits depend on the thread
-    count at this grid size."""
+def _cli(threads, *args):
+    """Run the CLI from this checkout's ``src/`` at a BLAS thread count."""
     root = Path(__file__).resolve().parents[1]
-    cfg = str(root / "scenarios" / "reference-defocusing-n3.json")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=str(threads))
+    subprocess.run([sys.executable, "-m", "nlslab.cli", *args], env=env, check=True,
+                   capture_output=True)
+
+
+REFERENCE_CONFIG = str(Path(__file__).resolve().parents[1] / "scenarios"
+                       / "reference-defocusing-n3.json")
+
+
+def _files(directory: Path) -> dict:
+    return {p.relative_to(directory): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_analyze_and_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """The n = 3 reference scenario is simulated, analyzed and verified at
+    one and at two BLAS threads into identical bytes, store included: its
+    kernel is a closed form, where an SVD's last bits would depend on the
+    thread count at this grid size."""
     overrides = ["--override", "time.t_plus=0.2", "--override", "grid.n_points=688"]
+    for threads in (1, 2):
+        out = str(tmp_path / f"t{threads}")
+        _cli(threads, "simulate", "--config", REFERENCE_CONFIG, "--out", out, *overrides)
+        _cli(threads, "analyze", "--config", REFERENCE_CONFIG, "--out", out, *overrides)
+        _cli(threads, "verify", "--out", out)
+    one, two = _files(tmp_path / "t1"), _files(tmp_path / "t2")
+    assert Path("trajectory", "metadata.json") in one
+    assert Path("trajectory", "kernel.bin") not in one
+    assert one.keys() == two.keys()
+    for name in one:
+        assert one[name] == two[name], name
 
-    def cli(threads, *args):
-        env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS=str(threads))
-        subprocess.run([sys.executable, "-m", "nlslab.cli", *args], env=env, check=True,
-                       capture_output=True)
 
-    cli(1, "simulate", "--config", cfg, "--out", str(tmp_path / "t1"), *overrides)
+def test_stored_factor_keeps_analyze_and_verify_bytes_across_blas_threads(tmp_path):
+    """An n = 5 store written at one BLAS thread is analyzed and verified
+    at one and at two threads into identical bytes: both adopt the stored
+    polar factor instead of recomputing its SVD, whose last bits depend on
+    the thread count from N = 400 on at r_max = 32."""
+    overrides = ["--override", "dimension=5", "--override", "time.t_plus=0.2",
+                 "--override", "grid.n_points=400"]
+    _cli(1, "simulate", "--config", REFERENCE_CONFIG, "--out", str(tmp_path / "t1"), *overrides)
+    assert (tmp_path / "t1" / "trajectory" / "kernel.bin").is_file()
     shutil.copytree(tmp_path / "t1", tmp_path / "t2")
     for threads in (1, 2):
         out = str(tmp_path / f"t{threads}")
-        cli(threads, "analyze", "--config", cfg, "--out", out, *overrides)
-        cli(threads, "verify", "--out", out)
+        _cli(threads, "analyze", "--config", REFERENCE_CONFIG, "--out", out, *overrides)
+        _cli(threads, "verify", "--out", out)
     for name in ("report.json", "verification.json"):
         assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
@@ -437,7 +496,7 @@ def test_cli_blowup_exit_code(tmp_path):
 
 
 def test_cli_corrupted_snapshot_fails_verify(tmp_path):
-    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO_N5)
     out = tmp_path / "tamper"
     assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
     assert (out / "trajectory" / "kernel.bin").is_file()

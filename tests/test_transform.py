@@ -5,12 +5,21 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from nlslab import energy, fractional_power, gaussian_field, get_propagator, make_spectral_grid
 from nlslab.functionals import _energy_rows
 from nlslab.grid import sample_even, sphere_area
-from nlslab.transform import CACHED_GRIDS, _build_transform, bessel_zeros, get_transform
+from nlslab.transform import (
+    CACHED_GRIDS,
+    _build_transform,
+    _modes,
+    _polar_factor,
+    _transform_slot,
+    bessel_zeros,
+    get_transform,
+)
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
@@ -130,6 +139,36 @@ def test_polar_factor_survives_svd_failure(monkeypatch):
     assert calls
     assert np.abs(kernel.T @ kernel - np.eye(kernel.shape[0])).max() < 1e-12
     assert np.abs(kernel - reference).max() < 1e-12
+
+
+@pytest.mark.parametrize("n_points,r_max", [(192, 8.0), (1000, 32.0), (2048, 32.0)])
+def test_n3_kernel_is_the_closed_form_dst1(monkeypatch, n_points, r_max):
+    """An n = 3 transform builds the orthonormal DST-I and its derivative
+    matrix in closed form, without an SVD, and both match what Bessel
+    sampling and the polar factor give."""
+    grid = make_spectral_grid(3, n_points, r_max)
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an n = 3 transform ran an SVD")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", no_svd)
+        _transform_slot.cache_clear()
+        tr = get_transform(grid)
+    q = tr.kernel
+    assert tr.factor is None
+    assert np.array_equal(q, q.T) and np.array_equal(tr.kernel_t, q)
+    assert np.abs(q.T @ q - np.eye(n_points)).max() < 1e-14
+    if n_points > 1000:
+        return                     # the sampled reference below needs a 2048 x 2048 SVD
+    nu, j, mode_norm = _modes(grid)
+    k, r = j / r_max, grid.nodes
+    phase = np.outer(r, k)
+    sampled = special.jv(nu, phase) / r[:, None] ** nu
+    sampled *= np.sqrt(grid.weights)[:, None] / mode_norm[None, :]
+    assert np.abs(q - _polar_factor(sampled)).max() < 1e-13
+    deriv = -k[None, :] * special.jv(nu + 1, phase) / r[:, None] ** nu / mode_norm[None, :]
+    assert np.abs(tr.deriv_matrix - deriv).max() < 1e-13 * np.abs(deriv).max()
 
 
 def test_caches_are_bounded():
