@@ -160,7 +160,7 @@ def _linear_flow_density(traj: Trajectory, anchor_index: int, times) -> np.ndarr
     the snapshot at ``anchor_index``."""
     tr = get_transform(traj.grid)
     prop = get_propagator(traj.grid)
-    coeffs = tr.coefficients(traj.values[anchor_index])
+    coeffs = traj.coefficients[anchor_index]
     offsets = (np.asarray(times) - traj.times[anchor_index])[:, None]
     return _critical_densities(traj.grid, tr.backward(prop.evolve_coeffs(coeffs, offsets)))
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,8 +69,13 @@ def nonlinear_phase_step(u: RadialField, mu: int, tau: float) -> RadialField:
         raise ValueError("tau must be finite")
     if mu == 0 or tau == 0.0:
         return u
-    p = 4.0 / (u.grid.dimension - 2)
-    return u.with_values(np.exp(-1j * mu * tau * np.abs(u.values) ** p) * u.values)
+    return u.with_values(_phase_rotation(u.values, mu, tau, 4.0 / (u.grid.dimension - 2)))
+
+
+def _phase_rotation(values: np.ndarray, mu: int, tau: float, p: float) -> np.ndarray:
+    """Node samples after the exact nonlinear flow for time tau, with
+    nonlinearity exponent p."""
+    return np.exp(-1j * mu * tau * np.abs(values) ** p) * values
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,8 @@ class Trajectory:
     """Time-ordered snapshots of one evolution, immutable once produced.
 
     ``values`` holds snapshot i in row i: one read-only, C-contiguous
-    (S, N) complex array.  ``field(i)`` is the single-snapshot view.
+    (S, N) complex array.  ``field(i)`` is the single-snapshot view, and
+    ``coefficients`` the matching stack of mode coefficients.
     """
 
     config: EvolutionConfig
@@ -118,6 +125,14 @@ class Trajectory:
     def field(self, i: int) -> RadialField:
         """Snapshot i as a field (a view of row i)."""
         return RadialField(self.grid, self.values[i])
+
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        """Mode coefficients of ``values``, row by row: one read-only
+        (S, N) array, built on first use and held with the trajectory."""
+        coeffs = get_transform(self.grid).coefficients(self.values)
+        coeffs.flags.writeable = False
+        return coeffs
 
     @property
     def t_minus(self) -> float:
@@ -181,7 +196,6 @@ def evolve(
 
     phases = np.exp(-1j * tr.frequencies**2 * dt)
     sw = tr.sqrt_weights
-    k2 = tr.frequencies**2
     mu, p = cfg.mu, cfg.phase_exponent
     # focusing collapse outruns the snapshot stride, so the focusing sign
     # takes the linear step through coefficient space and watches the
@@ -215,15 +229,15 @@ def evolve(
 
     for step in range(1, n_steps + 1):
         if mu != 0:
-            u = np.exp(-1j * mu * (dt / 2.0) * np.abs(u) ** p) * u
+            u = _phase_rotation(u, mu, dt / 2.0, p)
         if watch_every_step:
             b = tr.coefficients(u)
-            grad_lin = math.sqrt(float(np.sum(k2 * np.abs(b) ** 2)))
+            grad_lin = math.sqrt(2.0 * tr.kinetic_energy(b))
             u = tr.backward(phases * b)
         else:
             u = (step_op @ (sw * u)) / sw
         if mu != 0:
-            u = np.exp(-1j * mu * (dt / 2.0) * np.abs(u) ** p) * u
+            u = _phase_rotation(u, mu, dt / 2.0, p)
         if not np.all(np.isfinite(u)):
             status, reason = "aborted-blowup", "non-finite amplitude"
             blow_time = t_minus + step * dt
@@ -306,7 +320,7 @@ def duhamel_residual(traj: Trajectory, t0: float, t: float) -> float:
         f = mu * np.abs(row) ** p * row
         acc += wgt * prop.evolve_coeffs(tr.coefficients(f), t - s)
     integral = tr.backward(acc)
-    lin = tr.backward(prop.evolve_coeffs(tr.coefficients(traj.values[i0]), t - t0))
+    lin = tr.backward(prop.evolve_coeffs(traj.coefficients[i0], t - t0))
     resid = traj.values[i1] - lin + 1j * integral
     return float(math.sqrt(np.sum(traj.grid.weights * np.abs(resid) ** 2)))
 

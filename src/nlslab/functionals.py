@@ -86,10 +86,12 @@ def energy(u: RadialField, mu: int = 1) -> EnergyBreakdown:
     return EnergyBreakdown(*(float(x[0]) for x in _energy_rows(u.grid, u.values[None, :], mu)))
 
 
-def _energy_rows(grid: RadialGrid, values: np.ndarray, mu: int):
-    """(total, kinetic, potential) energy of each row of ``values``."""
+def _energy_rows(grid: RadialGrid, values: np.ndarray, mu: int, coeffs=None):
+    """(total, kinetic, potential) energy of each row of ``values``, whose
+    mode coefficients ``coeffs`` are computed here unless given."""
     n = grid.dimension
-    kin = get_transform(grid).kinetic_energy(values)
+    tr = get_transform(grid)
+    kin = tr.kinetic_energy(tr.coefficients(values) if coeffs is None else coeffs)
     expo = 2.0 * n / (n - 2)
     pot = mu * (n - 2) / (2.0 * n) * _row_sums(lambda v: grid.weights * np.abs(v) ** expo, values)
     return kin + pot, kin, pot
@@ -263,10 +265,10 @@ def strichartz_norm(
 
 
 def _gradient_values(traj: Trajectory) -> np.ndarray:
-    """(S, N) samples of |grad| u at every snapshot (one transform pair
-    per snapshot)."""
+    """(S, N) samples of |grad| u at every snapshot: the multiplier k on
+    the trajectory's coefficients, transformed back."""
     tr = get_transform(traj.grid)
-    return tr.multiplier(traj.values, tr.frequencies**1.0)
+    return tr.backward(traj.coefficients * tr.frequencies)
 
 
 def critical_density(traj: Trajectory) -> np.ndarray:
@@ -437,7 +439,7 @@ def momentum_flux_identity_check(traj: Trajectory, eps: float) -> FluxIdentityRe
     expo = 2.0 * n / (n - 2)
 
     u = traj.values
-    ur = tr.derivative(u)
+    ur = tr.derivative(traj.coefficients)
 
     # np.multiply, not "*": the operator would reuse the large conjugate
     # temporary as its output with the factors swapped, and the complex

@@ -99,13 +99,15 @@ def _list_of(ok):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(ok(x) for x in v)
 
 
-# (dotted path, predicate, requirement) of every single-valued knob
+# (dotted path, predicate, requirement) of every single-valued knob; an
+# integer knob takes ``type(v) is int``, since a bool passes ``isinstance(v,
+# int)`` and ``True in (-1, 0, 1)`` holds
 _KNOBS = (
-    ("mu", lambda v: v in (-1, 0, 1), "be -1, 0, or +1"),
-    ("grid.n_points", lambda v: isinstance(v, int) and v >= 16, "be an integer >= 16"),
+    ("mu", lambda v: type(v) is int and v in (-1, 0, 1), "be the integer -1, 0, or +1"),
+    ("grid.n_points", lambda v: type(v) is int and v >= 16, "be an integer >= 16"),
     ("grid.r_max", _within(0), "be positive"),
     ("time.dt", _within(0), "be positive"),
-    ("time.snapshot_stride", lambda v: isinstance(v, int) and v >= 1, "be a positive integer"),
+    ("time.snapshot_stride", lambda v: type(v) is int and v >= 1, "be a positive integer"),
     ("analysis.eta", lambda v: v is None or _within(0)(v), "be positive or null"),
     ("analysis.c0", _within(0), "be positive"),
     ("analysis.c1", _within(1), "exceed 1 (threshold below eta)"),
@@ -118,6 +120,7 @@ _KNOBS = (
     ("analysis.bubble_fraction", _within(0, 1), "lie in (0,1)"),
     ("analysis.kappa", _within(0), "be positive"),
     ("analysis.nest_half_factor", _within(0, 1), "lie in (0,1)"),
+    ("analysis.certify_resolution", lambda v: type(v) is bool, "be true or false"),
     *((f"analysis.tolerances.{key}", _within(0, closed=True), "be a non-negative number")
       for key in DEFAULT_SCENARIO["analysis"]["tolerances"]),
     ("evolution.energy_drift_alarm", _within(0), "be positive"),
@@ -140,7 +143,7 @@ def normalize_scenario(raw: dict) -> dict:
     sid = s["scenario_id"]
     if not isinstance(sid, str) or sid in ("", ".", "..") or "/" in sid or "\\" in sid:
         bad.append(f"scenario_id must name a single directory, got {sid!r}")
-    dimension_ok = isinstance(s["dimension"], int) and s["dimension"] >= 3
+    dimension_ok = type(s["dimension"]) is int and s["dimension"] >= 3
     if not dimension_ok:
         bad.append(f"dimension must be an integer >= 3, got {s['dimension']!r}")
     for path, ok, requirement in _KNOBS:
@@ -256,9 +259,7 @@ def evolve_scenario(scenario: dict) -> tuple[dict, Trajectory]:
 def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:
     tol = s["analysis"]["tolerances"]
     complete = traj.status == "complete"
-    mass_drift = float(np.abs(traj.mass_series - traj.mass_series[0]).max())
-    e_scale = max(abs(float(traj.energy_series[0])), 1e-30)
-    energy_drift = float(np.abs(traj.energy_series - traj.energy_series[0]).max() / e_scale)
+    mass_drift, energy_drift = _drifts(traj.mass_series, traj.energy_series)
 
     report: dict = {
         "scenario": s,
@@ -291,6 +292,14 @@ def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:
         if s["analysis"]["certify_resolution"]:
             report["resolution_certification"] = _certify_resolution(traj)
     return report
+
+
+def _drifts(masses, energies) -> tuple[float, float]:
+    """Mass drift max|M - M_0| and relative energy drift
+    max|E - E_0| / max(|E_0|, 1e-30) of two series."""
+    e_scale = max(abs(float(energies[0])), 1e-30)
+    return (float(np.abs(masses - masses[0]).max()),
+            float(np.abs(energies - energies[0]).max() / e_scale))
 
 
 def _flux_table(s, traj, tol):
@@ -533,11 +542,9 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
 
     if store_dir is not None:
         traj = load_trajectory(store_dir)
-        masses = fn._mass_series(traj.grid, traj.values)
-        mass_drift = float(np.abs(masses - masses[0]).max())
-        energies = fn._energy_rows(traj.grid, traj.values, traj.config.mu)[0]
-        e_scale = max(abs(energies[0]), 1e-30)
-        energy_drift = float(np.abs(energies - energies[0]).max() / e_scale)
+        mass_drift, energy_drift = _drifts(
+            fn._mass_series(traj.grid, traj.values),
+            fn._energy_rows(traj.grid, traj.values, traj.config.mu, traj.coefficients)[0])
     else:
         mass_drift = cons["mass_drift"]
         energy_drift = cons["energy_drift_rel"]

@@ -23,8 +23,7 @@ def pl_integral(ts: np.ndarray, vs: np.ndarray, a: float, b: float) -> float:
     b = min(b, float(ts[-1]))
     if a == b:
         return 0.0
-    grid = [a] + [float(t) for t in ts if a < t < b] + [b]
-    grid = np.asarray(grid)
+    grid = np.concatenate(([a], ts[(ts > a) & (ts < b)], [b]))
     vals = np.interp(grid, ts, vs)
     return float(np.trapezoid(vals, grid))
 

@@ -29,9 +29,11 @@ the float view of the complex data (one real GEMM) would be faster
 still, but it rounds differently, and the pinned reports sit on an exact
 tie of the greedy interval subdivision that one ulp can flip.
 
-Apart from ``forward``, which takes a field, the transform methods take
-complex node samples: one row (N,) or a stack (S, N) such as
-``Trajectory.values``.  ``_matvec``, the one place where the kernel meets
+``forward`` takes a field and ``coefficients`` complex node samples;
+``backward``, ``derivative`` and ``kinetic_energy`` take mode
+coefficients, one row (N,) or a stack (S, N) such as
+``Trajectory.coefficients``, which every diagnostic of a trajectory
+reads.  ``_matvec``, the one place where the kernel meets
 data, casts each row block of the kernel once per call and runs one zgemv
 per row of a stack into a preallocated output, so a row of a stack has
 the bits of a single-row call.  One zgemm over the stack would be faster,
@@ -179,21 +181,18 @@ class SpectralTransform:
         out /= self.sqrt_weights
         return out
 
-    def multiplier(self, values, m) -> NDArray[np.complex128]:
-        """Node samples after the diagonal frequency multiplier ``m``."""
-        coeffs = self.coefficients(values)
-        coeffs *= m
-        return self.backward(coeffs)
+    def derivative(self, coeffs) -> NDArray[np.complex128]:
+        """Spectrally accurate radial derivative u_r, at the nodes, of the
+        field with mode coefficients ``coeffs``."""
+        return _matvec(self.deriv_matrix, coeffs)
 
-    def derivative(self, values) -> NDArray[np.complex128]:
-        """Spectrally accurate radial derivative u_r."""
-        return _matvec(self.deriv_matrix, self.coefficients(values))
-
-    def kinetic_energy(self, values):
-        """(1/2) integral of |grad u|^2, exact in the discrete mode basis: a
-        float for one row, one value per row for a stack."""
-        coeffs = self.coefficients(values)
-        kin = 0.5 * _row_sums(lambda b: self.frequencies**2 * np.abs(b) ** 2, np.atleast_2d(coeffs))
+    def kinetic_energy(self, coeffs):
+        """(1/2) integral of |grad u|^2 from mode coefficients, exact in the
+        discrete mode basis: a float for one row, one value per row for a
+        stack."""
+        # C order: the row sums repeat a single-row sum bit for bit only there
+        rows = np.ascontiguousarray(np.atleast_2d(coeffs))
+        kin = 0.5 * _row_sums(lambda b: self.frequencies**2 * np.abs(b) ** 2, rows)
         return float(kin[0]) if coeffs.ndim == 1 else kin
 
     def step_operator(self, multiplier) -> NDArray[np.complex128]:
@@ -367,4 +366,4 @@ def fractional_power(u: RadialField, alpha: float) -> RadialField:
     if alpha > 2:
         raise ValueError(f"alpha={alpha} > 2 is out of range")
     t = get_transform(u.grid)
-    return u.with_values(t.multiplier(u.values, t.frequencies**alpha))
+    return u.with_values(t.backward(t.forward(u) * t.frequencies**alpha))

@@ -63,6 +63,41 @@ def test_trajectory_values_read_only(traj_defocusing):
     assert np.shares_memory(row, values) and not row.flags.writeable
 
 
+def test_trajectory_coefficients_stack(traj_defocusing):
+    # one read-only stack, built once, whose rows carry the bits of a
+    # single-row transform of each snapshot
+    traj = traj_defocusing
+    tr = get_transform(traj.grid)
+    coeffs = traj.coefficients
+    assert coeffs.shape == traj.values.shape and not coeffs.flags.writeable
+    assert traj.coefficients is coeffs
+    for i, v in enumerate(traj.values):
+        assert np.array_equal(coeffs[i], tr.coefficients(v))
+    with pytest.raises(ValueError):
+        coeffs[0, 0] = 1.0
+
+
+def test_strang_loop_takes_the_phase_step_definition(g3, monkeypatch):
+    # both half-phases of every step go through the array form of
+    # nonlinear_phase_step
+    from nlslab import dynamics
+
+    calls = []
+    original = dynamics._phase_rotation
+
+    def counted(values, mu, tau, p):
+        calls.append(tau)
+        return original(values, mu, tau, p)
+
+    monkeypatch.setattr(dynamics, "_phase_rotation", counted)
+    cfg = EvolutionConfig(dimension=3, mu=1, dt=1e-2, snapshot_stride=5)
+    traj = evolve(gaussian_field(g3), 0.0, 0.1, cfg)
+    assert traj.status == "complete" and calls == [0.5 * 1e-2] * 20
+    u = gaussian_field(g3)
+    assert np.array_equal(nonlinear_phase_step(u, 1, 0.37).values,
+                          original(u.values, 1, 0.37, 4.0))
+
+
 def test_zero_data_zero_trajectory(g3):
     cfg = EvolutionConfig(dimension=3, mu=1, dt=1e-2, snapshot_stride=5)
     traj = evolve(g3.zeros(), 0.0, 0.3, cfg)

@@ -401,7 +401,7 @@ def test_row_reductions_equal_per_snapshot_loops(traj_defocusing):
     tr = get_transform(g)
     lhs, rhs = [], []
     for v in rows:
-        ur = tr.derivative(v)
+        ur = tr.derivative(tr.coefficients(v))
         lhs.append(float(np.sum(w * a_r * np.imag(ur * np.conj(v)))))
         val = 2.0 * float(np.sum(w * a_rr * np.abs(ur) ** 2))
         val += 0.5 * float(np.sum(w * neg_bilap * np.abs(v) ** 2))

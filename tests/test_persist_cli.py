@@ -368,21 +368,24 @@ def test_free_scenario_flow_ratios_one():
     assert rep["duhamel"][0]["residual"] < 1e-9
 
 
-def test_build_report_takes_one_gradient_per_snapshot(monkeypatch):
+def test_build_report_takes_one_coefficient_pass(monkeypatch):
+    # the strichartz gradient, the identity's u_r, the endpoint linear
+    # flows and the Duhamel linear term all read traj.coefficients
     from nlslab.scenario import build_report, evolve_scenario
     from nlslab.transform import SpectralTransform
 
     s, traj = evolve_scenario(SMALL_SCENARIO)
-    original = SpectralTransform.multiplier
-    rows = []
+    original = SpectralTransform.coefficients
+    passes = []
 
-    def counted(self, values, m):
-        rows.append(np.atleast_2d(values).shape[0])
-        return original(self, values, m)
+    def counted(self, values):
+        if np.shares_memory(values, traj.values):
+            passes.append(np.shape(values))
+        return original(self, values)
 
-    monkeypatch.setattr(SpectralTransform, "multiplier", counted)
+    monkeypatch.setattr(SpectralTransform, "coefficients", counted)
     build_report(s, traj)
-    assert sum(rows) == traj.times.size
+    assert passes == [traj.values.shape]
 
 
 def test_hardy_table_reuses_the_initial_energy(monkeypatch):
@@ -601,14 +604,20 @@ def test_cli_inadmissible_pairs_is_config_error(tmp_path, capsys):
     ("analyze", "analysis", {"tolerances": {"flux_ratio": "x"}}),
     ("analyze", "evolution", {"energy_drift_alarm": -1}),
     ("simulate", None, None),                     # a config file that is not JSON
+    # booleans and floats are not integers, even where they compare equal
+    ("simulate", None, {"mu": True}),
+    ("simulate", None, {"mu": False}),
+    ("simulate", None, {"mu": 1.0}),
+    ("simulate", "time", {"snapshot_stride": True}),
+    ("simulate", "analysis", {"certify_resolution": "no"}),
 ])
 def test_cli_bad_knob_or_json_is_config_error(tmp_path, capsys, command, section, knob):
-    if section is None:
+    if knob is None:
         cfg_path = tmp_path / "scenario.json"
         cfg_path.write_text('{"dimension": 3,', encoding="utf-8")
     else:
         doc = json.loads(json.dumps(SMALL_SCENARIO))
-        doc.setdefault(section, {}).update(knob)
+        (doc if section is None else doc.setdefault(section, {})).update(knob)
         cfg_path = write_config(tmp_path, doc)
     out = tmp_path / "run"
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG_ERROR
