@@ -13,11 +13,21 @@ Subcommands::
 Exit codes: 0 all-pass, 1 verification failures, 2 configuration error
 or unresolvable grid, 3 runtime alarm (blowup or energy drift), 4 internal
 error (an unexpected exception, reported on stderr).
+
+``sweep`` runs each scenario, outputs included, as one task of
+``workers.run``: at a process budget of 2 or more (BLAS pinned to one
+thread and more than one CPU, see ``workers.process_budget``) the
+scenarios run in forked workers, and the ``sweep:`` lines are printed in
+config order as the results arrive.  An exception in a worker exits 4
+with the worker's traceback on stderr, as does a worker that dies; a
+configuration error raised in a worker still exits 2.  A failing sweep
+may have written scenarios listed after the failing one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -25,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .grid import UnresolvedGridError
 from .persist import load_trajectory, read_json, save_trajectory, write_csv, write_json
 from .scenario import (
@@ -110,14 +121,20 @@ def _write_series(report: dict, out_dir: Path):
         )
 
 
-def _finish_run(result: RunResult, out_dir: Path, store: bool) -> int:
+def _finish_run(result: RunResult, out_dir: Path, store: bool) -> tuple[str, str]:
+    """Write a run's outputs; returns its (status, abort reason)."""
     out_dir.mkdir(parents=True, exist_ok=True)
     if store:
         save_trajectory(result.trajectory, out_dir / "trajectory")
     write_json(out_dir / "report.json", result.report)
     _write_series(result.report, out_dir)
-    if result.report["status"] != "complete":
-        print(f"runtime alarm: {result.report['status']} ({result.report['abort_reason']})")
+    return result.report["status"], result.report["abort_reason"]
+
+
+def _run_code(status: str, reason: str) -> int:
+    """Exit code of a run, after printing the alarm of a truncated one."""
+    if status != "complete":
+        print(f"runtime alarm: {status} ({reason})")
         return EXIT_RUNTIME_ALARM
     return EXIT_OK
 
@@ -143,7 +160,7 @@ def cmd_analyze(args) -> int:
         result = RunResult(build_report(scenario, traj, seed=args.seed), traj)
     else:
         result = run_scenario(scenario, seed=args.seed)
-    code = _finish_run(result, out_dir, store=not stored)
+    code = _run_code(*_finish_run(result, out_dir, store=not stored))
     print(f"analyze: report written to {out_dir / 'report.json'}")
     return code
 
@@ -177,15 +194,21 @@ def cmd_sweep(args) -> int:
     repeated = sorted({i for i in ids if ids.count(i) > 1})
     if repeated:
         raise ScenarioError([f"scenario_id {i!r} is used more than once" for i in repeated])
-    out_root = Path(args.out)
+    subs = [Path(args.out) / i for i in ids]
+    tasks = [functools.partial(_sweep_one, s, sub, args.seed) for s, sub in zip(scenarios, subs)]
     worst = EXIT_OK
-    for scenario in scenarios:
-        result = run_scenario(scenario, seed=args.seed)
-        sub = out_root / scenario["scenario_id"]
-        code = _finish_run(result, sub, store=True)
-        print(f"sweep: {scenario['scenario_id']} -> {sub} (exit {code})")
-        worst = max(worst, code)
+    # each scenario runs and writes its outputs as one task; the lines are
+    # printed here, in config order
+    with workers.run(tasks) as outcomes:
+        for sub, outcome in zip(subs, outcomes):
+            code = _run_code(*outcome)
+            print(f"sweep: {sub.name} -> {sub} (exit {code})")
+            worst = max(worst, code)
     return worst
+
+
+def _sweep_one(scenario: dict, out_dir: Path, seed: int) -> tuple[str, str]:
+    return _finish_run(run_scenario(scenario, seed=seed), out_dir, store=True)
 
 
 def cmd_export_plots(args) -> int:

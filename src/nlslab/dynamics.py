@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .functionals import _energy_rows, _mass_series
+from .functionals import _energy_rows, _mass_series, energy_scale
 from .grid import GridError, RadialField, RadialGrid
 from .propagator import get_propagator
 from .transform import get_transform
@@ -223,7 +223,7 @@ def evolve(
 
     e0, grad0 = record(t_minus, u)
     pot_exceeds = abs(potentials[0]) > kinetics[0]
-    e_scale = max(abs(e0), 1e-30)
+    e_scale = energy_scale(e0)
     status, reason = "complete", ""
     blow_time = None
 
@@ -253,9 +253,10 @@ def evolve(
                 status, reason = "aborted-blowup", "gradient-norm blowup threshold"
                 blow_time = t_minus + step * dt
                 break
-            if abs(e - e0) / e_scale > cfg.energy_drift_tol:
+            drift = abs(e - e0) / e_scale
+            if drift > cfg.energy_drift_tol:
                 status = "aborted-energy"
-                reason = f"energy drift {abs(e - e0) / e_scale:.3e} exceeds alarm"
+                reason = f"energy drift {drift:.3e} exceeds alarm"
                 break
 
     values = values[: len(times)]

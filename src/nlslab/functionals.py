@@ -97,6 +97,12 @@ def _energy_rows(grid: RadialGrid, values: np.ndarray, mu: int, coeffs=None):
     return kin + pot, kin, pot
 
 
+def energy_scale(e0) -> float:
+    """The scale of a relative energy drift |E - E_0| / scale: |E_0|,
+    floored at 1e-30 so that a zero initial energy divides safely."""
+    return max(abs(float(e0)), 1e-30)
+
+
 def _mass_series(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     """Discrete L^2 mass  int |u|^2 dx  of each row of ``values``."""
     return _row_sums(lambda v: grid.weights * np.abs(v) ** 2, values)

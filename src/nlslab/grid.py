@@ -29,7 +29,11 @@ class UnresolvedGridError(GridError):
     """A grid too coarse for the transform or propagator self-tests."""
 
     def __init__(self, reason: str):
+        self.reason = reason
         super().__init__(f"{reason}; raise n_points, enlarge r_max or lower dimension")
+
+    def __reduce__(self):  # unpickled (from a worker) with the reason, not the message
+        return type(self), (self.reason,)
 
 
 def sphere_area(n: int) -> float:

@@ -7,6 +7,10 @@ inequality ratio with the tolerance it is checked against, spacetime-norm
 tables, the interval decomposition with its concentration diagnostics, and
 a resolution-certification block.  ``verify`` re-evaluates every applicable
 invariant and returns a machine-readable pass/fail list.
+
+The resolution certificate's coarse twins run through ``workers.run``: in
+forked workers beside the report's tables when the process budget allows,
+in-process otherwise, with the same bytes either way.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ import numpy as np
 
 from . import concentration as conc
 from . import functionals as fn
+from . import workers
 from .dynamics import EvolutionConfig, Trajectory, blowup_monitor, duhamel_residual, evolve
 from .grid import RadialField
 from .persist import blowup_dict, decode_snapshot, load_trajectory
+from .propagator import get_propagator
 from .transform import make_spectral_grid
 
 
@@ -257,8 +263,23 @@ def evolve_scenario(scenario: dict) -> tuple[dict, Trajectory]:
 
 
 def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:
+    """The diagnostics report of an evolved scenario.
+
+    The resolution certificate's two coarse twins depend only on u(t_minus)
+    and the config: they start first, in forked workers when the process
+    budget (``workers.process_budget``) allows, and run while the tables
+    are computed.  The report's bytes do not depend on the budget.
+    """
+    certify = traj.status == "complete" and s["analysis"]["certify_resolution"]
+    with workers.run(_twin_tasks(traj) if certify else ()) as twins:
+        report = _report_tables(s, traj, seed)
+        if certify:
+            report["resolution_certification"] = _certify_resolution(traj, twins)
+    return report
+
+
+def _report_tables(s: dict, traj: Trajectory, seed: int) -> dict:
     tol = s["analysis"]["tolerances"]
-    complete = traj.status == "complete"
     mass_drift, energy_drift = _drifts(traj.mass_series, traj.energy_series)
 
     report: dict = {
@@ -281,7 +302,7 @@ def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:
     }
 
     # inequality tables (meaningful only while the run is trusted)
-    if complete:
+    if traj.status == "complete":
         report["mass_flux"] = _flux_table(s, traj, tol)
         report["hardy"] = _hardy_table(s, traj)
         report["morawetz"] = _morawetz_table(s, traj)
@@ -289,17 +310,14 @@ def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:
         report["strichartz"] = _strichartz_table(s, traj)
         report["duhamel"] = _duhamel_table(traj, tol)
         report["concentration"] = _concentration_block(s, traj)
-        if s["analysis"]["certify_resolution"]:
-            report["resolution_certification"] = _certify_resolution(traj)
     return report
 
 
 def _drifts(masses, energies) -> tuple[float, float]:
     """Mass drift max|M - M_0| and relative energy drift
-    max|E - E_0| / max(|E_0|, 1e-30) of two series."""
-    e_scale = max(abs(float(energies[0])), 1e-30)
+    max|E - E_0| / ``energy_scale(E_0)`` of two series."""
     return (float(np.abs(masses - masses[0]).max()),
-            float(np.abs(energies - energies[0]).max() / e_scale))
+            float(np.abs(energies - energies[0]).max() / fn.energy_scale(energies[0])))
 
 
 def _flux_table(s, traj, tol):
@@ -480,25 +498,42 @@ def _concentration_block(s, traj):
     return block
 
 
-def _certify_resolution(traj):
-    """Coarsened-twin self-convergence: order estimate from dt, 2dt, 4dt."""
+# the time steps of the coarse twins, in multiples of the scenario's dt;
+# the order estimate log2(d2 / d1) assumes that each one doubles the last
+_TWIN_FACTORS = (2, 4)
+
+
+def _twin_tasks(traj) -> list:
+    """The coarse twins, as tasks that return the twin's (status, abort
+    reason, final row)."""
+    get_propagator(traj.grid)  # certified once, here: forked twins inherit it
+    return [functools.partial(_twin_final, traj, factor) for factor in _TWIN_FACTORS]
+
+
+def _twin_final(traj, factor: int):
+    cfg = replace(
+        traj.config,
+        dt=traj.config.dt * factor,
+        snapshot_stride=max(1, traj.config.snapshot_stride // factor),
+    )
+    tw = evolve(traj.field(0), traj.t_minus, traj.t_plus, cfg)
+    return tw.status, tw.abort_reason, tw.values[-1]
+
+
+def _certify_resolution(traj, twins):
+    """Coarsened-twin self-convergence: order estimate from dt, 2dt, 4dt.
+    ``twins`` yields the results of ``_twin_tasks``, in order."""
     base_cfg = traj.config
     finals = [traj.values[-1]]
-    for factor in (2, 4):
-        cfg = replace(
-            base_cfg,
-            dt=base_cfg.dt * factor,
-            snapshot_stride=max(1, base_cfg.snapshot_stride // factor),
-        )
-        tw = evolve(traj.field(0), traj.t_minus, traj.t_plus, cfg)
-        if tw.status != "complete":
-            return {"skipped": f"coarse twin at {factor}x dt aborted: {tw.abort_reason}"}
-        finals.append(tw.values[-1])
+    for factor, (status, reason, final) in zip(_TWIN_FACTORS, twins):
+        if status != "complete":
+            return {"skipped": f"coarse twin at {factor}x dt aborted: {reason}"}
+        finals.append(final)
     # L^2 norms of the fine and coarse self-differences
     d1, d2 = (math.sqrt(m) for m in fn._mass_series(traj.grid, np.diff(finals, axis=0)))
     order = math.log2(d2 / d1) if d1 > 0 and d2 > 0 else math.inf
     return {
-        "dt_levels": [base_cfg.dt, base_cfg.dt * 2, base_cfg.dt * 4],
+        "dt_levels": [base_cfg.dt] + [base_cfg.dt * f for f in _TWIN_FACTORS],
         "self_difference_fine": d1,
         "self_difference_coarse": d2,
         "measured_order": order,

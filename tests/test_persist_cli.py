@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -653,3 +654,253 @@ def test_cli_sweep_rejects_duplicate_ids_before_running(tmp_path, monkeypatch, c
     assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG_ERROR
     assert "'test-small' is used more than once" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# concurrent evolutions: the certificate's coarse twins and a sweep's
+# scenarios run in forked workers when the process budget is 2 or more
+
+
+def _force_budget(monkeypatch, budget):
+    """Give ``workers.process_budget`` the inputs of ``budget``: a BLAS pin
+    and that many CPUs for 2, no pin for 1 (a worker still gets 1)."""
+    from nlslab import workers
+
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(key, raising=False)
+    if budget > 1:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(budget)))
+    assert workers.process_budget() == budget
+
+
+@pytest.mark.parametrize("env,cpus,in_worker,budget", [
+    ({}, 2, False, 1),                                            # BLAS env unset
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, False, 2),                 # pinned, 2 CPUs
+    ({"OMP_NUM_THREADS": "1"}, 3, False, 3),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, False, 1),                 # 2 BLAS threads
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True, 1),                  # inside a worker
+])
+def test_process_budget_rule(monkeypatch, env, cpus, in_worker, budget):
+    import multiprocessing
+
+    from nlslab import workers
+
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(key, raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(multiprocessing, "parent_process",
+                        lambda: object() if in_worker else None)
+    assert workers.process_budget() == budget
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert workers.process_budget() == 1                          # no fork
+    assert multiprocessing.active_children() == []
+
+
+def _logged_evolve(monkeypatch, log: Path, fail=None):
+    """Record the pid of each ``evolve`` of ``scenario``; a coarse twin
+    (dt above the scenario's) fails as ``fail`` says, where given."""
+    from nlslab import dynamics, scenario
+
+    base_dt = SMALL_SCENARIO["time"]["dt"]
+
+    def logged(u0, t_minus, t_plus, cfg, provenance=None):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {cfg.dt / base_dt:g}\n")
+        if cfg.dt > base_dt and fail == "raise":
+            raise RuntimeError("injected twin failure")
+        if cfg.dt > base_dt and fail == "exit":
+            os._exit(1)
+        if cfg.dt > base_dt and fail == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return dynamics.evolve(u0, t_minus, t_plus, cfg, provenance)
+
+    monkeypatch.setattr(scenario, "evolve", logged)
+
+
+def _evolutions(log: Path) -> list:
+    """(pid, dt factor) of each logged evolve, in log order."""
+    rows = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    return [(int(pid), factor) for pid, factor in rows]
+
+
+# the measured relative energy drifts of SMALL_SCENARIO are 1.0e-6 at dt,
+# 4.1e-6 at 2 dt and 1.6e-5 at 4 dt, so each alarm aborts the twins from
+# one factor on
+@pytest.mark.parametrize("alarm,skipped", [
+    (None, None),
+    (2e-6, "coarse twin at 2x dt aborted: energy drift"),
+    (8e-6, "coarse twin at 4x dt aborted: energy drift"),
+])
+def test_analyze_bytes_equal_at_budget_one_and_two(tmp_path, monkeypatch, capsys, alarm, skipped):
+    import multiprocessing
+
+    doc = json.loads(json.dumps(SMALL_SCENARIO))
+    if alarm is not None:
+        doc["evolution"] = {"energy_drift_alarm": alarm}
+    cfg_path = write_config(tmp_path, doc)
+    for budget in (1, 2):
+        _force_budget(monkeypatch, budget)
+        _logged_evolve(monkeypatch, tmp_path / f"evolve{budget}.log")
+        out = tmp_path / f"b{budget}"
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert multiprocessing.active_children() == []
+    serial, forked = _files(tmp_path / "b1"), _files(tmp_path / "b2")
+    assert serial.keys() == forked.keys()
+    for name in serial:
+        assert serial[name] == forked[name], name
+    cert = read_json(tmp_path / "b1" / "report.json")["resolution_certification"]
+    if skipped is None:
+        assert cert["measured_order"] >= 1.5
+    else:
+        assert cert["skipped"].startswith(skipped)
+    # serially, the twins run in this process after the main evolution, and
+    # a 4 dt twin only after a complete 2 dt twin (today's path)
+    factors = ["1", "2"] if alarm == 2e-6 else ["1", "2", "4"]
+    assert _evolutions(tmp_path / "evolve1.log") == [(os.getpid(), f) for f in factors]
+    # at budget 2 both twins start, each in a worker of its own
+    twins = [(pid, f) for pid, f in _evolutions(tmp_path / "evolve2.log") if f != "1"]
+    assert os.getpid() not in {pid for pid, _ in twins}
+    assert len({pid for pid, _ in twins}) == len(twins) >= 1
+    capsys.readouterr()
+
+
+def _sweep_config(tmp_path, count=2, certify=(True, False, False, False)):
+    doc = {"scenarios": []}
+    for k in range(count):
+        one = json.loads(json.dumps(SMALL_SCENARIO))
+        one["scenario_id"] = f"sweep-{'abcd'[k]}"
+        one["initial_data"]["width"] = 1.0 + 0.1 * k
+        one["analysis"]["certify_resolution"] = certify[k]
+        doc["scenarios"].append(one)
+    return write_config(tmp_path, doc, "sweep.json")
+
+
+def test_sweep_bytes_equal_at_budget_one_and_two(tmp_path, monkeypatch, capsys):
+    """The first scenario certifies its resolution: inside a sweep worker
+    its twins run serially (budget 1 in a worker)."""
+    import multiprocessing
+
+    cfg_path = _sweep_config(tmp_path)
+    printed = {}
+    for budget in (1, 2):
+        _force_budget(monkeypatch, budget)
+        out = tmp_path / f"b{budget}"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        printed[budget] = capsys.readouterr().out.replace(str(out), "OUT").splitlines()
+    assert printed[1] == printed[2] == [
+        "sweep: sweep-a -> OUT/sweep-a (exit 0)", "sweep: sweep-b -> OUT/sweep-b (exit 0)"]
+    serial, forked = _files(tmp_path / "b1"), _files(tmp_path / "b2")
+    assert serial.keys() == forked.keys() and len(serial) > 2
+    for name in serial:
+        assert serial[name] == forked[name], name
+
+
+@pytest.mark.parametrize("fail,message", [
+    ("raise", "RuntimeError: injected twin failure"),
+    ("exit", "exited with code 1 before sending a result"),
+    ("kill", f"exited with code {-signal.SIGKILL} before sending a result"),
+])
+def test_cli_failing_twin_worker_is_internal_error(tmp_path, monkeypatch, capsys, fail, message):
+    import multiprocessing
+    import time
+
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    _force_budget(monkeypatch, 2)
+    _logged_evolve(monkeypatch, tmp_path / "evolve.log", fail=fail)
+    started = time.perf_counter()
+    code = main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert code == EXIT_INTERNAL_ERROR
+    assert time.perf_counter() - started < 30
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert message in err and "internal error" in err
+    if fail == "raise":
+        # the worker's own traceback, down to the injected frame
+        assert "raised in worker process" in err and "in _twin_final" in err
+
+
+@pytest.mark.parametrize("fail,message", [
+    ("raise", "RuntimeError: injected scenario failure"),
+    ("exit", "exited with code 1 before sending a result"),
+    ("kill", f"exited with code {-signal.SIGKILL} before sending a result"),
+])
+def test_cli_failing_sweep_worker_is_internal_error(tmp_path, monkeypatch, capsys, fail, message):
+    import multiprocessing
+    import time
+
+    from nlslab import cli
+
+    real = cli.run_scenario
+
+    def failing(scenario, seed=0):
+        if scenario["scenario_id"] == "sweep-b":
+            if fail == "raise":
+                raise RuntimeError("injected scenario failure")
+            if fail == "exit":
+                os._exit(1)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(scenario, seed=seed)
+
+    monkeypatch.setattr(cli, "run_scenario", failing)
+    cfg_path = _sweep_config(tmp_path, certify=(False, False))
+    _force_budget(monkeypatch, 2)
+    started = time.perf_counter()
+    code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "sweep")])
+    assert code == EXIT_INTERNAL_ERROR
+    assert time.perf_counter() - started < 30
+    assert multiprocessing.active_children() == []
+    captured = capsys.readouterr()
+    assert message in captured.err and "internal error" in captured.err
+    # the scenario before the failing one finished and printed its line
+    assert [line.split(" ->")[0] for line in captured.out.splitlines()] == ["sweep: sweep-a"]
+    if fail == "raise":
+        assert "raised in worker process" in captured.err and "in failing" in captured.err
+
+
+def test_cli_sweep_prints_each_line_once_in_config_order(tmp_path):
+    """A forked worker flushes the stdio buffers it inherits when it ends,
+    so the CLI flushes before every fork.  Four scenarios on two CPUs
+    fork the last worker after the first line is printed into a piped,
+    block-buffered stdout."""
+    cfg_path = _sweep_config(tmp_path, count=4, certify=(False,) * 4)
+    out = tmp_path / "sweep"
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    env.pop("PYTHONUNBUFFERED", None)
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nlslab.cli", "sweep", "--config", str(cfg_path), "--out", str(out)],
+        env=env, capture_output=True, text=True, preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"sweep: {sid} -> {out / sid} (exit 0)" for sid in ("sweep-a", "sweep-b", "sweep-c", "sweep-d")]
+
+
+@pytest.mark.parametrize("second,message", [
+    # an unresolvable grid: its propagator fails the round-trip self-test
+    ({"dimension": 10, "grid": {"n_points": 512, "r_max": 8.0}},
+     "spectral round-trip self-test failed; raise n_points, enlarge r_max"),
+    ({"initial_data": {"family": "file", "path": "seven-samples.bin"}},
+     "initial_data.path holds 7 samples, grid needs 192"),
+])
+def test_cli_sweep_config_error_in_a_worker_exits_2(tmp_path, monkeypatch, capsys, second, message):
+    """A configuration error that a scenario raises while it runs keeps
+    exit 2 and its message, serially and when it is raised in a worker."""
+    (tmp_path / "seven-samples.bin").write_bytes(encode_snapshot(np.ones(7, dtype=complex)))
+    monkeypatch.chdir(tmp_path)
+    doc = {"scenarios": [dict(SMALL_SCENARIO, scenario_id="sweep-a"),
+                         dict(SMALL_SCENARIO, scenario_id="sweep-b", **second)]}
+    cfg_path = write_config(tmp_path, doc, "sweep.json")
+    errors = []
+    for budget in (1, 2):
+        _force_budget(monkeypatch, budget)
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / f"b{budget}")])
+        assert code == EXIT_CONFIG_ERROR
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert message in errors[0] and "internal error" not in errors[0]
