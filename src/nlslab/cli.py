@@ -45,6 +45,7 @@ from .scenario import (
     evolve_scenario,
     normalize_scenario,
     run_scenario,
+    scenario_grid,
     verify_report,
 )
 
@@ -196,6 +197,9 @@ def cmd_sweep(args) -> int:
         raise ScenarioError([f"scenario_id {i!r} is used more than once" for i in repeated])
     subs = [Path(args.out) / i for i in ids]
     tasks = [functools.partial(_sweep_one, s, sub, args.seed) for s, sub in zip(scenarios, subs)]
+    # the workers share the grids (and scipy) made here; they build the transforms
+    for s in scenarios:
+        scenario_grid(s)
     worst = EXIT_OK
     # each scenario runs and writes its outputs as one task; the lines are
     # printed here, in config order

@@ -17,6 +17,9 @@ Layout of a trajectory store::
                                (see ``transform``).  An n = 3 kernel is a
                                closed form whose bits do not depend on the
                                thread count, so its store needs none
+    <dir>/bessel.bin           n = 3 only: the grid's Bessel table, 2N + 1
+                               ``<f8`` values, adopted once certified, so a
+                               reader needs no scipy (see ``transform``)
 
 JSON is ``json.dumps`` with floats in their shortest round-trip form
 (``0.8``, ``16.0``); CSV writes decimals with 17 significant digits.  Both
@@ -34,7 +37,7 @@ import numpy as np
 
 from .dynamics import BlowupRecord, EvolutionConfig, Trajectory
 from .grid import RadialGrid
-from .transform import get_transform, make_spectral_grid
+from .transform import bessel_table, get_transform, make_spectral_grid
 
 FORMAT_VERSION = 1
 
@@ -112,13 +115,17 @@ def save_trajectory(traj: Trajectory, directory) -> Path:
         "provenance": traj.provenance,
     }
     write_json(directory / "metadata.json", meta)
+    written = {directory / snapshot_filename(i) for i in range(len(traj.values))}
+    for path in set(directory.glob("snapshot_*.bin")) - written:
+        path.unlink()                # left by an earlier, longer run
     for i, row in enumerate(traj.values):
         (directory / snapshot_filename(i)).write_bytes(encode_snapshot(row))
-    factor = get_transform(g).factor
-    if factor is None:
-        (directory / "kernel.bin").unlink(missing_ok=True)
-    else:
-        np.asarray(factor, dtype="<f8").tofile(directory / "kernel.bin")
+    table = bessel_table(3, g.n_points) if g.dimension == 3 else None
+    for name, array in (("bessel.bin", table), ("kernel.bin", get_transform(g).factor)):
+        if array is None:        # a stale copy, from a store of another grid
+            (directory / name).unlink(missing_ok=True)
+        else:
+            np.asarray(array, dtype="<f8").tofile(directory / name)
     return directory
 
 
@@ -127,6 +134,10 @@ def load_trajectory(directory) -> Trajectory:
     meta = read_json(directory / "metadata.json")
     if meta.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported trajectory format {meta.get('format_version')}")
+    table = directory / "bessel.bin"
+    if meta["grid"]["dimension"] == 3 and table.is_file():
+        # adopted, once certified, before the grid is built from it
+        bessel_table(3, int(meta["grid"]["n_points"]), np.fromfile(table, dtype="<f8"))
     grid = grid_from_spec(meta["grid"])
     kernel = directory / "kernel.bin"
     get_transform(grid, np.fromfile(kernel, dtype="<f8") if kernel.is_file() else np.empty(0))

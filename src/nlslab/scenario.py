@@ -26,7 +26,7 @@ from . import concentration as conc
 from . import functionals as fn
 from . import workers
 from .dynamics import EvolutionConfig, Trajectory, blowup_monitor, duhamel_residual, evolve
-from .grid import RadialField
+from .grid import RadialField, RadialGrid
 from .persist import blowup_dict, decode_snapshot, load_trajectory
 from .propagator import get_propagator
 from .transform import make_spectral_grid
@@ -179,12 +179,14 @@ def normalize_scenario(raw: dict) -> dict:
     return s
 
 
+def scenario_grid(scenario: dict) -> RadialGrid:
+    """The (cached) spectral grid of a normalized scenario."""
+    g = scenario["grid"]
+    return make_spectral_grid(scenario["dimension"], g["n_points"], float(g["r_max"]))
+
+
 def build_initial_data(scenario: dict) -> RadialField:
-    grid = make_spectral_grid(
-        scenario["dimension"],
-        scenario["grid"]["n_points"],
-        float(scenario["grid"]["r_max"]),
-    )
+    grid = scenario_grid(scenario)
     init = scenario["initial_data"]
     r = grid.nodes
     fam = init["family"]

@@ -17,28 +17,20 @@ we replace it by its exactly orthogonal polar factor so that the discrete
 transform is an exact isometry.  Free evolution and fractional powers then
 conserve the discrete L^2 mass by construction.
 
-The kernel is real and the fields are complex.  ``real_matrix @
-complex_vector`` makes numpy cast the whole N x N matrix to a fresh
-complex copy on every call (16 MB at N = 1024) before one zgemv.  The
-transform instead keeps the kernel in row-major order both ways round
-(``kernel`` and ``kernel_t``) and applies it ``_ROWS`` rows at a time,
-casting only that block.  Each output entry is a dot product over one
-row, so blocking the rows repeats numpy's own cast-then-zgemv arithmetic
-bit for bit without the full-matrix temporary.  Applying the kernel to
-the float view of the complex data (one real GEMM) would be faster
-still, but it rounds differently, and the pinned reports sit on an exact
-tie of the greedy interval subdivision that one ulp can flip.
-
 ``forward`` takes a field and ``coefficients`` complex node samples;
 ``backward``, ``derivative`` and ``kinetic_energy`` take mode
 coefficients, one row (N,) or a stack (S, N) such as
 ``Trajectory.coefficients``, which every diagnostic of a trajectory
-reads.  ``_matvec``, the one place where the kernel meets
-data, casts each row block of the kernel once per call and runs one zgemv
-per row of a stack into a preallocated output, so a row of a stack has
-the bits of a single-row call.  One zgemm over the stack would be faster,
-but it rounds differently: it moved the last bits of about 98% of the
-coefficients of a stack, which the pinned reports cannot absorb.
+reads.  The kernel is real and the fields are complex, and ``real_matrix
+@ complex_vector`` would cast the whole kernel to complex on every call
+(16 MB at N = 1024).  ``_matvec``, the one place where the kernel meets
+data, instead casts it ``_ROWS`` rows at a time, once per call, and runs
+one zgemv per row of a stack: numpy's own cast-then-zgemv arithmetic,
+bit for bit, so a row of a stack has the bits of a single-row call.  One
+real GEMM on the float view, or one zgemm over a stack, would be faster
+but rounds differently (a zgemm moved the last bits of about 98% of a
+stack's coefficients), and the pinned reports sit on an exact tie of the
+greedy interval subdivision that one ulp can flip.
 
 In three dimensions nu = 1/2, J_{1/2}(x) is proportional to sin(x)/sqrt(x),
 the zeros are j_m = m pi, and the nodes r_i = i R / (N+1) are uniform.
@@ -69,6 +61,14 @@ into an orthogonal and a symmetric positive definite factor is unique
 (Higham, SIAM J. Sci. Stat. Comput. 7 (1986) 1160), so this pins K as
 A's polar factor to rounding.  A factor that fails (another grid's, a
 corrupted file) is dropped with a warning, and the SVD runs.
+
+Grids and modes read one cached Bessel table per (dimension, N): the zeros
+j_1..j_{N+1} of J_nu, then J_{nu+1}(j_1..j_N).  scipy computes it, and is
+imported only inside the functions that compute with it.  An n = 3 store
+carries its table, adopted once numpy alone certifies it against the
+closed forms for nu = 1/2 (DLMF 10.16): zeros within 1e-14 m pi of m pi,
+J_{3/2}(z) within 1e-12, relative, of sqrt(2/(pi z)) (sin z/z - cos z).
+scipy's tables pass with room (1 ulp and 1.3e-14 up to N = 16384).
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import special
 
 from .grid import GridError, RadialField, RadialGrid, UnresolvedGridError, _row_sums, sphere_area
 
@@ -91,6 +90,7 @@ def bessel_zeros(nu: float, count: int) -> NDArray[np.float64]:
     McMahon asymptotics polished by Newton iterations; accurate to
     machine precision for the orders used here (nu = n/2 - 1, n >= 3).
     """
+    from scipy import special
     m = np.arange(1, count + 1, dtype=float)
     beta = (m + 0.5 * nu - 0.25) * math.pi
     mu = 4.0 * nu * nu
@@ -109,6 +109,50 @@ def bessel_zeros(nu: float, count: int) -> NDArray[np.float64]:
     return z
 
 
+# one slot per (dimension, n_points), as many as grids, filled by the first
+# ``bessel_table`` call, so that a stored table is not part of the cache key
+@lru_cache(maxsize=32)
+def _table_slot(dimension: int, n_points: int) -> list:
+    return []
+
+
+def bessel_table(dimension: int, n_points: int, stored=None) -> NDArray[np.float64]:
+    """The read-only Bessel table of the module docstring, 2N + 1 values.  A
+    ``stored`` n = 3 table is adopted, once certified, only if this call
+    fills the cache; scipy computes the table otherwise."""
+    slot = _table_slot(dimension, n_points)
+    if not slot:
+        table = None if stored is None else _certified_table(stored, n_points)
+        if table is None:
+            from scipy import special
+            nu = dimension / 2.0 - 1.0
+            z = bessel_zeros(nu, n_points + 1)
+            table = np.concatenate([z, special.jv(nu + 1, z[:n_points])])
+        table.flags.writeable = False
+        slot.append(table)
+    return slot[0]
+
+
+def _certified_table(stored: NDArray[np.float64], n: int) -> NDArray[np.float64] | None:
+    """``stored`` as the n = 3 table of ``n`` points if it passes the
+    certificate; else None, with a warning that names the failed check."""
+    # each test passes only on a true comparison, which a NaN never is
+    z, m_pi = stored[: n + 1], np.arange(1, n + 2) * math.pi
+    if stored.size != 2 * n + 1:
+        reason = f"{stored.size} values, not {2 * n + 1}"
+    elif not np.all(np.abs(z - m_pi) <= 1e-14 * m_pi):
+        reason = "a zero is not m pi"
+    else:
+        z = z[:n]
+        j = np.sqrt(2.0 / (math.pi * z)) * (np.sin(z) / z - np.cos(z))
+        if np.all(np.abs(stored[n + 1:] - j) <= 1e-12 * np.abs(j)):
+            return stored
+        reason = "a J_{3/2} value is not the closed form"
+    logging.getLogger("nlslab").warning(
+        "stored Bessel table rejected (%s); computing it", reason)
+    return None
+
+
 @lru_cache(maxsize=32)
 def make_spectral_grid(dimension: int, n_points: int, r_max: float) -> RadialGrid:
     """Collocation grid for the radial spectral transform.
@@ -119,13 +163,10 @@ def make_spectral_grid(dimension: int, n_points: int, r_max: float) -> RadialGri
     the identical grid object (and hence a shared transform).
     """
     n = int(dimension)
-    nu = n / 2.0 - 1.0
-    z = bessel_zeros(nu, n_points + 1)
-    j_edge = z[n_points]
-    j = z[:n_points]
-    r = j * (r_max / j_edge)
-    j_next = special.jv(nu + 1, j)
-    w_fb = 2.0 * r_max**2 / (j_edge**2 * j_next**2)
+    table = bessel_table(n, n_points)
+    j_edge = table[n_points]
+    r = table[:n_points] * (r_max / j_edge)
+    w_fb = 2.0 * r_max**2 / (j_edge**2 * table[n_points + 1:] ** 2)
     w = sphere_area(n) * w_fb * r ** (n - 2)
     return RadialGrid(n, r, w, float(r_max), kind="bessel")
 
@@ -160,6 +201,7 @@ class SpectralTransform:
             theta = _dst1_angles(n)
             dphi = k[None, :] * np.cos(theta) - np.sin(theta) / r[:, None]
             return math.sqrt(2.0 / (n + 1)) * dphi / self.sqrt_weights[:, None]
+        from scipy import special
         nu, _, mode_norm = _modes(self.grid)
         # d/dr [J_nu(k r)/r^nu] = -k J_{nu+1}(k r)/r^nu
         dphi = -k[None, :] * special.jv(nu + 1, np.outer(r, k)) / r[:, None] ** nu
@@ -260,10 +302,10 @@ def _newton_schulz_polar(a: NDArray[np.float64]) -> NDArray[np.float64]:
 def _modes(grid: RadialGrid):
     """Order nu, Bessel zeros j_m and L^2(R^n) norms of the Dirichlet modes
     J_nu(k_m r)/r^nu, k_m = j_m / r_max, of a grid."""
-    nu = grid.dimension / 2.0 - 1.0
-    j = bessel_zeros(nu, grid.n_points + 1)[: grid.n_points]
-    norm = math.sqrt(sphere_area(grid.dimension) / 2.0) * grid.r_max * np.abs(special.jv(nu + 1, j))
-    return nu, j, norm
+    n = grid.n_points
+    table = bessel_table(grid.dimension, n)
+    norm = math.sqrt(sphere_area(grid.dimension) / 2.0) * grid.r_max * np.abs(table[n + 1:])
+    return grid.dimension / 2.0 - 1.0, table[:n], norm
 
 
 def _certified(stored: NDArray[np.float64], a: NDArray[np.float64]) -> NDArray[np.float64] | None:
@@ -311,6 +353,7 @@ def _build_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
         n = grid.n_points
         kernel = math.sqrt(2.0 / (n + 1)) * np.sin(_dst1_angles(n))
         return SpectralTransform(grid, k, kernel, kernel, sw, None)
+    from scipy import special
     r = grid.nodes
     # the sampled modes, weighted and normalized in place: one N x N array
     sampled = special.jv(nu, np.outer(r, k))

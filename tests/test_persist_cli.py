@@ -33,7 +33,8 @@ from nlslab.persist import (
 )
 from nlslab.propagator import get_propagator
 from nlslab.scenario import ScenarioError, normalize_scenario, run_scenario, verify_report
-from nlslab.transform import _transform_slot, get_transform
+from nlslab import transform
+from nlslab.transform import _table_slot, _transform_slot, bessel_table, get_transform
 
 SMALL_SCENARIO = {
     "scenario_id": "test-small",
@@ -136,7 +137,10 @@ def test_store_carries_the_kernel_bit_equal(tmp_path):
     g = make_spectral_grid(5, 128, 12.0)
     cfg = EvolutionConfig(dimension=5, mu=1, dt=5e-3, snapshot_stride=4)
     store = tmp_path / "store"
+    store.mkdir()
+    (store / "bessel.bin").write_bytes(b"stale")  # only an n = 3 store has one
     save_trajectory(evolve(gaussian_field(g), 0.0, 0.1, cfg), store)
+    assert not (store / "bessel.bin").exists()
     kernel = get_transform(g).kernel
     assert (store / "kernel.bin").read_bytes() == kernel.astype("<f8").tobytes()
     _transform_slot.cache_clear()
@@ -146,7 +150,8 @@ def test_store_carries_the_kernel_bit_equal(tmp_path):
 
 def test_n3_store_carries_no_kernel(tmp_path, caplog):
     """An n = 3 kernel is a closed form: its store has no kernel.bin (a
-    stale one is removed) and loads without a warning into the same kernel."""
+    stale one is removed) and loads without a warning into the same kernel.
+    It carries the grid's Bessel table instead, bit for bit."""
     g = make_spectral_grid(3, 128, 12.0)
     cfg = EvolutionConfig(dimension=3, mu=1, dt=5e-3, snapshot_stride=4)
     store = tmp_path / "store"
@@ -155,6 +160,9 @@ def test_n3_store_carries_no_kernel(tmp_path, caplog):
     save_trajectory(evolve(gaussian_field(g), 0.0, 0.1, cfg), store)
     assert get_transform(g).factor is None
     assert not (store / "kernel.bin").exists()
+    table = bessel_table(3, 128)
+    assert table.size == 2 * 128 + 1 and not table.flags.writeable
+    assert (store / "bessel.bin").read_bytes() == table.astype("<f8").tobytes()
     kernel = get_transform(g).kernel
     _transform_slot.cache_clear()
     caplog.clear()
@@ -249,6 +257,165 @@ def test_stored_kernel_is_certified_on_load(tmp_path, honest_run, caplog, tamper
         assert all(reason in w and w.endswith("computing it by SVD") for w in warnings)
     for name in ("report.json", "verification.json"):
         assert (out / name).read_bytes() == (honest_run / name).read_bytes(), name
+
+
+def _n3_table(store: Path) -> np.ndarray:
+    return np.fromfile(store / "bessel.bin", dtype="<f8")
+
+
+def _move_zero(store):
+    t = _n3_table(store)
+    t[40] += 1e-9
+    t.tofile(store / "bessel.bin")
+
+
+def _nan_zero(store):
+    t = _n3_table(store)
+    t[11] = np.nan
+    t.tofile(store / "bessel.bin")
+
+
+def _flip_j(store):
+    t = _n3_table(store)
+    n = read_json(store / "metadata.json")["grid"]["n_points"]
+    t[n + 1 + 17] *= -1.0
+    t.tofile(store / "bessel.bin")
+
+
+def _truncate_table(store):
+    path = store / "bessel.bin"
+    path.write_bytes(path.read_bytes()[:-13])
+
+
+def _other_n_table(store):
+    np.asarray(bessel_table(3, 128), dtype="<f8").tofile(store / "bessel.bin")
+
+
+def _delete_table(store):
+    (store / "bessel.bin").unlink()              # a store written before bessel.bin
+
+
+def _cold_caches():
+    """Empty the table, transform and propagator caches, so that loading a
+    store adopts its table (the grids stay cached: fixtures hold them)."""
+    _table_slot.cache_clear()
+    _transform_slot.cache_clear()
+    get_propagator.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def honest_n3_run(tmp_path_factory):
+    """A simulated, analyzed and verified n = 3 run; its store holds the
+    Bessel table that the evolution used."""
+    out = tmp_path_factory.mktemp("honest-n3") / "run"
+    cfg_path = write_config(out.parent, SMALL_SCENARIO)
+    for command in (["simulate", "--config", str(cfg_path)],
+                    ["analyze", "--config", str(cfg_path)], ["verify"]):
+        assert main([*command, "--out", str(out)]) == EXIT_OK
+    return out
+
+
+@pytest.mark.parametrize("tamper,reason", [
+    (None, None),
+    (_truncate_table, "383 values, not 385"),
+    (_move_zero, "a zero is not m pi"),
+    (_nan_zero, "a zero is not m pi"),
+    (_flip_j, "a J_{3/2} value is not the closed form"),
+    (_other_n_table, "257 values, not 385"),
+    (_delete_table, None),
+], ids=["honest", "truncated", "moved-zero", "nan-zero", "flipped-j", "other-n", "deleted"])
+def test_stored_bessel_table_is_certified_on_load(tmp_path, honest_n3_run, caplog, tamper, reason):
+    """An n = 3 store's bessel.bin is adopted only when it certifies against
+    the closed forms m pi and J_{3/2}; a rejected table gives one warning,
+    a missing one none, and scipy computes it: analyze and verify write
+    the same bytes either way."""
+    out = tmp_path / "run"
+    shutil.copytree(honest_n3_run, out)
+    if tamper is not None:
+        tamper(out / "trajectory")
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    for command in (["analyze", "--config", str(cfg_path)], ["verify"]):
+        _cold_caches()
+        caplog.clear()
+        assert main([*command, "--out", str(out)]) == EXIT_OK
+        warnings = [r.getMessage() for r in caplog.records if r.name == "nlslab"]
+        assert len(warnings) == (reason is not None)
+        assert all(reason in w and w.endswith("computing it") for w in warnings)
+    for name in ("report.json", "verification.json"):
+        assert (out / name).read_bytes() == (honest_n3_run / name).read_bytes(), name
+
+
+def test_honest_bessel_table_is_adopted_without_computing_zeros(tmp_path, honest_n3_run,
+                                                                monkeypatch, caplog):
+    def refuse(*args):
+        raise AssertionError("an adopted table computes no Bessel zero")
+
+    out = tmp_path / "run"
+    shutil.copytree(honest_n3_run, out)
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    monkeypatch.setattr(transform, "bessel_zeros", refuse)
+    for command in (["analyze", "--config", str(cfg_path)], ["verify"]):
+        _cold_caches()
+        assert main([*command, "--out", str(out)]) == EXIT_OK
+    assert not [r for r in caplog.records if r.name == "nlslab"]
+    # a grid built from the adopted table has the cached grid's bits
+    n, r_max = SMALL_SCENARIO["grid"]["n_points"], SMALL_SCENARIO["grid"]["r_max"]
+    fresh, cached = make_spectral_grid.__wrapped__(3, n, r_max), make_spectral_grid(3, n, r_max)
+    assert fresh.nodes.tobytes() == cached.nodes.tobytes()
+    assert fresh.weights.tobytes() == cached.weights.tobytes()
+    for name in ("report.json", "verification.json"):
+        assert (out / name).read_bytes() == (honest_n3_run / name).read_bytes(), name
+
+
+# a CLI process that cannot import scipy
+_NO_SCIPY = ('import sys; sys.modules["scipy"] = None; '
+             'from nlslab.cli import main; sys.exit(main(sys.argv[1:]))')
+
+
+def test_n3_store_is_analyzed_and_verified_without_scipy(tmp_path, honest_n3_run):
+    """analyze and verify of an n = 3 store read its Bessel table, so they
+    run where scipy cannot be imported, into the bytes of a run whose table
+    was deleted and computed by scipy."""
+    runs = {name: tmp_path / name for name in ("blocked", "deleted")}
+    for out in runs.values():
+        shutil.copytree(honest_n3_run, out)
+        for name in ("report.json", "verification.json"):
+            (out / name).unlink()
+    _delete_table(runs["deleted"] / "trajectory")
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    src = str(Path(nlslab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for command in (["analyze", "--config", str(cfg_path)], ["verify"]):
+        _cold_caches()
+        assert main([*command, "--out", str(runs["deleted"])]) == EXIT_OK
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, *command, "--out", str(runs["blocked"])],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+    blocked, deleted = _files(runs["blocked"]), _files(runs["deleted"])
+    assert blocked.pop(Path("trajectory", "bessel.bin"))
+    assert blocked.keys() == deleted.keys()
+    for name in blocked:
+        assert blocked[name] == deleted[name], name
+
+
+def test_bessel_table_cache_is_bounded():
+    maxsize = _table_slot.cache_info().maxsize
+    for n in range(16, 20 + maxsize):
+        bessel_table(4, n)
+    assert _table_slot.cache_info().currsize == maxsize
+
+
+def test_save_removes_snapshots_of_a_longer_run(tmp_path):
+    """Re-simulating into a store at a coarser stride leaves exactly the
+    files of a fresh store."""
+    free = str(Path(__file__).resolve().parents[1] / "scenarios" / "free-n3.json")
+    args = ["--config", free, "--override", "grid.n_points=64", "--override", "grid.r_max=16"]
+    for stride, out in ((1, "reused"), (10, "reused"), (10, "fresh")):
+        assert main(["simulate", *args, "--override", f"time.snapshot_stride={stride}",
+                     "--out", str(tmp_path / out)]) == EXIT_OK
+    reused, fresh = _files(tmp_path / "reused"), _files(tmp_path / "fresh")
+    assert len(fresh) == 104                     # 101 snapshots, metadata, table, scenario
+    assert reused == fresh
 
 
 def _cli(threads, *args):
@@ -531,12 +698,11 @@ def test_cli_file_initial_data_is_read_bit_exact(tmp_path):
 
 
 def test_cli_import_leaves_interpolation_unloaded():
-    # only rescale and sample_even interpolate, and no command reaches them
+    # only rescale and sample_even interpolate, and no command reaches them;
+    # scipy.special is imported where a Bessel table or an n != 3 kernel is
+    # computed
     src = str(Path(nlslab.__file__).resolve().parents[1])
-    code = (
-        "import sys, nlslab.cli; "
-        "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize') if m in sys.modules))"
-    )
+    code = "import sys, nlslab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
