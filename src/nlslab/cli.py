@@ -10,9 +10,9 @@ Subcommands::
     sweep         run a list of scenarios into per-scenario directories
     export-plots  re-emit the CSV series from an existing report
 
-Exit codes: 0 all-pass, 1 verification failures, 2 configuration error
-or unresolvable grid, 3 runtime alarm (blowup or energy drift), 4 internal
-error (an unexpected exception, reported on stderr).
+Exit codes: 0 all-pass, 1 verification failures, 2 configuration error,
+unresolvable grid or uncertified span, 3 runtime alarm (blowup or energy
+drift), 4 internal error (an unexpected exception, reported on stderr).
 
 ``sweep`` runs each scenario, outputs included, as one task of
 ``workers.run``: at a process budget of 2 or more (BLAS pinned to one
@@ -38,6 +38,7 @@ import numpy as np
 from . import workers
 from .grid import UnresolvedGridError
 from .persist import load_trajectory, read_json, save_trajectory, write_csv, write_json
+from .propagator import TimeRangeError
 from .scenario import (
     RunResult,
     ScenarioError,
@@ -270,7 +271,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"configuration error: {violation}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (FileNotFoundError, UnresolvedGridError) as exc:
+    except (FileNotFoundError, UnresolvedGridError, TimeRangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except json.JSONDecodeError as exc:

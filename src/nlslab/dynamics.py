@@ -20,7 +20,7 @@ import numpy as np
 
 from .functionals import _energy_rows, _mass_series, energy_scale
 from .grid import GridError, RadialField, RadialGrid
-from .propagator import get_propagator
+from .propagator import TimeRangeError, get_propagator
 from .transform import get_transform
 
 
@@ -176,7 +176,7 @@ def evolve(
         raise ValueError("config dimension does not match the grid")
     prop = get_propagator(u0.grid)
     if (t_plus - t_minus) > prop.validated_t_max:
-        raise ValueError(
+        raise TimeRangeError(
             f"span {t_plus - t_minus:.3g} exceeds the grid-certified horizon "
             f"{prop.validated_t_max:.3g}"
         )
@@ -201,11 +201,10 @@ def evolve(
     # takes the linear step through coefficient space and watches the
     # gradient norm every step; the other signs apply the dense one-step
     # operator.  One coefficient-space loop for every sign would be slower
-    # (n = 5, N = 1024, one BLAS thread on a 2-core Xeon: 9.0 ms/step
-    # against 0.73 ms for the dense operator) and its different rounding
-    # would move pinned report values.
+    # (n = 5, N = 1024, one thread on a 2-core Xeon: 500 steps took
+    # 1.36-1.58 s, against 0.85-1.01 s for the dense operator, its build
+    # included) and its different rounding would move pinned report values.
     watch_every_step = mu == -1
-    step_op = None if watch_every_step else tr.step_operator(phases)
 
     u = np.asarray(u0.values, dtype=complex).copy()
     # the initial state, one row per stride and the final (or abort) state
@@ -215,49 +214,54 @@ def evolve(
     def record(t: float, u_now: np.ndarray):
         values[len(times)] = u_now
         times.append(t)
-        e, kin, pot = (float(x[0]) for x in _energy_rows(u0.grid, u_now[None, :], mu))
+        coeffs = tr.coefficients(u_now, cast)[None, :]
+        e, kin, pot = (float(x[0]) for x in _energy_rows(u0.grid, u_now[None, :], mu, coeffs))
         energies.append(e)
         kinetics.append(kin)
         potentials.append(pot)
         return e, math.sqrt(2.0 * kin)
 
-    e0, grad0 = record(t_minus, u)
-    pot_exceeds = abs(potentials[0]) > kinetics[0]
-    e_scale = energy_scale(e0)
-    status, reason = "complete", ""
-    blow_time = None
+    # one complex cast of the kernel serves every product of the loop, each
+    # product's rows split over the process budget's threads
+    with tr.cast() as cast:
+        step_op = None if watch_every_step else tr.step_operator(phases, cast)
+        e0, grad0 = record(t_minus, u)
+        pot_exceeds = abs(potentials[0]) > kinetics[0]
+        e_scale = energy_scale(e0)
+        status, reason = "complete", ""
+        blow_time = None
 
-    for step in range(1, n_steps + 1):
-        if mu != 0:
-            u = _phase_rotation(u, mu, dt / 2.0, p)
-        if watch_every_step:
-            b = tr.coefficients(u)
-            grad_lin = math.sqrt(2.0 * tr.kinetic_energy(b))
-            u = tr.backward(phases * b)
-        else:
-            u = (step_op @ (sw * u)) / sw
-        if mu != 0:
-            u = _phase_rotation(u, mu, dt / 2.0, p)
-        if not np.all(np.isfinite(u)):
-            status, reason = "aborted-blowup", "non-finite amplitude"
-            blow_time = t_minus + step * dt
-            break
-        if watch_every_step and grad0 > 0 and grad_lin > cfg.blowup_grad_factor * grad0:
-            record(t_minus + step * dt, u)
-            status, reason = "aborted-blowup", "gradient-norm blowup threshold"
-            blow_time = t_minus + step * dt
-            break
-        if step % cfg.snapshot_stride == 0 or step == n_steps:
-            e, g = record(t_minus + step * dt, u)
-            if grad0 > 0 and g > cfg.blowup_grad_factor * grad0:
+        for step in range(1, n_steps + 1):
+            if mu != 0:
+                u = _phase_rotation(u, mu, dt / 2.0, p)
+            if watch_every_step:
+                b = tr.coefficients(u, cast)
+                grad_lin = math.sqrt(2.0 * tr.kinetic_energy(b))
+                u = tr.backward(phases * b, cast)
+            else:
+                u = cast.product(step_op, sw * u) / sw
+            if mu != 0:
+                u = _phase_rotation(u, mu, dt / 2.0, p)
+            if not np.all(np.isfinite(u)):
+                status, reason = "aborted-blowup", "non-finite amplitude"
+                blow_time = t_minus + step * dt
+                break
+            if watch_every_step and grad0 > 0 and grad_lin > cfg.blowup_grad_factor * grad0:
+                record(t_minus + step * dt, u)
                 status, reason = "aborted-blowup", "gradient-norm blowup threshold"
                 blow_time = t_minus + step * dt
                 break
-            drift = abs(e - e0) / e_scale
-            if drift > cfg.energy_drift_tol:
-                status = "aborted-energy"
-                reason = f"energy drift {drift:.3e} exceeds alarm"
-                break
+            if step % cfg.snapshot_stride == 0 or step == n_steps:
+                e, g = record(t_minus + step * dt, u)
+                if grad0 > 0 and g > cfg.blowup_grad_factor * grad0:
+                    status, reason = "aborted-blowup", "gradient-norm blowup threshold"
+                    blow_time = t_minus + step * dt
+                    break
+                drift = abs(e - e0) / e_scale
+                if drift > cfg.energy_drift_tol:
+                    status = "aborted-energy"
+                    reason = f"energy drift {drift:.3e} exceeds alarm"
+                    break
 
     values = values[: len(times)]
     blow = BlowupRecord(

@@ -23,14 +23,16 @@ coefficients, one row (N,) or a stack (S, N) such as
 ``Trajectory.coefficients``, which every diagnostic of a trajectory
 reads.  The kernel is real and the fields are complex, and ``real_matrix
 @ complex_vector`` would cast the whole kernel to complex on every call
-(16 MB at N = 1024).  ``_matvec``, the one place where the kernel meets
-data, instead casts it ``_ROWS`` rows at a time, once per call, and runs
-one zgemv per row of a stack: numpy's own cast-then-zgemv arithmetic,
-bit for bit, so a row of a stack has the bits of a single-row call.  One
-real GEMM on the float view, or one zgemm over a stack, would be faster
-but rounds differently (a zgemm moved the last bits of about 98% of a
-stack's coefficients), and the pinned reports sit on an exact tie of the
-greedy interval subdivision that one ulp can flip.
+(16 MB at N = 1024).  ``_matvec`` casts it ``_ROWS`` rows at a time, once
+per call, and runs one zgemv per row of a stack: numpy's cast-then-zgemv
+arithmetic, bit for bit, so a row of a stack has the bits of a single-row
+call.  A ``KernelCast`` (``SpectralTransform.cast()``) holds one full
+cast of each kernel for all the one-row products of an evolution, with
+the same bits, and splits their rows over threads.  One real GEMM on the
+float view, or one zgemm over a stack, would be faster but rounds
+differently (a zgemm moved the last bits of about 98% of a stack's
+coefficients), and the pinned reports sit on an exact tie of the greedy
+interval subdivision that one ulp can flip.
 
 In three dimensions nu = 1/2, J_{1/2}(x) is proportional to sin(x)/sqrt(x),
 the zeros are j_m = m pi, and the nodes r_i = i R / (N+1) are uniform.
@@ -75,12 +77,14 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
 
+from . import workers
 from .grid import GridError, RadialField, RadialGrid, UnresolvedGridError, _row_sums, sphere_area
 
 
@@ -213,13 +217,16 @@ class SpectralTransform:
             raise GridError("field grid does not match transform grid")
         return self.coefficients(u.values)
 
-    def coefficients(self, values) -> NDArray[np.complex128]:
-        """Mode coefficients of node samples."""
-        return _matvec(self.kernel_t, self.sqrt_weights * values)
+    def coefficients(self, values, cast=None) -> NDArray[np.complex128]:
+        """Mode coefficients of node samples; of one row through ``cast``,
+        a ``KernelCast`` of this transform, where given."""
+        x = self.sqrt_weights * values
+        return _matvec(self.kernel_t, x) if cast is None else cast.product(cast.kernel_t, x)
 
-    def backward(self, coeffs) -> NDArray[np.complex128]:
-        """Node samples from mode coefficients."""
-        out = _matvec(self.kernel, coeffs)
+    def backward(self, coeffs, cast=None) -> NDArray[np.complex128]:
+        """Node samples from mode coefficients; of one row through
+        ``cast`` where given."""
+        out = _matvec(self.kernel, coeffs) if cast is None else cast.product(cast.kernel, coeffs)
         out /= self.sqrt_weights
         return out
 
@@ -237,14 +244,47 @@ class SpectralTransform:
         kin = 0.5 * _row_sums(lambda b: self.frequencies**2 * np.abs(b) ** 2, rows)
         return float(kin[0]) if coeffs.ndim == 1 else kin
 
-    def step_operator(self, multiplier) -> NDArray[np.complex128]:
+    def step_operator(self, multiplier, cast=None) -> NDArray[np.complex128]:
         """Dense matrix of a diagonal frequency multiplier, acting on
-        weighted samples sqrt(w) * u."""
-        right = self.kernel_t.astype(complex)
-        out = np.empty(self.kernel.shape, dtype=complex)
-        for start in range(0, out.shape[0], _ROWS):
-            rows = slice(start, start + _ROWS)
-            np.matmul(self.kernel[rows] * multiplier[None, :], right, out=out[rows])
+        weighted samples sqrt(w) * u, built through ``cast`` (or a cast of
+        its own) in ``_ROWS``-row blocks split over the cast's threads."""
+        with nullcontext(cast) if cast is not None else self.cast() as cast:
+            right, out = cast.kernel_t, np.empty(self.kernel.shape, dtype=complex)
+            cast.split(lambda rows: np.matmul(self.kernel[rows] * multiplier[None, :], right,
+                                              out=out[rows]), _ROWS)
+        return out
+
+    @contextmanager
+    def cast(self):
+        """Yield a ``KernelCast`` of this transform; its threads are joined
+        on exit."""
+        with workers.row_split(self.grid.n_points) as split:
+            yield KernelCast(self, split)
+
+
+class KernelCast:
+    """A transform's kernels cast to complex, each once on first use (one
+    array for n = 3, whose kernel is its own transpose), and a
+    ``workers.row_split`` over its rows.  ``product(mat, x)`` is ``mat @ x``
+    for one complex row ``x`` and a complex ``mat``, with the bits of
+    numpy's full-cast product (so of ``_matvec``): each thread computes
+    whole dot products for its own rows of the output."""
+
+    def __init__(self, tr: SpectralTransform, split):
+        self.tr, self.split = tr, split
+
+    @cached_property
+    def kernel_t(self) -> NDArray[np.complex128]:
+        return self.tr.kernel_t.astype(complex)
+
+    @cached_property
+    def kernel(self) -> NDArray[np.complex128]:
+        tr = self.tr
+        return self.kernel_t if tr.kernel is tr.kernel_t else tr.kernel.astype(complex)
+
+    def product(self, mat, x) -> NDArray[np.complex128]:
+        out = np.empty(x.shape, dtype=complex)
+        self.split(lambda rows: np.matmul(mat[rows], x, out=out[rows]))
         return out
 
 

@@ -546,10 +546,10 @@ def test_build_report_takes_one_coefficient_pass(monkeypatch):
     original = SpectralTransform.coefficients
     passes = []
 
-    def counted(self, values):
+    def counted(self, values, *cast):
         if np.shares_memory(values, traj.values):
             passes.append(np.shape(values))
-        return original(self, values)
+        return original(self, values, *cast)
 
     monkeypatch.setattr(SpectralTransform, "coefficients", counted)
     build_report(s, traj)
@@ -1070,3 +1070,129 @@ def test_cli_sweep_config_error_in_a_worker_exits_2(tmp_path, monkeypatch, capsy
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert message in errors[0] and "internal error" not in errors[0]
+
+
+def test_cli_span_beyond_the_certified_horizon_exits_2(tmp_path, monkeypatch, capsys):
+    """A grid that cannot certify the span is a configuration error:
+    ``simulate``, ``analyze`` without a store, and a ``sweep`` whose
+    scenarios raise it in workers each exit 2, print no traceback and
+    write nothing."""
+    import multiprocessing
+
+    doc = json.loads(json.dumps(SMALL_SCENARIO))
+    doc["grid"] = {"n_points": 64, "r_max": 12.0}
+    doc["time"]["t_plus"] = 1.0
+    cfg_path = write_config(tmp_path, doc)
+    sweep_path = write_config(tmp_path, {"scenarios": [
+        dict(doc, scenario_id="sweep-a"), dict(doc, scenario_id="sweep-b")]}, "sweep.json")
+    _force_budget(monkeypatch, 2)
+    for command, config in (("simulate", cfg_path), ("analyze", cfg_path), ("sweep", sweep_path)):
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        assert multiprocessing.active_children() == []
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: span 1 exceeds the grid-certified horizon 0.5\n"
+        assert captured.out == "" and not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# row-split threads: from ROWS_PER_THREAD rows per thread on, every kernel
+# product of an evolution (the step operator's build, each step, each
+# record) spreads its row blocks over the process budget's threads, with
+# the bits of one thread
+
+
+def _evolve_bytes(n, mu, n_points, tol=1e-3):
+    """Every array and the status of a short evolution on (n, N, 32.0)."""
+    grid = make_spectral_grid(n, n_points, 32.0)
+    cfg = EvolutionConfig(dimension=n, mu=mu, dt=2e-3, snapshot_stride=5, energy_drift_tol=tol)
+    traj = evolve(gaussian_field(grid, 1.2, 1.5), 0.0, 0.02, cfg)
+    arrays = (traj.times, traj.values, traj.mass_series, traj.energy_series,
+              traj.kinetic_series, traj.potential_series)
+    return traj.status, [a.tobytes() for a in arrays]
+
+
+def _thread_log(monkeypatch):
+    """The set of threads other than the main one that run ``np.matmul``
+    from now on."""
+    import threading
+
+    seen, real = set(), np.matmul
+
+    def logged(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            seen.add(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", logged)
+    return seen
+
+
+# N = 1000 is below the floor at budget 2 and 1024 splits evenly; 1030 and
+# 1031 split unevenly, 1030 inside one of the 4-row groups of OpenBLAS's
+# zgemv (a 515-row share) and 1031 on a group boundary (516 rows)
+@pytest.mark.parametrize("n,mu,n_points", [
+    (n, mu, n_points) for n in (3, 5) for mu in (1, -1) for n_points in (1000, 1024)
+] + [(3, mu, n_points) for mu in (1, -1) for n_points in (1030, 1031)])
+def test_evolve_bytes_equal_at_budget_one_and_two(monkeypatch, n, mu, n_points):
+    from nlslab import workers
+
+    runs, threads = [], []
+    for budget in (1, 2):
+        _force_budget(monkeypatch, budget)
+        threads.append(_thread_log(monkeypatch))
+        runs.append(_evolve_bytes(n, mu, n_points))
+        monkeypatch.undo()
+    assert runs[0] == runs[1] and runs[0][0] == "complete"
+    assert [bool(t) for t in threads] == [False, n_points >= 2 * workers.ROWS_PER_THREAD]
+
+
+def test_evolve_bytes_equal_at_budget_one_and_two_on_the_energy_alarm(monkeypatch):
+    runs = []
+    for budget in (1, 2):
+        _force_budget(monkeypatch, budget)
+        runs.append(_evolve_bytes(3, 1, 1024, tol=1e-14))
+    assert runs[0] == runs[1] and runs[0][0] == "aborted-energy"
+
+
+# a block fails in a thread of the step operator's build (a 2-D product)
+# or of the stepping loop (1-D)
+@pytest.mark.parametrize("failing_ndim", [None, 2, 1])
+def test_evolve_joins_its_threads_when_it_returns_and_when_it_raises(monkeypatch, failing_ndim):
+    import threading
+
+    _force_budget(monkeypatch, 2)
+    before, real = threading.active_count(), np.matmul
+
+    def failing(*args, out=None):
+        if out.ndim == failing_ndim and threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("injected block failure")
+        return real(*args, out=out)
+
+    monkeypatch.setattr(np, "matmul", failing)
+    if failing_ndim is None:
+        _evolve_bytes(3, 1, 1024)
+    else:
+        with pytest.raises(RuntimeError, match="injected block failure"):
+            _evolve_bytes(3, 1, 1024)
+    assert threading.active_count() == before
+
+
+def test_row_split_runs_every_block_once_under_stress(monkeypatch):
+    """More threads than CPUs and a switch interval of a microsecond: each
+    of many small blocks still runs exactly once per product."""
+    import sys
+
+    from nlslab import workers
+
+    _force_budget(monkeypatch, 4)
+    rows, interval = 4 * workers.ROWS_PER_THREAD, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with workers.row_split(rows) as split:
+            for _ in range(50):
+                hits = np.zeros(rows, dtype=int)
+                split(lambda block: hits.__setitem__(block, hits[block] + 1), 7)
+                assert np.all(hits == 1)
+    finally:
+        sys.setswitchinterval(interval)

@@ -50,18 +50,20 @@ def test_kernel_exactly_orthogonal(g3):
 @pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1024)])
 def test_dense_application_matches_full_cast_products(n, n_points):
     """Row-blocked application keeps numpy's bits for complex input,
-    including a last block shorter than the others (N = 1000)."""
+    including a last block shorter than the others (N = 1000), and so do
+    the products through a ``KernelCast``."""
     tr = get_transform(make_spectral_grid(n, n_points, 32.0))
     rng = np.random.default_rng(n_points + n)
     x = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
     sw = tr.sqrt_weights
-    assert np.array_equal(tr.coefficients(x), tr.kernel.T @ (sw * x))
-    assert np.array_equal(tr.backward(x), (tr.kernel @ x) / sw)
     assert np.array_equal(tr.derivative(x), tr.deriv_matrix @ x)
     phases = np.exp(-1j * tr.frequencies**2 * 1e-3)
-    assert np.array_equal(
-        tr.step_operator(phases), (tr.kernel * phases[None, :]) @ tr.kernel.T
-    )
+    step = (tr.kernel * phases[None, :]) @ tr.kernel.T
+    with tr.cast() as kernel_cast:
+        for cast in (None, kernel_cast):
+            assert np.array_equal(tr.coefficients(x, cast), tr.kernel.T @ (sw * x))
+            assert np.array_equal(tr.backward(x, cast), (tr.kernel @ x) / sw)
+            assert np.array_equal(tr.step_operator(phases, cast), step)
 
 
 @pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1000)])
