@@ -29,7 +29,6 @@ from .dynamics import (
     blowup_monitor,
     duhamel_residual,
     evolve,
-    nonlinear_phase_step,
 )
 from .functionals import (
     AdmissiblePair,
@@ -42,7 +41,6 @@ from .functionals import (
     mass_flux_check,
     momentum_flux_identity_check,
     morawetz_check,
-    morawetz_weight_eval,
     spacetime_norm,
     strichartz_norm,
 )
@@ -50,13 +48,12 @@ from .grid import RadialField, RadialGrid, lp_norm, rescale
 from .persist import load_trajectory, save_trajectory
 from .propagator import (
     dispersive_decay_fit,
-    free_evolve,
     gaussian_field,
     gaussian_free_evolution,
     get_propagator,
 )
 from .scenario import normalize_scenario, run_scenario, verify_report
-from .transform import fractional_power, get_transform, make_spectral_grid
+from .transform import get_transform, make_spectral_grid
 
 __version__ = "0.1.0"
 

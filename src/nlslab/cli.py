@@ -18,10 +18,13 @@ drift), 4 internal error (an unexpected exception, reported on stderr).
 ``workers.run``: at a process budget of 2 or more (BLAS pinned to one
 thread and more than one CPU, see ``workers.process_budget``) the
 scenarios run in forked workers, and the ``sweep:`` lines are printed in
-config order as the results arrive.  An exception in a worker exits 4
-with the worker's traceback on stderr, as does a worker that dies; a
-configuration error raised in a worker still exits 2.  A failing sweep
-may have written scenarios listed after the failing one.
+config order as the results arrive.  Once its last scenario has started,
+the sweep, while it waits for a result, lends each CPU that a finished
+scenario frees to the scenarios still running, which split their
+products over it (``workers.row_split``).  An exception in a worker
+exits 4 with the worker's traceback on stderr, as does a worker that
+dies; a configuration error raised in a worker still exits 2.  A failing
+sweep may have written scenarios listed after the failing one.
 """
 
 from __future__ import annotations

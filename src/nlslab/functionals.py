@@ -334,13 +334,6 @@ def _weight_derivs(eps: float, n: int, r) -> tuple[np.ndarray, np.ndarray, np.nd
     return a, lap_a, neg_bilap
 
 
-def morawetz_weight_eval(eps: float, x: float, n: int) -> tuple[float, float, float]:
-    """(a, lap a, -lap lap a) at radius |x| <= 1; both curvature
-    quantities are positive there for every n >= 3."""
-    a, la, nb = MorawetzWeight(eps, n).evaluate(x)
-    return float(a), float(la), float(nb)
-
-
 @dataclass(frozen=True)
 class MorawetzReport:
     lhs: float                # weighted spacetime integral of |u|^{2n/(n-2)} / |x|

@@ -107,11 +107,6 @@ def get_propagator(grid: RadialGrid) -> FreePropagator:
     return FreePropagator(tr, t_max)
 
 
-def free_evolve(u: RadialField, t: float) -> RadialField:
-    """e^{i t lap} u on the field's own grid."""
-    return get_propagator(u.grid).evolve(u, t)
-
-
 @dataclass(frozen=True)
 class DispersionFit:
     """Least-squares decay fit of the free flow in L^infinity."""

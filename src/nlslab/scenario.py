@@ -270,7 +270,9 @@ def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:
     The resolution certificate's two coarse twins depend only on u(t_minus)
     and the config: they start first, in forked workers when the process
     budget (``workers.process_budget``) allows, and run while the tables
-    are computed.  The report's bytes do not depend on the budget.
+    are computed; once the tables are done, the twin still running borrows
+    the CPU of one that has ended.  The report's bytes do not depend on
+    the budget.
     """
     certify = traj.status == "complete" and s["analysis"]["certify_resolution"]
     with workers.run(_twin_tasks(traj) if certify else ()) as twins:

@@ -434,19 +434,3 @@ def get_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
     if not slot:
         slot.append(_build_transform(grid, stored))
     return slot[0]
-
-
-def fractional_power(u: RadialField, alpha: float) -> RadialField:
-    """Fractional derivative/integral |grad|^alpha as the multiplier k^alpha.
-
-    alpha must lie in (-n, 2]: below -n the defining integral kernel
-    diverges, and exponents above 2 are outside the validated range of
-    the discrete transform.
-    """
-    n = u.grid.dimension
-    if alpha <= -n:
-        raise ValueError(f"alpha={alpha} <= -n: divergent kernel")
-    if alpha > 2:
-        raise ValueError(f"alpha={alpha} > 2 is out of range")
-    t = get_transform(u.grid)
-    return u.with_values(t.backward(t.forward(u) * t.frequencies**alpha))

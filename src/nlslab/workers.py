@@ -17,7 +17,16 @@ as ``multiprocessing`` ends them, so no ``atexit`` hook runs in a worker.
 Leaving the context kills and reaps every worker still running.
 
 The same budget serves ``row_split``, which spreads a product's row
-blocks over threads; a worker, at budget 1, starts none.
+blocks over threads.  A worker runs at budget 1 and starts no thread of
+its own, but it borrows CPUs: each batch of forked workers shares one
+token pool.  Once every task of the batch has started, the caller, while
+it waits for a result, lends one token for each worker that has ended,
+and a worker's ``row_split`` takes a token, where one is free, to start
+one more thread.  A caller that is busy lends nothing, since it is using
+the CPU itself: the certificate's twins borrow nothing while the report's
+tables are computed, nor does a sweep before its last scenario starts.
+A borrowed thread computes the same dot products as any other, so no bit
+moves, and the pool ends with its batch.
 """
 
 from __future__ import annotations
@@ -76,17 +85,32 @@ ROWS_PER_THREAD = 512
 def row_split(rows: int):
     """Yield ``split(fill, step)``: it runs ``fill(block)`` for each slice of
     ``step`` rows of ``rows`` (default: one share per thread), each thread
-    taking the next block left, and raises what a ``fill`` raised.  The
-    min(budget, rows // ROWS_PER_THREAD) threads, the caller's one, are
-    joined on exit."""
-    width = max(1, min(process_budget(), rows // ROWS_PER_THREAD))
+    taking the next block left, and raises what a ``fill`` raised.  It
+    starts min(budget, rows // ROWS_PER_THREAD) threads, the caller's one;
+    in a forked worker, each call below that cap takes a free token of the
+    worker's batch, if any, for one more thread.  The threads are joined,
+    and the tokens given back, on exit."""
+    cap = max(1, rows // ROWS_PER_THREAD)
     todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+    threads, borrowed, tokens = [], 0, _tokens
 
     def serve():
         while (item := todo.get()) is not None:
             done.put(_run(*item))
 
-    def split(fill, step=-(-rows // width)):
+    def grow():
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        threads.append(thread)
+
+    def split(fill, step=None):
+        nonlocal borrowed
+        # a token lent by the batch's caller: one more thread, up to the cap
+        if len(threads) + 1 < cap and tokens is not None and tokens.acquire(False):
+            borrowed += 1
+            grow()
+        width = len(threads) + 1
+        step = step or -(-rows // width)
         blocks = [slice(start, start + step) for start in range(0, rows, step)]
         if width == 1:
             for block in blocks:
@@ -101,16 +125,17 @@ def row_split(rows: int):
         if errors:
             raise errors[0]
 
-    threads = [threading.Thread(target=serve, daemon=True) for _ in range(width - 1)]
-    for thread in threads:
-        thread.start()
     try:
+        for _ in range(min(process_budget(), cap) - 1):
+            grow()
         yield split
     finally:
         for thread in threads:
             todo.put(None)
         for thread in threads:
             thread.join()
+        for _ in range(borrowed):
+            tokens.release()
 
 
 def _run(fill, block):
@@ -122,10 +147,17 @@ def _run(fill, block):
     return None
 
 
-def _serve(task, sender):
+# the token pool of the batch that forked this worker; None in the caller
+_tokens = None
+
+
+def _serve(task, sender, tokens):
     """A worker's body: send ``(True, result)``, or ``(False, (exception,
     traceback text))`` with the exception pickled, or None where it does
-    not survive a pickle round trip."""
+    not survive a pickle round trip.  ``row_split`` borrows from
+    ``tokens``."""
+    global _tokens
+    _tokens = tokens
     try:
         sender.send((True, task()))
     except Exception as exc:
@@ -144,19 +176,21 @@ class _Batch:
         self.width = min(process_budget(), len(tasks))
         self.live: dict = {}        # task index -> (process, receiving end)
         self.started = 0
+        self.fork = mp.get_context("fork") if self.width > 1 else None
+        self.tokens = self.fork.Semaphore(0) if self.fork else None  # see ``row_split``
+        self.lent = 0
         self._fill()
 
     def _fill(self):
-        fork = mp.get_context("fork") if self.width > 1 else None
         while self.width > 1 and self.started < len(self.tasks) and len(self.live) < self.width:
-            receiver, sender = fork.Pipe(duplex=False)
+            receiver, sender = self.fork.Pipe(duplex=False)
             # a worker flushes the stdio buffers it inherits when it ends, so
             # an unflushed line would be written twice (multiprocessing
             # flushes before a fork too, but does not document it)
             sys.stdout.flush()
             sys.stderr.flush()
-            proc = fork.Process(
-                target=_serve, args=(self.tasks[self.started], sender), daemon=True)
+            proc = self.fork.Process(
+                target=_serve, args=(self.tasks[self.started], sender, self.tokens), daemon=True)
             proc.start()
             sender.close()  # the worker holds the writing end
             self.live[self.started] = (proc, receiver)
@@ -173,8 +207,19 @@ class _Batch:
 
     def _collect(self, i: int):
         proc, receiver = self.live[i]
-        # ready once the result arrives or the worker ends without one
-        wait([receiver, proc.sentinel])
+        # ready once the result arrives or the worker ends without one;
+        # meanwhile each CPU that an ended worker frees is lent, once every
+        # task has started (a worker's ``exitcode`` is None while it runs)
+        ready = []
+        while receiver not in ready and proc.sentinel not in ready:
+            running = [p for p, _ in self.live.values() if p.exitcode is None]
+            others = []
+            if self.started == len(self.tasks) and proc in running:
+                for _ in range(self.width - len(running) - self.lent):
+                    self.tokens.release()
+                    self.lent += 1
+                others = [p.sentinel for p in running if p is not proc]
+            ready = wait([receiver, proc.sentinel, *others])
         try:
             done, value = receiver.recv() if receiver.poll() else (None, None)
         except EOFError:

@@ -20,8 +20,8 @@ from nlslab import (
     duhamel_residual,
     energy,
     evolve,
-    free_evolve,
     gaussian_field,
+    get_propagator,
     greedy_subdivide,
     half_norm_ratio,
     largest_fraction,
@@ -29,7 +29,6 @@ from nlslab import (
     make_spectral_grid,
     momentum_flux_identity_check,
     morawetz_check,
-    morawetz_weight_eval,
     rescale,
     synthetic_decomposition,
 )
@@ -82,6 +81,7 @@ def test_criterion_2_free_propagator():
     for n in (3, 4, 5, 6):
         g = make_spectral_grid(n, 1024, 128.0)
         u = gaussian_field(g)
+        free_evolve = get_propagator(g).evolve
         # closed-form oracle match, pointwise
         for t in (0.5, 1.0):
             z = 1.0 + 4.0j * t
@@ -198,8 +198,8 @@ def test_criterion_6_weight_positivity():
             radii = np.linspace(0.0, 1.0, 513)
             _, lap_a, neg_bilap = MorawetzWeight(eps, n).evaluate(radii)
             assert np.all(lap_a > 0) and np.all(neg_bilap > 0)
-    _, lap_a3, _ = morawetz_weight_eval(1.0, 0.0, 3)
-    _, _, nb5 = morawetz_weight_eval(1.0, 0.0, 5)
+    _, lap_a3, _ = MorawetzWeight(1.0, 3).evaluate(0.0)
+    _, _, nb5 = MorawetzWeight(1.0, 5).evaluate(0.0)
     assert lap_a3 == 3.0 and nb5 == 35.0
     ok("criterion 6 (weight positivity): positive on |x|<=1 for n in {3..8}, "
        "eps in {1e-1,1e-2,1e-3}; spot values 3 and 35 exact")

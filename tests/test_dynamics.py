@@ -8,45 +8,38 @@ from nlslab import (
     blowup_monitor,
     duhamel_residual,
     evolve,
-    free_evolve,
     gaussian_field,
+    get_propagator,
     lp_norm,
     make_spectral_grid,
-    nonlinear_phase_step,
     rescale,
 )
+from nlslab.dynamics import _phase_rotation
 from nlslab.transform import get_transform
 
 
 # ---------------------------------------------------------------------------
-# nonlinear phase step
+# nonlinear phase step: the exact flow of  i u_t = mu |u|^p u  for time tau
 
 
 def test_phase_step_tau_zero(g3):
     u = gaussian_field(g3)
-    assert nonlinear_phase_step(u, 1, 0.0) is u
+    assert np.array_equal(_phase_rotation(u.values, 1, 0.0, 4.0), u.values)
 
 
 def test_phase_step_preserves_modulus(g3):
     # exact to floating point: the unit phasor multiply costs at most 1 ulp
     rng = np.random.default_rng(7)
     vals = rng.normal(size=g3.n_points) + 1j * rng.normal(size=g3.n_points)
-    u = g3.field(vals)
-    out = nonlinear_phase_step(u, -1, 0.37)
-    np.testing.assert_allclose(np.abs(out.values), np.abs(u.values), rtol=1e-15, atol=0)
+    out = _phase_rotation(vals, -1, 0.37, 4.0)
+    np.testing.assert_allclose(np.abs(out), np.abs(vals), rtol=1e-15, atol=0)
 
 
 def test_phase_step_unit_field_pi_rotation():
     # n = 4: exponent |u|^2, so a unit-amplitude field rotates by e^{-i pi} = -1
-    g = make_spectral_grid(4, 64, 8.0)
-    u = g.field(np.ones(g.n_points))
-    out = nonlinear_phase_step(u, 1, math.pi)
-    assert np.abs(out.values + u.values).max() < 1e-13
-
-
-def test_phase_step_rejects_nonfinite_tau(g3):
-    with pytest.raises(ValueError):
-        nonlinear_phase_step(g3.zeros(), 1, math.inf)
+    ones = np.ones(64)
+    out = _phase_rotation(ones, 1, math.pi, 4.0 / (4 - 2))
+    assert np.abs(out + ones).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +71,7 @@ def test_trajectory_coefficients_stack(traj_defocusing):
 
 
 def test_strang_loop_takes_the_phase_step_definition(g3, monkeypatch):
-    # both half-phases of every step go through the array form of
-    # nonlinear_phase_step
+    # both half-phases of every step go through _phase_rotation
     from nlslab import dynamics
 
     calls = []
@@ -93,9 +85,6 @@ def test_strang_loop_takes_the_phase_step_definition(g3, monkeypatch):
     cfg = EvolutionConfig(dimension=3, mu=1, dt=1e-2, snapshot_stride=5)
     traj = evolve(gaussian_field(g3), 0.0, 0.1, cfg)
     assert traj.status == "complete" and calls == [0.5 * 1e-2] * 20
-    u = gaussian_field(g3)
-    assert np.array_equal(nonlinear_phase_step(u, 1, 0.37).values,
-                          original(u.values, 1, 0.37, 4.0))
 
 
 def test_zero_data_zero_trajectory(g3):
@@ -109,7 +98,7 @@ def test_small_amplitude_matches_free_flow(g3_mid):
     u0 = gaussian_field(g3_mid, amplitude=1e-3)
     cfg = EvolutionConfig(dimension=3, mu=1, dt=2e-3, snapshot_stride=50)
     traj = evolve(u0, 0.0, 1.0, cfg)
-    lin = free_evolve(u0, 1.0)
+    lin = get_propagator(g3_mid).evolve(u0, 1.0)
     diff = traj.values[-1] - lin.values
     err = math.sqrt(float(np.sum(g3_mid.weights * np.abs(diff) ** 2)))
     assert err < 1e-5 * lp_norm(u0, 2) + 1e-12
@@ -164,6 +153,28 @@ def test_boundary_decay_warning_recorded(g3):
     cfg = EvolutionConfig(dimension=3, mu=1, dt=1e-2)
     traj = evolve(u0, 0.0, 0.1, cfg)
     assert any("not decayed" in w for w in traj.provenance["warnings"])
+
+
+# mu = +1 steps through the dense step operator, mu = -1 through the
+# per-step gradient watch; the reference is neither: half-phase, the linear
+# step as one plain numpy matrix, half-phase
+@pytest.mark.parametrize("mu,n_points", [(1, 300), (-1, 400)])
+def test_n5_evolution_matches_a_plain_numpy_strang_loop(mu, n_points):
+    grid = make_spectral_grid(5, n_points, 32.0)
+    u0 = gaussian_field(grid, 0.8, 1.2)
+    cfg = EvolutionConfig(dimension=5, mu=mu, dt=1e-3, snapshot_stride=10**6)
+    traj = evolve(u0, 0.0, 0.3, cfg)
+    assert traj.status == "complete"
+
+    tr = get_transform(grid)
+    k, sw, p, dt = tr.frequencies, tr.sqrt_weights, 4.0 / 3.0, 1e-3
+    linear = (tr.kernel * np.exp(-1j * k**2 * dt)) @ tr.kernel.T
+    u = u0.values.astype(complex)
+    for _ in range(300):
+        u = np.exp(-0.5j * mu * dt * np.abs(u) ** p) * u
+        u = linear @ (sw * u) / sw
+        u = np.exp(-0.5j * mu * dt * np.abs(u) ** p) * u
+    assert np.linalg.norm(traj.values[-1] - u) <= 1e-11 * np.linalg.norm(u)
 
 
 # ---------------------------------------------------------------------------

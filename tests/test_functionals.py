@@ -18,7 +18,6 @@ from nlslab import (
     mass_flux_check,
     momentum_flux_identity_check,
     morawetz_check,
-    morawetz_weight_eval,
     rescale,
     spacetime_norm,
     strichartz_norm,
@@ -258,13 +257,13 @@ def test_strichartz_validates_pairs(traj_free):
 
 
 def test_weight_spot_values_exact():
-    _, lap_a, _ = morawetz_weight_eval(1.0, 0.0, 3)
+    _, lap_a, _ = MorawetzWeight(1.0, 3).evaluate(0.0)
     assert lap_a == 3.0                      # (n-1)/eps + eps^2/eps^3 = 2 + 1
-    _, _, nb5 = morawetz_weight_eval(1.0, 0.0, 5)
+    _, _, nb5 = MorawetzWeight(1.0, 5).evaluate(0.0)
     assert nb5 == 35.0                       # 8 + 12 + 15
     # first curvature term vanishes identically at n = 3
     for x in (0.0, 0.3, 0.9):
-        _, _, nb3 = morawetz_weight_eval(1e-3, x, 3)
+        _, _, nb3 = MorawetzWeight(1e-3, 3).evaluate(x)
         expected = 6 * 0 + 15 * (1e-3) ** 4 / ((1e-3) ** 2 + x**2) ** 3.5
         assert abs(nb3 - expected) < 1e-12 * max(1.0, abs(expected))
 
@@ -280,7 +279,7 @@ def test_weight_positivity(n, eps):
 
 def test_weight_rejects_outside_unit_ball():
     with pytest.raises(ValueError):
-        morawetz_weight_eval(0.1, 1.5, 3)
+        MorawetzWeight(0.1, 3).evaluate(1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1180,19 +1180,203 @@ def test_evolve_joins_its_threads_when_it_returns_and_when_it_raises(monkeypatch
 
 def test_row_split_runs_every_block_once_under_stress(monkeypatch):
     """More threads than CPUs and a switch interval of a microsecond: each
-    of many small blocks still runs exactly once per product."""
+    of many small blocks still runs exactly once per product, also when a
+    token arrives between two products and the split grows by a thread."""
+    import multiprocessing
     import sys
+    import threading
 
     from nlslab import workers
 
-    _force_budget(monkeypatch, 4)
     rows, interval = 4 * workers.ROWS_PER_THREAD, sys.getswitchinterval()
+    before = threading.active_count()
+    tokens = multiprocessing.get_context("fork").Semaphore(0)
+    monkeypatch.setattr(workers, "_tokens", tokens)
     sys.setswitchinterval(1e-6)
     try:
-        with workers.row_split(rows) as split:
-            for _ in range(50):
-                hits = np.zeros(rows, dtype=int)
-                split(lambda block: hits.__setitem__(block, hits[block] + 1), 7)
-                assert np.all(hits == 1)
+        # four threads from the start; then two, a third from product 10 on
+        # and a fourth from product 30 on, in blocks of 7 rows and in the
+        # default shares of the current width
+        for budget, arrivals, step in ((4, (), 7), (2, (10, 30), 7), (2, (10, 30), None)):
+            _force_budget(monkeypatch, budget)
+            with workers.row_split(rows) as split:
+                for product in range(50):
+                    if product in arrivals:
+                        tokens.release()
+                    hits = np.zeros(rows, dtype=int)
+                    split(lambda block: hits.__setitem__(block, hits[block] + 1), step)
+                    assert np.all(hits == 1)
+                    assert tokens.get_value() == 0
+            assert tokens.get_value() == len(arrivals) and threading.active_count() == before
+            while tokens.acquire(False):
+                pass
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# CPU lending: once every task of a batch has started, the caller, while it
+# waits for a result, lends one token per ended worker, and a worker's
+# row_split takes a token for one more thread
+
+
+def _unequal_sweep(path, order):
+    """A sweep of two n = 3, N = 1024 scenarios: 10 steps and 2,000 steps."""
+    spans = {"short": {"t_plus": 0.01, "dt": 1e-3, "snapshot_stride": 5},
+             "long": {"t_plus": 0.4, "dt": 2e-4, "snapshot_stride": 500}}
+    doc = {"scenarios": [
+        dict(SMALL_SCENARIO, scenario_id=sid, grid={"n_points": 1024, "r_max": 32.0},
+             time=dict(spans[sid], t_minus=0.0), analysis={"certify_resolution": False})
+        for sid in order]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_sweep_lends_a_finished_workers_cpu(tmp_path, monkeypatch, capsys):
+    """At budget 2 the long scenario's worker runs ``np.matmul`` on a
+    second thread once its sibling has ended, and the sweep writes the
+    bytes of budget 1.  Listed first, the short scenario is collected
+    before the caller waits on the long one, and its CPU is lent at that
+    wait; listed second, it is lent while the caller waits."""
+    import multiprocessing
+    import threading
+    import time
+
+    from nlslab import cli
+
+    real_matmul, real_sweep_one = np.matmul, cli._sweep_one
+    before = threading.active_count()
+    runs = ((1, ("short", "long")), (2, ("short", "long")), (2, ("long", "short")))
+    for k, (budget, order) in enumerate(runs):
+        log, seen = tmp_path / f"events{k}.log", set()
+
+        def note(*event):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(" ".join(map(str, (os.getpid(), *event, time.monotonic()))) + "\n")
+
+        def matmul(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread() and not seen:
+                seen.add(threading.get_ident())
+                note("thread", "-")
+            return real_matmul(*args, **kwargs)
+
+        def sweep_one(scenario, out_dir, seed):
+            note("start", scenario["scenario_id"])
+            outcome = real_sweep_one(scenario, out_dir, seed)
+            note("end", scenario["scenario_id"])
+            return outcome
+
+        _force_budget(monkeypatch, budget)
+        monkeypatch.setattr(np, "matmul", matmul)
+        monkeypatch.setattr(cli, "_sweep_one", sweep_one)
+        cfg_path = _unequal_sweep(tmp_path / f"sweep{k}.json", order)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / f"out{k}")]) == 0
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        events = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        threaded = [(int(p), float(t)) for p, kind, _, t in events if kind == "thread"]
+        if budget == 1:
+            assert threaded == []
+            continue
+        pid = {sid: int(p) for p, kind, sid, _ in events if kind == "start"}
+        short_end = next(float(t) for _, kind, sid, t in events if (kind, sid) == ("end", "short"))
+        assert len(threaded) == 1
+        assert threaded[0][0] == pid["long"] and threaded[0][1] > short_end
+        serial, lent = _files(tmp_path / "out0"), _files(tmp_path / f"out{k}")
+        assert serial.keys() == lent.keys() and len(serial) > 2
+        for name in serial:
+            assert serial[name] == lent[name], name
+    capsys.readouterr()
+
+
+def test_no_token_is_lent_while_a_task_is_unstarted(monkeypatch):
+    """Three tasks at budget 2: the second ends at once, but the first
+    waits a second in vain while the third has not started; the third,
+    alone, gets the CPU that the others freed."""
+    import multiprocessing
+
+    from nlslab import workers
+
+    _force_budget(monkeypatch, 2)
+
+    def waits(timeout):
+        return lambda: workers._tokens.acquire(True, timeout)
+
+    with workers.run([waits(1.0), lambda: None, waits(30.0)]) as results:
+        assert list(results) == [False, None, True]
+    assert multiprocessing.active_children() == []
+
+
+def test_no_token_is_lent_while_build_report_computes_its_tables(monkeypatch):
+    """The 2 dt twin waits for a token before it evolves.  The 4 dt twin
+    ends while the report's tables are computed, and the token still
+    arrives only once the tables are done and the caller waits."""
+    import multiprocessing
+    import time
+
+    from nlslab import dynamics, scenario, workers
+
+    _force_budget(monkeypatch, 2)
+    base_dt, real_tables = SMALL_SCENARIO["time"]["dt"], scenario._report_tables
+    events, sender = multiprocessing.get_context("fork").Pipe(duplex=False)
+
+    def receive():
+        assert events.poll(30.0)
+        return events.recv()
+
+    def evolve(u0, t_minus, t_plus, cfg, provenance=None):
+        if cfg.dt == 2 * base_dt:
+            assert workers._tokens.acquire(True, 30.0)
+            sender.send(("token", time.monotonic()))
+        traj = dynamics.evolve(u0, t_minus, t_plus, cfg, provenance)
+        if cfg.dt == 4 * base_dt:
+            sender.send(("4x twin", time.monotonic()))
+        return traj
+
+    def tables(*args):
+        report = real_tables(*args)
+        assert receive()[0] == "4x twin"
+        time.sleep(0.2)              # the 4 dt worker has exited by now
+        sender.send(("tables", time.monotonic()))
+        return report
+
+    monkeypatch.setattr(scenario, "evolve", evolve)
+    monkeypatch.setattr(scenario, "_report_tables", tables)
+    report = run_scenario(SMALL_SCENARIO).report
+    assert report["resolution_certification"]["measured_order"] >= 1.5
+    (first, t_tables), (second, t_token) = receive(), receive()
+    assert (first, second) == ("tables", "token") and t_token > t_tables
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_row_split_gives_back_its_tokens(monkeypatch, fails):
+    """A worker's split takes one free token per call below the cap, and
+    its threads are joined and its tokens given back on exit, also when a
+    block raises."""
+    import contextlib
+    import multiprocessing
+    import threading
+
+    from nlslab import workers
+
+    _force_budget(monkeypatch, 1)
+    tokens = multiprocessing.get_context("fork").Semaphore(3)
+    monkeypatch.setattr(workers, "_tokens", tokens)
+    before, failing = threading.active_count(), []
+
+    def fill(block):
+        if any(failing):
+            raise RuntimeError("injected block failure")
+
+    raises = pytest.raises(RuntimeError, match="injected") if fails else contextlib.nullcontext()
+    with raises:
+        with workers.row_split(3 * workers.ROWS_PER_THREAD) as split:
+            split(fill)
+            split(fill)
+            split(fill)                  # at the cap of 3 threads: takes nothing
+            assert tokens.get_value() == 1 and threading.active_count() == before + 2
+            failing.append(fails)
+            split(fill)
+    assert tokens.get_value() == 3 and threading.active_count() == before
