@@ -21,7 +21,6 @@ from .concentration import (
     half_norm_ratio,
     largest_fraction,
     linear_flow_check,
-    synthetic_decomposition,
 )
 from .dynamics import (
     EvolutionConfig,
@@ -42,12 +41,10 @@ from .functionals import (
     momentum_flux_identity_check,
     morawetz_check,
     spacetime_norm,
-    strichartz_norm,
 )
-from .grid import RadialField, RadialGrid, lp_norm, rescale
+from .grid import RadialField, RadialGrid, lp_norm
 from .persist import load_trajectory, save_trajectory
 from .propagator import (
-    dispersive_decay_fit,
     gaussian_field,
     gaussian_free_evolution,
     get_propagator,

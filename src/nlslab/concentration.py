@@ -60,9 +60,6 @@ class IntervalDecomposition:
     def interval(self, j: int) -> tuple[float, float]:
         return (self.boundaries[j], self.boundaries[j + 1])
 
-    def length(self, j: int) -> float:
-        return self.boundaries[j + 1] - self.boundaries[j]
-
     def lengths(self) -> np.ndarray:
         return np.diff(np.asarray(self.boundaries))
 
@@ -74,20 +71,6 @@ class IntervalDecomposition:
 
     def with_flags(self, flags) -> "IntervalDecomposition":
         return replace(self, exceptional=tuple(bool(f) for f in flags))
-
-
-def synthetic_decomposition(lengths, eta: float = 1.0, t0: float = 0.0,
-                            exceptional=None) -> IntervalDecomposition:
-    """Decomposition built directly from interval lengths (for combinatorial
-    work that needs no trajectory)."""
-    b = [t0]
-    for length in lengths:
-        b.append(b[-1] + float(length))
-    masses = tuple(eta for _ in lengths)
-    d = IntervalDecomposition(tuple(b), masses, eta, tail_flag=False)
-    if exceptional is not None:
-        d = d.with_flags(exceptional)
-    return d
 
 
 def greedy_subdivide(traj: Trajectory, eta: float) -> IntervalDecomposition:
@@ -256,6 +239,10 @@ def linear_flow_check(
 # bubbles
 
 
+#: ratio of consecutive radii on find_bubble's ladder
+_LADDER_RATIO = math.sqrt(2.0)
+
+
 @dataclass(frozen=True)
 class BubbleReport:
     interval_index: int
@@ -271,7 +258,6 @@ def find_bubble(
     decomp: IntervalDecomposition,
     j: int,
     mass_fraction: float,
-    ladder_ratio: float = math.sqrt(2.0),
 ) -> BubbleReport | None:
     """Search for origin-centred mass concentration on interval j.
 
@@ -297,7 +283,7 @@ def find_bubble(
     radius = r_floor
     while radius < g.r_max:
         ladder.append(radius)
-        radius *= ladder_ratio
+        radius *= _LADDER_RATIO
     ladder.append(float(g.r_max))
     values = traj.values[sel]
     for radius in ladder:
@@ -392,7 +378,6 @@ class NestResult:
 def bourgain_nest(
     decomp: IntervalDecomposition,
     half_factor: float = 0.5,
-    min_intervals: int = 1,
 ) -> NestResult | None:
     """Extract a dyadically shrinking chain of unexceptional intervals
     clustering at one time.
@@ -400,12 +385,11 @@ def bourgain_nest(
     Repeatedly: take the connected run of unexceptional intervals with the
     most members, pick its largest interval (ties to the lowest index),
     discard every interval longer than half_factor times the pick, and
-    recurse on the largest surviving run; stop when fewer than
-    ``min_intervals`` intervals survive.  t_star is the midpoint of the
-    final run, so the chain lengths decay geometrically and every chain
-    interval stays within a bounded multiple of its own length from
-    t_star.  Returns None when the decomposition has no unexceptional
-    interval.
+    recurse on the largest surviving run; stop when no interval survives.
+    t_star is the midpoint of the final run, so the chain lengths decay
+    geometrically and every chain interval stays within a bounded multiple
+    of its own length from t_star.  Returns None when the decomposition
+    has no unexceptional interval.
 
     The achieved closeness (largest distance from t_star over length) is
     reported; ``check_nest`` verifies it against a tolerance.
@@ -430,9 +414,7 @@ def bourgain_nest(
 
     comp = max(runs(alive), key=len)  # ties: first (leftmost) via max semantics
     chain: list[int] = []
-    final_comp = comp
     while True:
-        final_comp = comp
         # largest interval, lowest index on ties
         pick = max(comp, key=lambda j: (lengths[j], -j))
         chain.append(pick)
@@ -440,13 +422,10 @@ def bourgain_nest(
         survivors = [j for j in comp if lengths[j] <= cutoff]
         if not survivors:
             break
-        sub = max(runs(survivors), key=len)
-        if len(sub) < min_intervals:
-            break
-        comp = sub
+        comp = max(runs(survivors), key=len)
 
-    lo = decomp.boundaries[final_comp[0]]
-    hi = decomp.boundaries[final_comp[-1] + 1]
+    lo = decomp.boundaries[comp[0]]
+    hi = decomp.boundaries[comp[-1] + 1]
     t_star = 0.5 * (lo + hi)
     achieved = 0.0
     for j in chain:
@@ -461,8 +440,7 @@ def bourgain_nest(
     )
 
 
-def check_nest(decomp: IntervalDecomposition, nest: NestResult,
-               kappa: float | None = None) -> list[str]:
+def check_nest(decomp: IntervalDecomposition, nest: NestResult, kappa: float) -> list[str]:
     """Exact invariant checks for a nest result; returns violations."""
     problems = []
     lengths = decomp.lengths()
@@ -472,11 +450,10 @@ def check_nest(decomp: IntervalDecomposition, nest: NestResult,
             problems.append(
                 f"chain lengths not geometrically decaying at step {k}: {l0} -> {l1}"
             )
-    tol = kappa if kappa is not None else nest.achieved_kappa
     for k, j in enumerate(nest.chain):
         a, b = decomp.interval(j)
         dist = max(a - nest.t_star, nest.t_star - b, 0.0)
-        if dist > tol * lengths[j] * (1.0 + 1e-12):
+        if dist > kappa * lengths[j] * (1.0 + 1e-12):
             problems.append(
                 f"chain interval {j} at distance {dist:.3g} > kappa * length"
             )

@@ -167,7 +167,7 @@ def evolve(
             f"span {t_plus - t_minus:.3g} exceeds the grid-certified horizon "
             f"{prop.validated_t_max:.3g}"
         )
-    warnings = list(u0.warnings)
+    warnings = []
     peak = np.abs(u0.values).max()
     if peak > 0:
         tail = np.abs(u0.values[-4:]).max()

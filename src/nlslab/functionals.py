@@ -1,8 +1,8 @@
 """Scalar functionals, mixed spacetime norms, and inequality monitors.
 
 Covers the conserved energy with its kinetic/potential split, localized
-mass with its flux and growth bounds, admissible-pair spacetime norms with
-the gradient-level supremum norm, and the virial-weight (Morawetz)
+mass with its flux and growth bounds, admissible-pair spacetime norms of
+u and of |grad| u, and the virial-weight (Morawetz)
 apparatus: closed-form weight derivatives, the weighted spacetime bound,
 and the momentum-flux identity checked term by term along trajectories.
 """
@@ -244,30 +244,6 @@ def _resolve_interval(traj: Trajectory, interval) -> tuple[float, float]:
     if a < traj.t_minus - 1e-9 or b > traj.t_plus + 1e-9:
         raise ValueError("interval outside trajectory span")
     return max(a, traj.t_minus), min(b, traj.t_plus)
-
-
-def strichartz_norm(
-    traj: Trajectory,
-    interval=None,
-    k: int = 0,
-    pairs: tuple[AdmissiblePair, ...] | None = None,
-) -> float:
-    """Supremum over a finite admissible-pair set of the mixed norm of
-    |grad|^k u.
-
-    The continuum norm takes a supremum over all admissible pairs; the
-    finite configured set (default: the four standard pairs) is the
-    declared computable approximation.
-    """
-    if k not in (0, 1):
-        raise ValueError("k must be 0 or 1")
-    n = traj.grid.dimension
-    pairs = default_admissible_pairs(n) if pairs is None else pairs
-    for pr in pairs:
-        if not is_admissible(pr.q, pr.r, n):
-            raise ValueError(f"pair ({pr.q},{pr.r}) fails admissibility")
-    values = traj.values if k == 0 else _gradient_values(traj)
-    return max(_mixed_norm(traj, values, pr.q, pr.r, interval) for pr in pairs)
 
 
 def _gradient_values(traj: Trajectory) -> np.ndarray:

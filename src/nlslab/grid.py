@@ -1,4 +1,4 @@
-"""Radial grids, quadrature, sampling, and rescaling.
+"""Radial grids, quadrature and L^p norms.
 
 All fields here are spherically symmetric samples u(r_i) of a complex field
 on R^n, n >= 3.  A grid carries quadrature weights w_i such that
@@ -94,15 +94,10 @@ class RadialGrid:
 
 @dataclass(frozen=True, eq=False)
 class RadialField:
-    """One complex radial snapshot u(r_i) on a grid.
-
-    ``warnings`` collects non-fatal diagnostics (e.g. support truncation
-    during rescaling); they propagate into reports.
-    """
+    """One complex radial snapshot u(r_i) on a grid."""
 
     grid: RadialGrid
     values: NDArray[np.complex128]
-    warnings: tuple = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=complex)
@@ -111,9 +106,6 @@ class RadialField:
         if not np.all(np.isfinite(values)):
             raise GridError("field contains non-finite samples")
         object.__setattr__(self, "values", values)
-
-    def with_values(self, values, extra_warnings=()) -> "RadialField":
-        return RadialField(self.grid, values, self.warnings + tuple(extra_warnings))
 
 
 def lp_norm(u: RadialField, p: float) -> float:
@@ -147,69 +139,3 @@ def _row_sums(integrand, *arrays) -> NDArray[np.float64]:
         out[rows] = np.sum(integrand(*(a[rows] for a in arrays)), axis=1)
     return out
 
-
-# number of mirrored nodes used to enforce evenness of the interpolant at r=0
-_MIRROR = 8
-
-
-def _even_spline(grid: RadialGrid, values):
-    """Cubic spline through the even extension of ``values`` across r = 0."""
-    # imported here, not at module level: scipy.interpolate pulls in
-    # scipy.optimize, about 0.3 s of every process, and only rescale and
-    # sample_even, which no CLI command reaches, interpolate
-    from scipy.interpolate import CubicSpline
-
-    r = grid.nodes
-    m = min(_MIRROR, r.size - 1)
-    if r[0] == 0.0:
-        rx = np.concatenate([-r[1 : m + 1][::-1], r])
-        vx = np.concatenate([values[1 : m + 1][::-1], values])
-    else:
-        rx = np.concatenate([-r[:m][::-1], r])
-        vx = np.concatenate([values[:m][::-1], values])
-    return CubicSpline(rx, vx)
-
-
-def sample_even(u: RadialField, radii) -> NDArray[np.complex128]:
-    """Evaluate a radial field at arbitrary radii by cubic interpolation,
-    using the even extension across the origin.  Radii beyond the grid
-    return 0."""
-    sp = _even_spline(u.grid, u.values)
-    radii = np.asarray(radii, dtype=float)
-    out = np.where(radii <= u.grid.nodes[-1], sp(radii), 0.0)
-    return np.asarray(out, dtype=complex)
-
-
-def support_radius(u: RadialField, rel_threshold: float = 1e-8) -> float:
-    """Largest radius where |u| exceeds rel_threshold * max|u| (0 for the
-    zero field)."""
-    a = np.abs(u.values)
-    peak = a.max(initial=0.0)
-    if peak == 0.0:
-        return 0.0
-    idx = np.nonzero(a > rel_threshold * peak)[0]
-    return float(u.grid.nodes[idx[-1]])
-
-
-def rescale(u: RadialField, lam: float, decay_threshold: float = 1e-8) -> RadialField:
-    """Apply the critical scaling  u -> lam^{-(n-2)/2} u(r / lam).
-
-    The scaled profile is resampled onto the original grid by cubic
-    interpolation with even extension at the origin.  If the scaled
-    support spills past r_max a truncation warning is attached to the
-    returned field (recorded, not fatal).
-    """
-    if lam <= 0:
-        raise ValueError("scaling factor must be positive")
-    g = u.grid
-    n = g.dimension
-    warnings = []
-    if lam != 1.0 and support_radius(u, decay_threshold) * lam > g.r_max:
-        warnings.append(
-            f"rescale: support radius {support_radius(u, decay_threshold):.3g} * "
-            f"lambda {lam:.3g} exceeds r_max {g.r_max:.3g}; field truncated"
-        )
-    if lam == 1.0:
-        return u
-    vals = lam ** (-(n - 2) / 2.0) * sample_even(u, g.nodes / lam)
-    return u.with_values(vals, warnings)

@@ -13,7 +13,6 @@ beyond that validated span are refused.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,11 +60,6 @@ class FreePropagator:
     transform: SpectralTransform
     validated_t_max: float
 
-    def evolve(self, u: RadialField, t: float) -> RadialField:
-        """e^{i t lap} u for a field on this propagator's grid."""
-        tr = self.transform
-        return u.with_values(tr.backward(self.evolve_coeffs(tr.forward(u), t)))
-
     def evolve_coeffs(self, coeffs: np.ndarray, t) -> np.ndarray:
         """Phase-advance mode coefficients without leaving spectral space, to
         one time ``t`` or to each of a column of times (T, 1), a row each."""
@@ -106,37 +100,3 @@ def get_propagator(grid: RadialGrid) -> FreePropagator:
         raise UnresolvedGridError("no ladder time passed the Gaussian oracle self-test")
     return FreePropagator(tr, t_max)
 
-
-@dataclass(frozen=True)
-class DispersionFit:
-    """Least-squares decay fit of the free flow in L^infinity."""
-
-    slope: float
-    constant: float          # max over sampled t of sup|u(t)| t^{n/2} / ||u0||_L1
-    times: tuple
-    sup_norms: tuple
-
-
-def dispersive_decay_fit(u: RadialField, times) -> DispersionFit:
-    """Fit the L^infinity decay of the free flow of u.
-
-    Returns the least-squares slope of log sup|e^{it lap} u| against log t
-    (the decay exponent, -n/2 for well-spread data) and the empirical
-    dispersive constant  max_t sup|u(t)| |t|^{n/2} / ||u||_{L^1}.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.size < 3:
-        raise ValueError("need at least 3 sample times")
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be positive and increasing")
-    prop = get_propagator(u.grid)
-    l1 = float(np.sum(u.grid.weights * np.abs(u.values)))
-    if not math.isfinite(l1) or l1 == 0.0:
-        raise ValueError("initial data must have finite nonzero L^1 norm")
-    tr = prop.transform
-    sups = np.abs(tr.backward(prop.evolve_coeffs(tr.forward(u), times[:, None]))).max(axis=1)
-    design = np.vstack([np.log(times), np.ones_like(times)]).T
-    slope = float(np.linalg.lstsq(design, np.log(sups), rcond=None)[0][0])
-    n = u.grid.dimension
-    constant = float((sups * times ** (n / 2.0)).max() / l1)
-    return DispersionFit(slope, constant, tuple(times), tuple(sups))

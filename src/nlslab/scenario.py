@@ -167,8 +167,9 @@ def normalize_scenario(raw: dict) -> dict:
         for key in ("amplitude", "width") + (("center",) if fam == "ring" else ()):
             if not (_number(init.get(key)) and (key == "amplitude" or init[key] > 0)):
                 bad.append(f"initial_data.{key} must be positive, got {init.get(key)!r}")
-    elif fam == "file" and not init.get("path"):
-        bad.append("initial_data.path required for the file family")
+    elif fam == "file" and not (isinstance(init.get("path"), str) and init["path"]):
+        bad.append(f"initial_data.path must be a non-empty string for the file family, "
+                   f"got {init.get('path')!r}")
     if dimension_ok:
         try:
             _pairs_for(s)
@@ -195,12 +196,16 @@ def build_initial_data(scenario: dict) -> RadialField:
     elif fam == "ring":
         vals = init["amplitude"] * np.exp(-(((r - init["center"]) / init["width"]) ** 2))
     else:
-        blob = Path(init["path"]).read_bytes()
-        vals = decode_snapshot(blob)
+        try:
+            vals = decode_snapshot(Path(init["path"]).read_bytes())
+        except (IsADirectoryError, ValueError) as exc:
+            raise ScenarioError([f"initial_data.path is not a snapshot file: {exc}"]) from None
         if vals.size != grid.n_points:
             raise ScenarioError(
                 [f"initial_data.path holds {vals.size} samples, grid needs {grid.n_points}"]
             )
+        if not np.all(np.isfinite(vals)):
+            raise ScenarioError(["initial_data.path holds non-finite samples"])
     return grid.field(vals)
 
 
@@ -389,8 +394,8 @@ def _identity_entry(s, traj, tol):
 
 
 def _strichartz_table(s, traj):
-    """``strichartz_norm`` of every pair and their supremum, for k = 0
-    and 1, with the k = 1 gradient computed once."""
+    """The mixed norm of |grad|^k u at every pair and their supremum, for
+    k = 0 and 1, with the k = 1 gradient computed once."""
     pairs = _pairs_for(s)
     rows = []
     for k, values in ((0, traj.values), (1, fn._gradient_values(traj))):

@@ -1,8 +1,36 @@
-import numpy as np
-import pytest
+import ctypes
+import itertools
+import os
+from pathlib import Path
 
-from nlslab import EvolutionConfig, Trajectory, evolve, gaussian_field, make_spectral_grid
-from nlslab.functionals import _energy_rows, _mass_series
+# the pinned values and byte-identity checks were recorded at one BLAS
+# thread, and the tests that force a process budget of 2 fork workers
+# that must not share their CPUs with OpenBLAS threads; OpenBLAS reads
+# the pin once, when numpy loads it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from nlslab import (  # noqa: E402
+    EvolutionConfig,
+    IntervalDecomposition,
+    Trajectory,
+    evolve,
+    gaussian_field,
+    get_propagator,
+    make_spectral_grid,
+)
+from nlslab.functionals import _energy_rows, _mass_series  # noqa: E402
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """The OpenBLAS that numpy's wheel bundles runs one thread (a numpy
+    linked against another BLAS has no such library to ask)."""
+    for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"):
+        threads = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_()
+        assert threads == 1, f"numpy's OpenBLAS runs {threads} threads, not 1"
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +81,21 @@ def make_synthetic_trajectory(grid, times, profiles, mu=0):
         potential_series=potential,
         provenance={"synthetic": True},
     )
+
+
+def synthetic_decomposition(lengths, exceptional=None):
+    """Unit-mass intervals of the given lengths from t = 0, flagged when
+    ``exceptional`` is given (combinatorial work needs no trajectory)."""
+    b = tuple(itertools.accumulate(map(float, lengths), initial=0.0))
+    d = IntervalDecomposition(b, (1.0,) * (len(b) - 1), 1.0, tail_flag=False)
+    return d if exceptional is None else d.with_flags(exceptional)
+
+
+def free_evolve(u, t):
+    """e^{i t lap} u by the certified propagator of the field's grid."""
+    prop = get_propagator(u.grid)
+    tr = prop.transform
+    return u.grid.field(tr.backward(prop.evolve_coeffs(tr.forward(u), t)))
 
 
 @pytest.fixture(scope="session")

@@ -16,12 +16,10 @@ from nlslab import (
     EvolutionConfig,
     blowup_monitor,
     bourgain_nest,
-    dispersive_decay_fit,
     duhamel_residual,
     energy,
     evolve,
     gaussian_field,
-    get_propagator,
     greedy_subdivide,
     half_norm_ratio,
     largest_fraction,
@@ -29,16 +27,17 @@ from nlslab import (
     make_spectral_grid,
     momentum_flux_identity_check,
     morawetz_check,
-    rescale,
-    synthetic_decomposition,
 )
 from nlslab.concentration import check_nest
 from nlslab.functionals import MORAWETZ_RATIO_BOUND, MorawetzWeight
 from nlslab.persist import canonical_json, load_trajectory, save_trajectory
 from nlslab.scenario import run_scenario
 
-from tests.conftest import make_synthetic_trajectory
+from tests.conftest import free_evolve, synthetic_decomposition
 from tests.test_concentration import density_trajectory, exhaustive_max_chain
+from tests.test_dynamics import scaling_covariance_error
+from tests.test_functionals import scaled_trajectory
+from tests.test_propagator import dispersive_slope, free_sup_norms
 
 
 def ok(line: str):
@@ -81,7 +80,6 @@ def test_criterion_2_free_propagator():
     for n in (3, 4, 5, 6):
         g = make_spectral_grid(n, 1024, 128.0)
         u = gaussian_field(g)
-        free_evolve = get_propagator(g).evolve
         # closed-form oracle match, pointwise
         for t in (0.5, 1.0):
             z = 1.0 + 4.0j * t
@@ -93,9 +91,9 @@ def test_criterion_2_free_propagator():
         one = free_evolve(u, 1.5)
         worst_group = max(worst_group, float(np.abs(two.values - one.values).max()))
         # dispersive decay exponent
-        fit = dispersive_decay_fit(u, np.geomspace(2.0, 8.0, 6))
-        slopes[n] = fit.slope
-        assert abs(fit.slope - (-n / 2.0)) < 0.05
+        times = np.geomspace(2.0, 8.0, 6)
+        slopes[n] = dispersive_slope(times, free_sup_norms(u, times))
+        assert abs(slopes[n] - (-n / 2.0)) < 0.05
     assert worst_gauss < 1e-6
     assert worst_group < 1e-8
     ok(
@@ -143,16 +141,15 @@ def test_criterion_4_morawetz(reference_grid):
     order = math.log2(defects[0] / defects[2]) / 2.0
     assert order >= 1.5
 
-    # (b) ratio scale invariance within 2%
-    cfg = EvolutionConfig(dimension=3, mu=1, dt=1e-3, snapshot_stride=10)
-    traj = evolve(u0, 0.0, 0.4, cfg)
-    rep0 = morawetz_check(traj, None, 2.0)
-    lam = 0.5
-    snaps = [rescale(traj.field(i), lam) for i in range(len(traj.times))]
-    scaled = make_synthetic_trajectory(g, lam**2 * traj.times, snaps, mu=1)
-    rep1 = morawetz_check(scaled, None, 2.0)
-    scale_dev = abs(rep1.ratio - rep0.ratio) / rep0.ratio
-    assert scale_dev < 0.02
+    # (b) the ratio is invariant under the critical scaling, n in {3, 5}
+    scale_dev = 0.0
+    for n, grid in ((3, g), (5, make_spectral_grid(5, 384, 16.0))):
+        cfg = EvolutionConfig(dimension=n, mu=1, dt=1e-3, snapshot_stride=10)
+        traj = evolve(gaussian_field(grid), 0.0, 0.4, cfg)
+        rep0 = morawetz_check(traj, None, 2.0)
+        rep1 = morawetz_check(scaled_trajectory(traj, 0.5), None, 2.0)
+        scale_dev = max(scale_dev, abs(rep1.ratio - rep0.ratio) / rep0.ratio)
+    assert scale_dev < 1e-10
 
     # (c) calibrated ratio bound across A and three initial-data families
     ref = reference_grid
@@ -172,7 +169,7 @@ def test_criterion_4_morawetz(reference_grid):
     assert worst <= MORAWETZ_RATIO_BOUND
     ok(
         f"criterion 4 (morawetz): identity order {order:.2f} >= 1.5, "
-        f"scale deviation {scale_dev:.3%} < 2%, worst ratio {worst:.3f} <= "
+        f"scale deviation {scale_dev:.2e} < 1e-10, worst ratio {worst:.3f} <= "
         f"{MORAWETZ_RATIO_BOUND} across 3 families x A in {{1,2,4}}"
     )
 
@@ -220,20 +217,20 @@ def test_criterion_7_combinatorial_oracles(g3, synth_factory):
     for J in (10, 37, 100):
         lengths = rng.uniform(0.05, 3.0, J)
         dec = synthetic_decomposition(lengths)
-        b = dec.boundaries
+        b, lens = dec.boundaries, dec.lengths()
         idx = rng.integers(0, J + 1, size=(40, 2))
         for i, j in idx:
             if i == j:
                 continue
             lo, hi = sorted((b[i], b[j]))
             brute_half = sum(
-                math.sqrt(dec.length(k))
+                math.sqrt(lens[k])
                 for k in range(J)
                 if dec.interval(k)[0] >= lo - 1e-12 and dec.interval(k)[1] <= hi + 1e-12
             ) / math.sqrt(hi - lo)
             brute_frac = max(
                 (
-                    dec.length(k)
+                    lens[k]
                     for k in range(J)
                     if dec.interval(k)[0] >= lo - 1e-12 and dec.interval(k)[1] <= hi + 1e-12
                 ),
@@ -251,7 +248,7 @@ def test_criterion_7_combinatorial_oracles(g3, synth_factory):
         dec = synthetic_decomposition(lengths, exceptional=flags)
         nest = bourgain_nest(dec)
         assert nest is not None
-        assert not check_nest(dec, nest)
+        assert not check_nest(dec, nest, nest.achieved_kappa)
         depths.append(nest.depth)
         assert nest.depth >= 0.35 * math.log(50)
     for seed in range(6):
@@ -273,31 +270,23 @@ def test_criterion_7_combinatorial_oracles(g3, synth_factory):
 
 
 def test_criterion_8_scaling_symmetry(reference_grid):
+    # energy and critical norm of lam^{-1/2} u(x / lam), u = exp(-r^2)
     u = gaussian_field(reference_grid)
     e0 = energy(u, 1).total
     c0 = lp_norm(u, 6.0)       # critical exponent 2n/(n-2) = 6 at n = 3
     worst_e, worst_c = 0.0, 0.0
     for lam in (0.6, 1.5):
-        v = rescale(u, lam)
+        v = gaussian_field(reference_grid, lam**-0.5, lam)
         worst_e = max(worst_e, abs(energy(v, 1).total - e0) / e0)
         worst_c = max(worst_c, abs(lp_norm(v, 6.0) - c0) / c0)
-    assert worst_e < 1e-6 and worst_c < 1e-6
+    assert worst_e < 1e-12 and worst_c < 1e-12
 
-    # evolution covariance in L^2
-    g = make_spectral_grid(3, 384, 16.0)
-    lam, T = 0.5, 0.4
-    u0 = gaussian_field(g)
-    ref = evolve(u0, 0.0, T, EvolutionConfig(dimension=3, mu=1, dt=1e-3, snapshot_stride=10**6))
-    scaled = evolve(
-        rescale(u0, lam), 0.0, T * lam**2,
-        EvolutionConfig(dimension=3, mu=1, dt=1e-3 * lam**2, snapshot_stride=10**6),
-    )
-    diff = scaled.values[-1] - rescale(ref.field(-1), lam).values
-    cov = math.sqrt(float(np.sum(g.weights * np.abs(diff) ** 2)))
-    assert cov < 1e-4
+    # evolution covariance in L^2, n in {3, 5}
+    cov = max(scaling_covariance_error(n) for n in (3, 5))
+    assert cov < 1e-10
     ok(
         f"criterion 8 (scaling): energy dev {worst_e:.2e}, critical-norm dev "
-        f"{worst_c:.2e} < 1e-6; evolution covariance {cov:.2e} < 1e-4"
+        f"{worst_c:.2e} < 1e-12; evolution covariance {cov:.2e} < 1e-10"
     )
 
 

@@ -22,7 +22,6 @@ from nlslab import (
     largest_fraction,
     linear_flow_check,
     make_spectral_grid,
-    synthetic_decomposition,
 )
 from nlslab.concentration import (
     ResolutionError,
@@ -32,6 +31,8 @@ from nlslab.concentration import (
 )
 from nlslab.functionals import bump, critical_density
 from nlslab.grid import sphere_area
+
+from tests.conftest import synthetic_decomposition
 
 
 def density_trajectory(grid, times, density, synth, mu=0):
@@ -44,7 +45,7 @@ def density_trajectory(grid, times, density, synth, mu=0):
     snaps = []
     for t in times:
         scale = (density(t) / d0) ** (1.0 / expo)
-        snaps.append(base.with_values(scale * base.values))
+        snaps.append(grid.field(scale * base.values))
     return synth(grid, times, snaps, mu=mu)
 
 
@@ -266,10 +267,10 @@ def test_bubble_static_gaussian_half_mass(g3, synth_factory):
     # static trajectory; tune the threshold to half the (unit) mass
     u = gaussian_field(g3)
     mass = math.sqrt(float(np.sum(g3.weights * np.abs(u.values) ** 2)))
-    u = u.with_values(u.values / mass)       # unit L^2 mass
+    u = g3.field(u.values / mass)            # unit L^2 mass
     times = np.linspace(0.0, 1.0, 11)
     traj = synth_factory(g3, times, [u] * 11, mu=0)
-    d = synthetic_decomposition([1.0], t0=0.0)
+    d = synthetic_decomposition([1.0])
     e = float(traj.energy_series[0])
     fraction = 0.5 / math.sqrt(e)            # threshold = 0.5 exactly
     rep = find_bubble(traj, d, 0, fraction)
@@ -287,7 +288,7 @@ def test_bubble_static_gaussian_half_mass(g3, synth_factory):
 def test_bubble_zero_field_absent(g3, synth_factory):
     times = np.linspace(0.0, 1.0, 6)
     traj = synth_factory(g3, times, [g3.zeros()] * 6, mu=0)
-    d = synthetic_decomposition([1.0], t0=0.0)
+    d = synthetic_decomposition([1.0])
     assert find_bubble(traj, d, 0, 0.5) is None
 
 
@@ -295,7 +296,7 @@ def test_bubble_radius_monotone_in_fraction(g3, synth_factory):
     u = gaussian_field(g3)
     times = np.linspace(0.0, 1.0, 6)
     traj = synth_factory(g3, times, [u] * 6, mu=0)
-    d = synthetic_decomposition([1.0], t0=0.0)
+    d = synthetic_decomposition([1.0])
     radii = []
     for frac in (0.1, 0.3, 0.5, 0.7):
         rep = find_bubble(traj, d, 0, frac)
@@ -387,16 +388,17 @@ def exhaustive_max_chain(decomp, kappa, half=0.5):
     """Oracle: maximal K over all subsets admitting a geometric-decay
     ordering and a common accumulation time within kappa of every member."""
     idx = [j for j in range(decomp.count) if not decomp.exceptional[j]]
+    lengths = decomp.lengths()
     best = 0
     for size in range(len(idx), 0, -1):
         if size <= best:
             break
         for sub in itertools.combinations(idx, size):
-            lens = sorted((decomp.length(j) for j in sub), reverse=True)
+            lens = sorted((lengths[j] for j in sub), reverse=True)
             if any(lens[k + 1] > half * lens[k] for k in range(len(lens) - 1)):
                 continue
-            lo = max(decomp.interval(j)[0] - kappa * decomp.length(j) for j in sub)
-            hi = min(decomp.interval(j)[1] + kappa * decomp.length(j) for j in sub)
+            lo = max(decomp.interval(j)[0] - kappa * lengths[j] for j in sub)
+            hi = min(decomp.interval(j)[1] + kappa * lengths[j] for j in sub)
             if lo <= hi:
                 best = size
                 break
@@ -410,7 +412,7 @@ def test_nest_dyadic_example():
     assert nest.depth == 4
     a, b = d.interval(3)
     assert a <= nest.t_star <= b
-    assert not check_nest(d, nest)
+    assert not check_nest(d, nest, nest.achieved_kappa)
     # exhaustive oracle confirms 4 is maximal
     assert exhaustive_max_chain(d, nest.achieved_kappa + 1e-9) == 4
 
@@ -440,7 +442,7 @@ def test_nest_exceptional_split_runs():
     d = synthetic_decomposition(lengths, exceptional=flags)
     nest = bourgain_nest(d)
     assert all(j in (3, 4, 5) for j in nest.chain)
-    assert not check_nest(d, nest)
+    assert not check_nest(d, nest, nest.achieved_kappa)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -453,7 +455,7 @@ def test_nest_random_families_invariants(seed):
     nest = bourgain_nest(d)
     if nest is None:
         pytest.skip("all intervals exceptional for this seed")
-    assert not check_nest(d, nest)
+    assert not check_nest(d, nest, nest.achieved_kappa)
     # calibrated logarithmic depth guarantee
     assert nest.depth >= 0.35 * math.log(J)
 

@@ -9,13 +9,14 @@ from nlslab import (
     duhamel_residual,
     evolve,
     gaussian_field,
-    get_propagator,
     lp_norm,
     make_spectral_grid,
-    rescale,
 )
 from nlslab.dynamics import _phase_rotation
+from nlslab.propagator import gaussian_free_evolution
 from nlslab.transform import get_transform
+
+from tests.conftest import free_evolve
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,7 @@ def test_small_amplitude_matches_free_flow(g3_mid):
     u0 = gaussian_field(g3_mid, amplitude=1e-3)
     cfg = EvolutionConfig(dimension=3, mu=1, dt=2e-3, snapshot_stride=50)
     traj = evolve(u0, 0.0, 1.0, cfg)
-    lin = get_propagator(g3_mid).evolve(u0, 1.0)
+    lin = free_evolve(u0, 1.0)
     diff = traj.values[-1] - lin.values
     err = math.sqrt(float(np.sum(g3_mid.weights * np.abs(diff) ** 2)))
     assert err < 1e-5 * lp_norm(u0, 2) + 1e-12
@@ -128,18 +129,25 @@ def test_second_order_self_convergence(g3_mid):
     assert 4.0 * 0.8 <= d1 / d2 <= 4.0 * 1.2
 
 
-def test_scaling_covariance(g3_mid):
-    # evolve(rescale(u0, lam)) over lam^2 T  ==  rescale(evolve(u0) at T, lam)
-    lam, T = 0.5, 0.4
-    u0 = gaussian_field(g3_mid)
-    cfg = EvolutionConfig(dimension=3, mu=1, dt=1e-3, snapshot_stride=10**6)
-    ref = evolve(u0, 0.0, T, cfg)
-    cfg2 = EvolutionConfig(dimension=3, mu=1, dt=1e-3 * lam**2, snapshot_stride=10**6)
-    scaled = evolve(rescale(u0, lam), 0.0, T * lam**2, cfg2)
-    expected = rescale(ref.field(-1), lam)
-    diff = scaled.values[-1] - expected.values
-    err = math.sqrt(float(np.sum(g3_mid.weights * np.abs(diff) ** 2)))
-    assert err < 1e-4
+def scaling_covariance_error(n, lam=0.5, T=0.4):
+    """L^2 distance between the run of lam^{-(n-2)/2} u0 over lam^2 T and
+    lam^{-(n-2)/2} times the run of u0 over T.  The scaled run takes the
+    grid of radius lam r_max, whose nodes are lam times the original ones,
+    so the rescaled u0(x / lam) is the same samples."""
+    g, gs = make_spectral_grid(n, 384, 16.0), make_spectral_grid(n, 384, 16.0 * lam)
+    s = lam ** (-(n - 2) / 2.0)
+    u0 = gaussian_field(g).values
+    cfg = EvolutionConfig(dimension=n, mu=1, dt=1e-3, snapshot_stride=10**6)
+    ref = evolve(g.field(u0), 0.0, T, cfg)
+    cfg2 = EvolutionConfig(dimension=n, mu=1, dt=1e-3 * lam**2, snapshot_stride=10**6)
+    scaled = evolve(gs.field(s * u0), 0.0, T * lam**2, cfg2)
+    diff = scaled.values[-1] - s * ref.values[-1]
+    return math.sqrt(float(np.sum(gs.weights * np.abs(diff) ** 2)))
+
+
+def test_scaling_covariance():
+    for n in (3, 5):
+        assert scaling_covariance_error(n) < 1e-10
 
 
 def test_span_beyond_horizon_rejected(g3):
@@ -157,17 +165,23 @@ def test_boundary_decay_warning_recorded(g3):
 
 # mu = +1 steps through the dense step operator, mu = -1 through the
 # per-step gradient watch; the reference is neither: half-phase, the linear
-# step as one plain numpy matrix, half-phase
-@pytest.mark.parametrize("mu,n_points", [(1, 300), (-1, 400)])
-def test_n5_evolution_matches_a_plain_numpy_strang_loop(mu, n_points):
-    grid = make_spectral_grid(5, n_points, 32.0)
+# step as one plain numpy matrix, half-phase.  The n = 5 cases keep their
+# first ids; n = 4 takes the exponent p = 2
+@pytest.mark.parametrize("n,mu,n_points", [
+    pytest.param(5, 1, 300, id="1-300"),
+    pytest.param(5, -1, 400, id="-1-400"),
+    pytest.param(4, 1, 300, id="n4-1-300"),
+    pytest.param(4, -1, 400, id="n4--1-400"),
+])
+def test_n5_evolution_matches_a_plain_numpy_strang_loop(n, mu, n_points):
+    grid = make_spectral_grid(n, n_points, 32.0)
     u0 = gaussian_field(grid, 0.8, 1.2)
-    cfg = EvolutionConfig(dimension=5, mu=mu, dt=1e-3, snapshot_stride=10**6)
+    cfg = EvolutionConfig(dimension=n, mu=mu, dt=1e-3, snapshot_stride=10**6)
     traj = evolve(u0, 0.0, 0.3, cfg)
     assert traj.status == "complete"
 
     tr = get_transform(grid)
-    k, sw, p, dt = tr.frequencies, tr.sqrt_weights, 4.0 / 3.0, 1e-3
+    k, sw, p, dt = tr.frequencies, tr.sqrt_weights, 4.0 / (n - 2), 1e-3
     linear = (tr.kernel * np.exp(-1j * k**2 * dt)) @ tr.kernel.T
     u = u0.values.astype(complex)
     for _ in range(300):
@@ -175,6 +189,14 @@ def test_n5_evolution_matches_a_plain_numpy_strang_loop(mu, n_points):
         u = linear @ (sw * u) / sw
         u = np.exp(-0.5j * mu * dt * np.abs(u) ** p) * u
     assert np.linalg.norm(traj.values[-1] - u) <= 1e-11 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_free_evolution_matches_the_gaussian_closed_form(n):
+    g = make_spectral_grid(n, 256, 16.0)
+    cfg = EvolutionConfig(dimension=n, mu=0, dt=1e-2, snapshot_stride=10**6)
+    traj = evolve(gaussian_field(g), 0.0, 1.0, cfg)
+    assert np.abs(traj.values[-1] - gaussian_free_evolution(g, 1.0).values).max() < 1e-7
 
 
 # ---------------------------------------------------------------------------

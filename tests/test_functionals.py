@@ -18,9 +18,7 @@ from nlslab import (
     mass_flux_check,
     momentum_flux_identity_check,
     morawetz_check,
-    rescale,
     spacetime_norm,
-    strichartz_norm,
 )
 from nlslab.functionals import (
     HARDY_RATIO_BOUND,
@@ -28,10 +26,25 @@ from nlslab.functionals import (
     MORAWETZ_RATIO_BOUND,
     AdmissiblePair,
     MorawetzWeight,
+    _gradient_values,
+    _mixed_norm,
     bump,
     default_admissible_pairs,
     hardy_bound_check,
 )
+
+from tests.conftest import make_synthetic_trajectory
+
+
+def scaled_trajectory(traj, lam):
+    """The critical rescaling lam^{-(n-2)/2} u(t / lam^2, x / lam) of a
+    trajectory, exact on the grid of radius lam r_max, whose nodes are lam
+    times the original ones: the same samples times lam^{-(n-2)/2}."""
+    g = traj.grid
+    gs = make_spectral_grid(g.dimension, g.n_points, lam * g.r_max)
+    s = lam ** (-(g.dimension - 2) / 2.0)
+    snaps = [gs.field(s * v) for v in traj.values]
+    return make_synthetic_trajectory(gs, lam**2 * traj.times, snaps, mu=traj.config.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +114,12 @@ def test_energy_sign_focusing(g3):
 
 
 def test_energy_rescale_invariance():
+    # lam^{-1/2} u(x / lam) of u = exp(-r^2), in closed form
     g = make_spectral_grid(3, 1024, 32.0)
-    u = gaussian_field(g)
-    e0 = energy(u, 1).total
+    e0 = energy(gaussian_field(g), 1).total
     for lam in (0.6, 1.5):
-        e1 = energy(rescale(u, lam), 1).total
-        assert abs(e1 - e0) / e0 < 1e-6
+        e1 = energy(gaussian_field(g, lam**-0.5, lam), 1).total
+        assert abs(e1 - e0) / e0 < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +181,7 @@ def test_flux_stationary_modulus_synthetic(g3, synth_factory):
     # pure phase rotation leaves |u| pointwise fixed: flux is exactly zero
     u = gaussian_field(g3)
     times = np.linspace(0, 0.2, 9)
-    snaps = [u.with_values(np.exp(1j * 3.0 * t) * u.values) for t in times]
+    snaps = [g3.field(np.exp(1j * 3.0 * t) * u.values) for t in times]
     traj = synth_factory(g3, times, snaps, mu=0)
     rep = mass_flux_check(traj, 1.0)
     assert rep.max_rate < 1e-12
@@ -202,13 +215,16 @@ def test_hardy_sup_stable_under_refinement():
 
 
 def test_hardy_rescale_invariance():
-    g = make_spectral_grid(3, 1024, 32.0)
-    u = gaussian_field(g)
+    # lam^{-1/2} u(x / lam) on the grid of radius lam r_max is the same
+    # samples times lam^{-1/2}
     lam = 1.4
+    g, gs = make_spectral_grid(3, 1024, 32.0), make_spectral_grid(3, 1024, lam * 32.0)
+    u = gaussian_field(g)
+    v = gs.field(lam**-0.5 * u.values)
     for radius in (0.5, 1.0, 2.0):
         r0 = hardy_bound_check(u, radius)
-        r1 = hardy_bound_check(rescale(u, lam), lam * radius)
-        assert abs(r1 - r0) < 1e-4
+        r1 = hardy_bound_check(v, lam * radius)
+        assert abs(r1 - r0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +235,7 @@ def test_spacetime_zero(g3, synth_factory):
     times = np.linspace(0, 1, 5)
     traj = synth_factory(g3, times, [g3.zeros()] * 5)
     assert spacetime_norm(traj, 2.0, 2.0) == 0.0
-    assert strichartz_norm(traj) == 0.0
+    assert all(spacetime_norm(traj, p.q, p.r) == 0.0 for p in default_admissible_pairs(3))
 
 
 def test_spacetime_constant_in_time(g3, synth_factory):
@@ -242,14 +258,11 @@ def test_strichartz_finite_and_stable_under_dt(g3_mid):
     for dt in (2e-3, 1e-3):
         cfg = EvolutionConfig(dimension=3, mu=1, dt=dt, snapshot_stride=int(0.01 / dt))
         traj = evolve(u0, 0.0, 0.5, cfg)
-        vals.append(strichartz_norm(traj, k=1))
+        grad = _gradient_values(traj)
+        vals.append(max(_mixed_norm(traj, grad, pr.q, pr.r, None)
+                        for pr in default_admissible_pairs(3)))
     assert all(math.isfinite(v) and v > 0 for v in vals)
     assert abs(vals[1] - vals[0]) / vals[0] < 0.02
-
-
-def test_strichartz_validates_pairs(traj_free):
-    with pytest.raises(ValueError):
-        strichartz_norm(traj_free, k=2)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +311,13 @@ def test_morawetz_ratio_under_bound(traj_defocusing, A):
     assert rep.ratio <= MORAWETZ_RATIO_BOUND
 
 
-def test_morawetz_scale_invariance(traj_defocusing, synth_factory):
-    lam = 0.5
-    rep0 = morawetz_check(traj_defocusing, None, 2.0)
-    snaps = [rescale(traj_defocusing.field(i), lam) for i in range(len(traj_defocusing.times))]
-    times = lam**2 * traj_defocusing.times
-    scaled = synth_factory(traj_defocusing.grid, times, snaps, mu=1)
-    rep1 = morawetz_check(scaled, None, 2.0)
-    assert abs(rep1.ratio - rep0.ratio) / rep0.ratio < 0.02
+def test_morawetz_scale_invariance(traj_defocusing):
+    g5 = make_spectral_grid(5, 384, 16.0)
+    cfg5 = EvolutionConfig(dimension=5, mu=1, dt=1e-3, snapshot_stride=10)
+    for traj in (traj_defocusing, evolve(gaussian_field(g5), 0.0, 0.4, cfg5)):
+        rep0 = morawetz_check(traj, None, 2.0)
+        rep1 = morawetz_check(scaled_trajectory(traj, 0.5), None, 2.0)
+        assert abs(rep1.ratio - rep0.ratio) / rep0.ratio < 1e-10
 
 
 def test_morawetz_regularized_converges_from_below(traj_defocusing):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from nlslab import (
     RadialField,
     RadialGrid,
+    gaussian_field,
     lp_norm,
     make_spectral_grid,
-    rescale,
 )
 from nlslab.functionals import energy
 from nlslab.grid import GridError, sphere_area
@@ -96,56 +96,37 @@ def test_laplacian_needs_three_nodes():
 
 
 # ---------------------------------------------------------------------------
-# rescale
+# critical scaling  u -> lam^{-(n-2)/2} u(x / lam), of exp(-r^2) in closed form
 
 
-def test_rescale_identity(g3):
-    u = g3.field(np.exp(-g3.nodes**2))
-    assert rescale(u, 1.0) is u
+def scaled_gaussian(grid, lam):
+    return gaussian_field(grid, lam ** (-(grid.dimension - 2) / 2.0), lam)
 
 
 @pytest.mark.parametrize("lam", [0.5, 0.8, 1.3, 2.0])
 def test_rescale_energy_invariance(lam):
     g = make_spectral_grid(3, 1024, 32.0)
-    u = g.field(np.exp(-g.nodes**2))
-    k0 = energy(u, 1).kinetic
-    k1 = energy(rescale(u, lam), 1).kinetic
-    assert abs(k1 - k0) / k0 < 1e-6
+    k0 = energy(scaled_gaussian(g, 1.0), 1).kinetic
+    k1 = energy(scaled_gaussian(g, lam), 1).kinetic
+    assert abs(k1 - k0) / k0 < 1e-12
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0])
 def test_rescale_critical_norm_invariance(lam):
     g = make_spectral_grid(3, 1024, 32.0)
-    u = g.field(np.exp(-g.nodes**2))
     p = 2.0 * 3 / (3 - 2)
-    c0 = lp_norm(u, p)
-    c1 = lp_norm(rescale(u, lam), p)
-    assert abs(c1 - c0) / c0 < 1e-6
-
-
-def test_rescale_truncation_warning():
-    g = make_spectral_grid(3, 256, 8.0)
-    u = g.field(np.exp(-0.5 * g.nodes**2))
-    out = rescale(u, 2.5)
-    assert any("truncated" in w for w in out.warnings)
-
-
-def test_rescale_rejects_nonpositive(g3):
-    with pytest.raises(ValueError):
-        rescale(g3.zeros(), -1.0)
-
-
-# ---------------------------------------------------------------------------
-# invariants
+    c0 = lp_norm(scaled_gaussian(g, 1.0), p)
+    c1 = lp_norm(scaled_gaussian(g, lam), p)
+    assert abs(c1 - c0) / c0 < 1e-12
 
 
 @given(st.floats(min_value=0.6, max_value=1.6))
 @settings(max_examples=20, deadline=None)
 def test_rescale_l2_scaling_law(lam):
-    # ||rescale(u, lam)||_2 = lam ||u||_2 in n = 3  (L^2 is not critical)
+    # ||lam^{-1/2} u(x / lam)||_2 = lam ||u||_2 in n = 3  (L^2 is not critical)
     g = make_spectral_grid(3, 256, 16.0)
     u = g.field(np.exp(-g.nodes**2))
-    assert abs(lp_norm(rescale(u, lam), 2) - lam * lp_norm(u, 2)) < 1e-4
+    assert abs(lp_norm(scaled_gaussian(g, lam), 2) - lam * lp_norm(u, 2)) < 1e-12
 
 
 def test_field_length_mismatch(g3):

@@ -698,9 +698,8 @@ def test_cli_file_initial_data_is_read_bit_exact(tmp_path):
 
 
 def test_cli_import_leaves_interpolation_unloaded():
-    # only rescale and sample_even interpolate, and no command reaches them;
-    # scipy.special is imported where a Bessel table or an n != 3 kernel is
-    # computed
+    # nothing in nlslab interpolates; scipy.special is imported where a
+    # Bessel table or an n != 3 kernel is computed
     src = str(Path(nlslab.__file__).resolve().parents[1])
     code = "import sys, nlslab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     env = dict(os.environ, PYTHONPATH=src)
@@ -1070,6 +1069,31 @@ def test_cli_sweep_config_error_in_a_worker_exits_2(tmp_path, monkeypatch, capsy
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert message in errors[0] and "internal error" not in errors[0]
+
+
+@pytest.mark.parametrize("path,content", [
+    pytest.param(5, None, id="not-a-string"),
+    pytest.param("a-directory", None, id="a-directory"),
+    pytest.param("17-bytes.bin", bytes(17), id="partial-sample"),
+    pytest.param("nan.bin", encode_snapshot(np.full(192, np.nan, dtype=complex)),
+                 id="non-finite"),
+])
+def test_cli_bad_initial_data_path_exits_2(tmp_path, monkeypatch, capsys, path, content):
+    """simulate, and a sweep that reads the path in a forked worker, report
+    a bad snapshot path as a configuration error."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a-directory").mkdir()
+    if content is not None:
+        (tmp_path / path).write_bytes(content)
+    bad = dict(SMALL_SCENARIO, scenario_id="bad", initial_data={"family": "file", "path": path})
+    write_config(tmp_path, bad)
+    write_config(tmp_path, {"scenarios": [dict(SMALL_SCENARIO, scenario_id="good"), bad]},
+                 "sweep.json")
+    _force_budget(monkeypatch, 2)
+    for command, config in (("simulate", "scenario.json"), ("sweep", "sweep.json")):
+        assert main([command, "--config", config, "--out", command]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert "configuration error: initial_data.path" in err and "internal error" not in err
 
 
 def test_cli_span_beyond_the_certified_horizon_exits_2(tmp_path, monkeypatch, capsys):
