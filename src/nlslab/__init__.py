@@ -25,7 +25,6 @@ from .concentration import (
 from .dynamics import (
     EvolutionConfig,
     Trajectory,
-    blowup_monitor,
     duhamel_residual,
     evolve,
 )

@@ -67,9 +67,10 @@ def _phase_rotation(values: np.ndarray, mu: int, tau: float, p: float) -> np.nda
 
 @dataclass(frozen=True)
 class BlowupRecord:
+    """Blowup record of one evolution: ``evolve`` alone decides it."""
     flagged: bool
     first_alarm_time: float | None
-    gradient_history: tuple
+    gradient_history: tuple           # ||grad u|| = sqrt(2 kinetic) per snapshot
     initial_gradient: float
     factor: float
     potential_exceeds_kinetic: bool   # |potential| > kinetic at t_minus
@@ -154,8 +155,8 @@ def evolve(
 
     Snapshots are stored every ``snapshot_stride`` steps (plus the final
     state).  The run is truncated early with a partial trajectory when the
-    blowup monitor fires (focusing runs) or the relative energy drift
-    exceeds the alarm threshold; the returned status says which.
+    gradient norm exceeds ``blowup_grad_factor`` times its start or the
+    relative energy drift exceeds the alarm; the status says which.
     """
     if t_plus <= t_minus:
         raise ValueError("empty time span")
@@ -254,7 +255,7 @@ def evolve(
     blow = BlowupRecord(
         flagged=(status == "aborted-blowup"),
         first_alarm_time=blow_time,
-        gradient_history=_gradient_history(kinetics),
+        gradient_history=tuple(math.sqrt(2.0 * k) for k in kinetics),
         initial_gradient=grad0,
         factor=cfg.blowup_grad_factor,
         potential_exceeds_kinetic=pot_exceeds,
@@ -317,44 +318,3 @@ def duhamel_residual(traj: Trajectory, t0: float, t: float) -> float:
     resid = traj.values[i1] - lin + 1j * integral
     return float(math.sqrt(np.sum(traj.grid.weights * np.abs(resid) ** 2)))
 
-
-def _gradient_history(kinetic_series) -> tuple:
-    """||grad u||_{L^2} at each snapshot, from the kinetic energies
-    (1/2)||grad u||^2 (the same bits as taking the square root of the
-    spectral sum directly: halving and doubling are exact)."""
-    return tuple(math.sqrt(2.0 * float(k)) for k in kinetic_series)
-
-
-def blowup_monitor(traj: Trajectory) -> BlowupRecord:
-    """Blowup record recomputed from the trajectory's kinetic series.
-
-    Flags the first snapshot time where the gradient norm exceeds the
-    configured multiple of its initial value, and reports whether the
-    potential energy dominated the kinetic energy at t_minus (for the
-    focusing sign this is the classical sufficient condition for
-    finite-time blowup of the virial argument).
-    """
-    history = _gradient_history(traj.kinetic_series)
-    grads = np.asarray(history)
-    g0 = history[0]
-    factor = traj.config.blowup_grad_factor
-    flagged = False
-    first = None
-    if g0 > 0:
-        over = np.nonzero(grads > factor * g0)[0]
-        if over.size:
-            flagged = True
-            first = float(traj.times[over[0]])
-    if traj.blowup is not None and traj.blowup.flagged:
-        flagged = True
-        first = traj.blowup.first_alarm_time if first is None else first
-    pot_exceeds = abs(traj.potential_series[0]) > traj.kinetic_series[0]
-    return BlowupRecord(
-        flagged=flagged,
-        first_alarm_time=first,
-        gradient_history=history,
-        initial_gradient=g0,
-        factor=factor,
-        potential_exceeds_kinetic=bool(pot_exceeds),
-        blowup_expected=(traj.config.mu == -1 and bool(pot_exceeds)),
-    )

@@ -25,7 +25,7 @@ import numpy as np
 from . import concentration as conc
 from . import functionals as fn
 from . import workers
-from .dynamics import EvolutionConfig, Trajectory, blowup_monitor, duhamel_residual, evolve
+from .dynamics import EvolutionConfig, Trajectory, duhamel_residual, evolve
 from .grid import RadialField, RadialGrid
 from .persist import blowup_dict, decode_snapshot, load_trajectory
 from .propagator import get_propagator
@@ -105,12 +105,18 @@ def _list_of(ok):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(ok(x) for x in v)
 
 
+# the dense path holds about 40 N^2 bytes (the kernel, its complex cast and
+# the step operator), so the cap is a memory budget of about 2.7 GB
+MAX_POINTS = 8192
+
 # (dotted path, predicate, requirement) of every single-valued knob; an
 # integer knob takes ``type(v) is int``, since a bool passes ``isinstance(v,
 # int)`` and ``True in (-1, 0, 1)`` holds
 _KNOBS = (
     ("mu", lambda v: type(v) is int and v in (-1, 0, 1), "be the integer -1, 0, or +1"),
-    ("grid.n_points", lambda v: type(v) is int and v >= 16, "be an integer >= 16"),
+    ("grid.n_points", lambda v: type(v) is int and 16 <= v <= MAX_POINTS,
+     f"be an integer in [16, {MAX_POINTS}] (the dense transform holds about 40 N^2 "
+     f"bytes, {40 * MAX_POINTS**2 / 1e9:.1f} GB at N = {MAX_POINTS})"),
     ("grid.r_max", _within(0), "be positive"),
     ("time.dt", _within(0), "be positive"),
     ("time.snapshot_stride", lambda v: type(v) is int and v >= 1, "be a positive integer"),
@@ -307,7 +313,7 @@ def _report_tables(s: dict, traj: Trajectory, seed: int) -> dict:
             "energy_drift_rel": energy_drift,
             "energy_drift_tolerance": tol["energy_drift_rel"],
         },
-        "blowup": blowup_dict(blowup_monitor(traj)),
+        "blowup": blowup_dict(traj.blowup),
     }
 
     # inequality tables (meaningful only while the run is trusted)

@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -244,14 +244,14 @@ class SpectralTransform:
         kin = 0.5 * _row_sums(lambda b: self.frequencies**2 * np.abs(b) ** 2, rows)
         return float(kin[0]) if coeffs.ndim == 1 else kin
 
-    def step_operator(self, multiplier, cast=None) -> NDArray[np.complex128]:
+    def step_operator(self, multiplier, cast) -> NDArray[np.complex128]:
         """Dense matrix of a diagonal frequency multiplier, acting on
-        weighted samples sqrt(w) * u, built through ``cast`` (or a cast of
-        its own) in ``_ROWS``-row blocks split over the cast's threads."""
-        with nullcontext(cast) if cast is not None else self.cast() as cast:
-            right, out = cast.kernel_t, np.empty(self.kernel.shape, dtype=complex)
-            cast.split(lambda rows: np.matmul(self.kernel[rows] * multiplier[None, :], right,
-                                              out=out[rows]), _ROWS)
+        weighted samples sqrt(w) * u, built through ``cast``, a
+        ``KernelCast`` of this transform, in ``_ROWS``-row blocks split
+        over the cast's threads."""
+        right, out = cast.kernel_t, np.empty(self.kernel.shape, dtype=complex)
+        cast.split(lambda rows: np.matmul(self.kernel[rows] * multiplier[None, :], right,
+                                          out=out[rows]), _ROWS)
         return out
 
     @contextmanager

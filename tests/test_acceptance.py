@@ -14,7 +14,6 @@ import pytest
 
 from nlslab import (
     EvolutionConfig,
-    blowup_monitor,
     bourgain_nest,
     duhamel_residual,
     energy,
@@ -300,7 +299,7 @@ def test_criterion_9_focusing_demonstration():
         dimension=3, mu=-1, dt=1e-3, snapshot_stride=10, energy_drift_tol=math.inf
     )
     foc = evolve(u0, 0.0, 1.0, foc_cfg)
-    rec = blowup_monitor(foc)
+    rec = foc.blowup
     assert rec.potential_exceeds_kinetic and rec.blowup_expected
     assert rec.flagged and foc.status == "aborted-blowup"
     assert rec.first_alarm_time is not None and rec.first_alarm_time < 1.0
@@ -312,7 +311,7 @@ def test_criterion_9_focusing_demonstration():
                         energy_drift_tol=1e-3),
     )
     assert defoc.status == "complete"
-    assert not blowup_monitor(defoc).flagged
+    assert not defoc.blowup.flagged
     ok(
         f"criterion 9 (focusing blowup): flag at t={rec.first_alarm_time:.3f} "
         "< horizon; defocusing twin silent"

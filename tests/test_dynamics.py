@@ -5,7 +5,6 @@ import pytest
 
 from nlslab import (
     EvolutionConfig,
-    blowup_monitor,
     duhamel_residual,
     evolve,
     gaussian_field,
@@ -163,10 +162,23 @@ def test_boundary_decay_warning_recorded(g3):
     assert any("not decayed" in w for w in traj.provenance["warnings"])
 
 
+def _plain_strang(u0, mu, dt, steps):
+    """``steps`` Strang steps of size dt by plain numpy: half-phase, the
+    linear step as one matrix (K * phases) @ K^T, half-phase."""
+    tr = get_transform(u0.grid)
+    k, sw, p = tr.frequencies, tr.sqrt_weights, 4.0 / (u0.grid.dimension - 2)
+    linear = (tr.kernel * np.exp(-1j * k**2 * dt)) @ tr.kernel.T
+    u = u0.values.astype(complex)
+    for _ in range(steps):
+        u = np.exp(-0.5j * mu * dt * np.abs(u) ** p) * u
+        u = linear @ (sw * u) / sw
+        u = np.exp(-0.5j * mu * dt * np.abs(u) ** p) * u
+    return u
+
+
 # mu = +1 steps through the dense step operator, mu = -1 through the
-# per-step gradient watch; the reference is neither: half-phase, the linear
-# step as one plain numpy matrix, half-phase.  The n = 5 cases keep their
-# first ids; n = 4 takes the exponent p = 2
+# per-step gradient watch; the reference, ``_plain_strang``, is neither.
+# The n = 5 cases keep their first ids; n = 4 takes the exponent p = 2
 @pytest.mark.parametrize("n,mu,n_points", [
     pytest.param(5, 1, 300, id="1-300"),
     pytest.param(5, -1, 400, id="-1-400"),
@@ -179,16 +191,26 @@ def test_n5_evolution_matches_a_plain_numpy_strang_loop(n, mu, n_points):
     cfg = EvolutionConfig(dimension=n, mu=mu, dt=1e-3, snapshot_stride=10**6)
     traj = evolve(u0, 0.0, 0.3, cfg)
     assert traj.status == "complete"
-
-    tr = get_transform(grid)
-    k, sw, p, dt = tr.frequencies, tr.sqrt_weights, 4.0 / (n - 2), 1e-3
-    linear = (tr.kernel * np.exp(-1j * k**2 * dt)) @ tr.kernel.T
-    u = u0.values.astype(complex)
-    for _ in range(300):
-        u = np.exp(-0.5j * mu * dt * np.abs(u) ** p) * u
-        u = linear @ (sw * u) / sw
-        u = np.exp(-0.5j * mu * dt * np.abs(u) ** p) * u
+    u = _plain_strang(u0, mu, 1e-3, 300)
     assert np.linalg.norm(traj.values[-1] - u) <= 1e-11 * np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+def test_n5_strang_order_against_a_plain_numpy_reference(mu):
+    # second order in dt (Lubich, Math. Comp. 77 (2008) 2141) for both
+    # stepping branches, against the plain-numpy loop at dt/8
+    grid = make_spectral_grid(5, 300, 32.0)
+    u0 = gaussian_field(grid, 0.8, 1.2)
+    T, dts = 0.2, (0.02, 0.01, 0.005)
+    ref = _plain_strang(u0, mu, dts[-1] / 8, round(8 * T / dts[-1]))
+    errs = []
+    for dt in dts:
+        cfg = EvolutionConfig(dimension=5, mu=mu, dt=dt, snapshot_stride=10**6)
+        traj = evolve(u0, 0.0, T, cfg)
+        assert traj.status == "complete"
+        errs.append(np.linalg.norm(traj.values[-1] - ref))
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    assert all(1.8 <= q <= 2.2 for q in orders), orders
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -241,24 +263,13 @@ def test_duhamel_rejects_non_snapshot_time(traj_defocusing):
 
 
 def test_defocusing_no_flag(traj_defocusing):
-    rec = blowup_monitor(traj_defocusing)
+    rec = traj_defocusing.blowup
     assert not rec.flagged
     assert not rec.blowup_expected
 
 
 def test_free_run_no_flag(traj_free):
-    assert not blowup_monitor(traj_free).flagged
-
-
-def test_blowup_monitor_transforms_nothing(traj_defocusing, monkeypatch):
-    from nlslab.transform import SpectralTransform
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("blowup_monitor must reuse the kinetic series")
-
-    monkeypatch.setattr(SpectralTransform, "forward", refuse)
-    rec = blowup_monitor(traj_defocusing)
-    assert len(rec.gradient_history) == traj_defocusing.times.size
+    assert not traj_free.blowup.flagged
 
 
 @pytest.mark.parametrize("name", ["traj_defocusing", "traj_free"])
@@ -266,7 +277,7 @@ def test_gradient_history_is_the_spectral_gradient_norm(name, request):
     # sqrt(2 * kinetic) carries the bits of the spectral H^1 seminorm
     traj = request.getfixturevalue(name)
     tr = get_transform(traj.grid)
-    for i, grad in enumerate(blowup_monitor(traj).gradient_history):
+    for i, grad in enumerate(traj.blowup.gradient_history):
         b = tr.forward(traj.field(i))
         assert grad == math.sqrt(np.sum(tr.frequencies**2 * np.abs(b) ** 2))
 
@@ -281,7 +292,7 @@ def test_focusing_glassey_blowup():
         dimension=3, mu=-1, dt=1e-3, snapshot_stride=10, energy_drift_tol=math.inf
     )
     traj = evolve(u0, 0.0, 1.0, cfg)
-    rec = blowup_monitor(traj)
+    rec = traj.blowup
     assert rec.potential_exceeds_kinetic
     assert rec.blowup_expected
     assert rec.flagged
@@ -294,6 +305,6 @@ def test_focusing_small_data_no_flag():
     u0 = gaussian_field(g, amplitude=0.3)
     cfg = EvolutionConfig(dimension=3, mu=-1, dt=1e-3, snapshot_stride=10)
     traj = evolve(u0, 0.0, 0.5, cfg)
-    rec = blowup_monitor(traj)
+    rec = traj.blowup
     assert not rec.potential_exceeds_kinetic
     assert not rec.flagged

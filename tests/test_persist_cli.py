@@ -6,6 +6,7 @@ import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,14 @@ from nlslab.persist import (
     write_json,
 )
 from nlslab.propagator import get_propagator
-from nlslab.scenario import ScenarioError, normalize_scenario, run_scenario, verify_report
+from nlslab.scenario import (
+    MAX_POINTS,
+    ScenarioError,
+    normalize_scenario,
+    run_scenario,
+    verify_report,
+)
+from nlslab import scenario as scenario_module
 from nlslab import transform
 from nlslab.transform import _table_slot, _transform_slot, bessel_table, get_transform
 
@@ -652,6 +660,13 @@ def test_cli_missing_config(tmp_path):
 
 
 def test_cli_blowup_exit_code(tmp_path):
+    cfg_path = write_config(tmp_path, _blowup_scenario())
+    out = tmp_path / "blow"
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
+    assert code == EXIT_RUNTIME_ALARM
+
+
+def _blowup_scenario():
     scenario = json.loads(json.dumps(SMALL_SCENARIO))
     scenario["scenario_id"] = "test-blowup"
     scenario["mu"] = -1
@@ -660,10 +675,44 @@ def test_cli_blowup_exit_code(tmp_path):
     scenario["time"]["t_plus"] = 0.5
     scenario["evolution"] = {"energy_drift_alarm": 1e30, "blowup_grad_factor": 10.0}
     scenario["analysis"]["certify_resolution"] = False
+    return scenario
+
+
+@pytest.mark.parametrize("scenario,code", [
+    pytest.param(_blowup_scenario(), EXIT_RUNTIME_ALARM, id="aborted-blowup"),
+    pytest.param(SMALL_SCENARIO, EXIT_OK, id="complete"),
+])
+def test_report_blowup_block_is_the_stored_record(tmp_path, scenario, code):
+    # analyze without a store writes both from the evolution; analyze of a
+    # store reports the record that it loads
     cfg_path = write_config(tmp_path, scenario)
-    out = tmp_path / "blow"
-    code = main(["simulate", "--config", str(cfg_path), "--out", str(out)])
-    assert code == EXIT_RUNTIME_ALARM
+    fresh, stored = tmp_path / "fresh", tmp_path / "stored"
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(fresh)]) == code
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(stored)]) == code
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(stored)]) == code
+    for out in (fresh, stored):
+        block = read_json(out / "report.json")["blowup"]
+        assert canonical_json(block) == canonical_json(
+            read_json(out / "trajectory" / "metadata.json")["blowup"])
+    assert block["flagged"] == (code == EXIT_RUNTIME_ALARM)
+
+
+@pytest.mark.parametrize("n_points", [MAX_POINTS + 1, 2**40])
+def test_cli_rejects_a_grid_over_the_memory_budget(tmp_path, capsys, monkeypatch, n_points):
+    def refuse(*args):
+        raise AssertionError("an over-budget grid must not be built")
+
+    monkeypatch.setattr(scenario_module, "make_spectral_grid", refuse)
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    out = tmp_path / "run"
+    started = time.perf_counter()
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 "--override", f"grid.n_points={n_points}"])
+    assert time.perf_counter() - started < 0.2
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "grid.n_points" in err and "GB" in err and str(MAX_POINTS) in err
+    assert not out.exists()
 
 
 def test_cli_corrupted_snapshot_fails_verify(tmp_path):

@@ -63,7 +63,7 @@ def test_dense_application_matches_full_cast_products(n, n_points):
         for cast in (None, kernel_cast):
             assert np.array_equal(tr.coefficients(x, cast), tr.kernel.T @ (sw * x))
             assert np.array_equal(tr.backward(x, cast), (tr.kernel @ x) / sw)
-            assert np.array_equal(tr.step_operator(phases, cast), step)
+        assert np.array_equal(tr.step_operator(phases, kernel_cast), step)
 
 
 @pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1000)])
@@ -172,6 +172,29 @@ def test_n3_kernel_is_the_closed_form_dst1(monkeypatch, n_points, r_max):
     assert np.abs(q - _polar_factor(sampled)).max() < 1e-13
     deriv = -k[None, :] * special.jv(nu + 1, phase) / r[:, None] ** nu / mode_norm[None, :]
     assert np.abs(tr.deriv_matrix - deriv).max() < 1e-13 * np.abs(deriv).max()
+
+
+def _fft_dst1(x):
+    """The orthonormal DST-I of the last axis of ``x`` by numpy's FFT of
+    the odd extension [0, x, 0, -x reversed]: an oracle independent of the
+    transform's kernel build and products."""
+    n = x.shape[-1]
+    zero = np.zeros(x.shape[:-1] + (1,))
+    odd = np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1)
+    return 0.5j * np.fft.fft(odd)[..., 1:n + 1] * math.sqrt(2.0 / (n + 1))
+
+
+@pytest.mark.parametrize("n_points", [16, 255, 256, 1000, 1024])
+def test_n3_kernel_matches_the_fft_dst1(n_points):
+    """N + 1 prime (256), a power of two (255) and neither; one row and a
+    stack of rows."""
+    kernel = get_transform(make_spectral_grid(3, n_points, 32.0)).kernel
+    rng = np.random.default_rng(n_points)
+    stack = rng.standard_normal((4, n_points)) + 1j * rng.standard_normal((4, n_points))
+    for x in (stack[0], stack):
+        want = _fft_dst1(x)
+        err = np.linalg.norm(x @ kernel.T - want, axis=-1) / np.linalg.norm(want, axis=-1)
+        assert np.all(err <= 1e-13)
 
 
 def test_caches_are_bounded():
