@@ -11,7 +11,8 @@ Subcommands::
     export-plots  re-emit the CSV series from an existing report
 
 Exit codes: 0 all-pass, 1 verification failures, 2 configuration error,
-unresolvable grid or uncertified span, 3 runtime alarm (blowup or energy
+unresolvable grid, uncertified span, or a trajectory store of another format
+version or a damaged snapshot array, 3 runtime alarm (blowup or energy
 drift), 4 internal error (an unexpected exception, reported on stderr).
 
 ``sweep`` runs each scenario, outputs included, as one task of
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import workers
 from .grid import UnresolvedGridError
-from .persist import load_trajectory, read_json, save_trajectory, write_csv, write_json
+from .persist import StoreError, load_trajectory, read_json, save_trajectory, write_csv, write_json
 from .propagator import TimeRangeError
 from .scenario import (
     RunResult,
@@ -274,7 +275,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"configuration error: {violation}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (FileNotFoundError, UnresolvedGridError, TimeRangeError) as exc:
+    except (FileNotFoundError, UnresolvedGridError, TimeRangeError, StoreError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except json.JSONDecodeError as exc:

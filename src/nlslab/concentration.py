@@ -245,7 +245,9 @@ _LADDER_RATIO = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class BubbleReport:
-    interval_index: int
+    """An entry of the report's ``bubbles`` list: its keys, in order."""
+
+    interval: int
     witness_time: float       # snapshot time attaining the minimal localized mass
     radius: float
     inverse_scale: float      # N = 1/R
@@ -292,7 +294,7 @@ def find_bubble(
         m_min = masses[k]
         if m_min >= threshold:
             return BubbleReport(
-                interval_index=j,
+                interval=j,
                 witness_time=float(traj.times[sel[k]]),
                 radius=float(radius),
                 inverse_scale=1.0 / float(radius),

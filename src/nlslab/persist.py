@@ -4,10 +4,10 @@ Layout of a trajectory store::
 
     <dir>/metadata.json        grid spec, evolution config, snapshot times,
                                status and conserved-quantity series
-    <dir>/snapshot_000000.bin  one snapshot as numpy ``<c16`` bytes: little-
-                               endian float64 (re, im) pairs, index
-                               zero-padded to 6; bit-exact on round-trip,
-                               signed zeros included
+    <dir>/snapshots.bin        the (S, N) snapshots, one row per time, as
+                               row-major numpy ``<c16`` bytes (little-endian
+                               float64 (re, im) pairs); bit-exact on
+                               round-trip, signed zeros included
     <dir>/kernel.bin           n != 3 only (``SpectralTransform.factor``):
                                the N x N polar factor that the evolution
                                used, ``<f8`` bytes in row-major order (8 MB
@@ -39,7 +39,13 @@ from .dynamics import BlowupRecord, EvolutionConfig, Trajectory
 from .grid import RadialGrid
 from .transform import bessel_table, get_transform, make_spectral_grid
 
+# perfbench/reference.json pins format_version 1, so the one-array store keeps
+# it; a store of per-row snapshot files has no snapshots.bin, so it fails to load
 FORMAT_VERSION = 1
+
+
+class StoreError(ValueError):
+    """A trajectory store of another format version, or a bad snapshots.bin."""
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +77,6 @@ def decode_snapshot(blob: bytes) -> np.ndarray:
     if len(blob) % 16:
         raise ValueError("corrupt snapshot: not a whole number of complex samples")
     return np.frombuffer(blob, dtype="<c16")
-
-
-def snapshot_filename(index: int) -> str:
-    return f"snapshot_{index:06d}.bin"
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +117,7 @@ def save_trajectory(traj: Trajectory, directory) -> Path:
         "provenance": traj.provenance,
     }
     write_json(directory / "metadata.json", meta)
-    written = {directory / snapshot_filename(i) for i in range(len(traj.values))}
-    for path in set(directory.glob("snapshot_*.bin")) - written:
-        path.unlink()                # left by an earlier, longer run
-    for i, row in enumerate(traj.values):
-        (directory / snapshot_filename(i)).write_bytes(encode_snapshot(row))
+    np.asarray(traj.values, dtype="<c16").tofile(directory / "snapshots.bin")
     table = bessel_table(3, g.n_points) if g.dimension == 3 else None
     for name, array in (("bessel.bin", table), ("kernel.bin", get_transform(g).factor)):
         if array is None:        # a stale copy, from a store of another grid
@@ -133,22 +131,25 @@ def load_trajectory(directory) -> Trajectory:
     directory = Path(directory)
     meta = read_json(directory / "metadata.json")
     if meta.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported trajectory format {meta.get('format_version')}")
+        raise StoreError(f"trajectory store {directory} has format version "
+                         f"{meta.get('format_version')!r}, not {FORMAT_VERSION}; re-run simulate")
+    # checked before any grid or kernel is built
+    times = np.asarray(meta["times"], dtype=float)
+    n_points = int(meta["grid"]["n_points"])
+    snapshots = directory / "snapshots.bin"
+    values = np.fromfile(snapshots, dtype="<c16") if snapshots.is_file() else np.empty(0)
+    if values.size != times.size * n_points:
+        raise StoreError(f"trajectory store {directory} holds {values.size} snapshot samples "
+                         f"in snapshots.bin, not {times.size} x {n_points}; re-run simulate")
+    values = values.reshape(times.size, n_points)
     table = directory / "bessel.bin"
     if meta["grid"]["dimension"] == 3 and table.is_file():
         # adopted, once certified, before the grid is built from it
-        bessel_table(3, int(meta["grid"]["n_points"]), np.fromfile(table, dtype="<f8"))
+        bessel_table(3, n_points, np.fromfile(table, dtype="<f8"))
     grid = grid_from_spec(meta["grid"])
     kernel = directory / "kernel.bin"
     get_transform(grid, np.fromfile(kernel, dtype="<f8") if kernel.is_file() else np.empty(0))
     cfg = EvolutionConfig(**meta["config"])
-    times = np.asarray(meta["times"], dtype=float)
-    values = np.empty((times.size, grid.n_points), dtype=complex)
-    for i in range(times.size):
-        vals = decode_snapshot((directory / snapshot_filename(i)).read_bytes())
-        if vals.size != grid.n_points:
-            raise ValueError(f"snapshot {i} has {vals.size} samples, grid has {grid.n_points}")
-        values[i] = vals
     blow = None
     if meta["blowup"] is not None:
         b = meta["blowup"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +183,12 @@ def normalize_scenario(raw: dict) -> dict:
             bad.append(f"analysis.admissible_pairs must list admissible [q, r] pairs: {exc}")
     if bad:
         raise ScenarioError(bad)
+    # the rows of evolve's array: the initial state, one per stride, the last
+    steps = (float(t["t_plus"]) - float(t["t_minus"])) / float(t["dt"])
+    rows = 2 + (max(1, round(steps)) - 1) // t["snapshot_stride"] if steps < math.inf else 3
+    if rows < 3:
+        raise ScenarioError([f"time span records {rows} snapshots at dt {t['dt']!r} and stride "
+                             f"{t['snapshot_stride']!r}; the analysis needs at least 3"])
     return s
 
 
@@ -466,35 +472,21 @@ def _concentration_block(s, traj):
         k: (list(v) if isinstance(v, tuple) else v)
         for k, v in conc.window_statistics(decomp).items()
     }
-    comparisons = []
+    comparisons, bubbles = [], []
     for j in decomp.non_tail_indices():
         try:
             cmp_rep = conc.linear_flow_check(traj, decomp.interval(j), eta)
-            comparisons.append(
-                {
-                    "interval": j,
-                    "nonlinear_mass": cmp_rep.nonlinear_mass,
-                    "linear_masses": list(cmp_rep.linear_masses),
-                    "ratios": list(cmp_rep.ratios),
-                }
-            )
+            comparisons.append({**asdict(cmp_rep), "interval": j})  # its index, not its ends
         except ValueError as exc:
             comparisons.append({"interval": j, "error": str(exc)})
-    block["flow_comparisons"] = comparisons
-    bubbles = []
-    for j in decomp.non_tail_indices():
-        rep = conc.find_bubble(traj, decomp, j, float(a["bubble_fraction"]))
+        try:
+            rep = conc.find_bubble(traj, decomp, j, float(a["bubble_fraction"]))
+        except ValueError as exc:
+            bubbles.append({"interval": j, "error": str(exc)})
+            continue
         if rep is not None:
-            bubbles.append(
-                {
-                    "interval": rep.interval_index,
-                    "witness_time": rep.witness_time,
-                    "radius": rep.radius,
-                    "inverse_scale": rep.inverse_scale,
-                    "attained_mass": rep.attained_mass,
-                    "threshold": rep.threshold,
-                }
-            )
+            bubbles.append(asdict(rep))
+    block["flow_comparisons"] = comparisons
     block["bubbles"] = bubbles
     nest = conc.bourgain_nest(decomp, half_factor=float(a["nest_half_factor"]))
     if nest is None:
@@ -703,6 +695,8 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
                        nest["violations"], [], "dyadic decay and closeness")
             )
         for b in conc_block.get("bubbles", []):
+            if "error" in b:         # no search ran on that interval
+                continue
             checks.append(
                 _check(f"bubble(interval={b['interval']})",
                        b["radius"] > 0 and b["attained_mass"] >= b["threshold"],

@@ -29,7 +29,6 @@ from nlslab.persist import (
     load_trajectory,
     read_json,
     save_trajectory,
-    snapshot_filename,
     write_json,
 )
 from nlslab.propagator import get_propagator
@@ -110,11 +109,6 @@ def test_snapshot_codec_keeps_signed_zeros():
     assert encode_snapshot(decode_snapshot(blob)) == blob
 
 
-def test_snapshot_filename_padding():
-    assert snapshot_filename(7) == "snapshot_000007.bin"
-    assert snapshot_filename(123456) == "snapshot_123456.bin"
-
-
 # ---------------------------------------------------------------------------
 # trajectory store
 
@@ -134,11 +128,8 @@ def test_trajectory_roundtrip_bit_exact(tmp_path):
     # a second save is byte-identical
     store2 = tmp_path / "store2"
     save_trajectory(back, store2)
-    assert (store / "metadata.json").read_bytes() == (store2 / "metadata.json").read_bytes()
-    for i in range(len(traj.times)):
-        assert (store / snapshot_filename(i)).read_bytes() == (
-            store2 / snapshot_filename(i)
-        ).read_bytes()
+    for name in ("metadata.json", "snapshots.bin"):
+        assert (store / name).read_bytes() == (store2 / name).read_bytes()
 
 
 def test_store_carries_the_kernel_bit_equal(tmp_path):
@@ -415,15 +406,77 @@ def test_bessel_table_cache_is_bounded():
 
 def test_save_removes_snapshots_of_a_longer_run(tmp_path):
     """Re-simulating into a store at a coarser stride leaves exactly the
-    files of a fresh store."""
+    files of a fresh store, and loads the shorter run's rows."""
     free = str(Path(__file__).resolve().parents[1] / "scenarios" / "free-n3.json")
     args = ["--config", free, "--override", "grid.n_points=64", "--override", "grid.r_max=16"]
     for stride, out in ((1, "reused"), (10, "reused"), (10, "fresh")):
         assert main(["simulate", *args, "--override", f"time.snapshot_stride={stride}",
                      "--out", str(tmp_path / out)]) == EXIT_OK
     reused, fresh = _files(tmp_path / "reused"), _files(tmp_path / "fresh")
-    assert len(fresh) == 104                     # 101 snapshots, metadata, table, scenario
     assert reused == fresh
+    back = load_trajectory(tmp_path / "reused" / "trajectory")
+    assert back.values.shape == (101, 64)          # not the 1,001 rows of stride 1
+    assert np.array_equal(back.values, load_trajectory(tmp_path / "fresh" / "trajectory").values)
+
+
+@pytest.mark.parametrize("scenario,extra", [
+    (SMALL_SCENARIO, "bessel.bin"),
+    (SMALL_SCENARIO_N5, "kernel.bin"),
+], ids=["n3", "n5"])
+def test_store_holds_one_snapshot_array(tmp_path, scenario, extra):
+    """A store is its metadata, one (S, N) snapshot array and the grid's
+    table (n = 3) or kernel (n != 3), however many snapshots it holds."""
+    cfg_path = write_config(tmp_path, scenario)
+    store = tmp_path / "run" / "trajectory"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert sorted(p.name for p in store.iterdir()) == sorted(
+        ["metadata.json", "snapshots.bin", extra])
+    n_points = scenario["grid"]["n_points"]
+    rows = len(read_json(store / "metadata.json")["times"])
+    assert (store / "snapshots.bin").stat().st_size == rows * n_points * 16
+
+
+def _truncate_snapshots(store):
+    path = store / "snapshots.bin"
+    path.write_bytes(path.read_bytes()[:-16])
+
+
+def _per_row_files(store):
+    # the layout of a store written one file per snapshot row
+    rows = np.fromfile(store / "snapshots.bin", dtype="<c16").reshape(26, 192)
+    (store / "snapshots.bin").unlink()
+    for i, row in enumerate(rows):
+        (store / f"snapshot_{i:06d}.bin").write_bytes(encode_snapshot(row))
+
+
+def _format_version_2(store):
+    meta = read_json(store / "metadata.json")
+    meta["format_version"] = 2
+    write_json(store / "metadata.json", meta)
+
+
+@pytest.mark.parametrize("damage,message", [
+    (_truncate_snapshots, "holds 4991 snapshot samples in snapshots.bin, not 26 x 192"),
+    (_per_row_files, "holds 0 snapshot samples in snapshots.bin, not 26 x 192"),
+    (_format_version_2, "has format version 2, not 1"),
+], ids=["truncated", "per-row-files", "format-2"])
+def test_unreadable_store_exits_2_and_writes_nothing(tmp_path, capsys, damage, message):
+    """analyze and verify of a store of another format version or layout,
+    or of a snapshot array of the wrong size, exit 2 with a message that
+    names the store and says to re-run simulate, and write nothing."""
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    damage(out / "trajectory")
+    before = _files(out)
+    capsys.readouterr()
+    for args in (["analyze", "--config", str(cfg_path)], ["verify"]):
+        assert main([*args, "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: trajectory store {out / 'trajectory'} "
+                       f"{message}; re-run simulate\n")
+    assert _files(out) == before
 
 
 def _cli(threads, *args):
@@ -715,16 +768,51 @@ def test_cli_rejects_a_grid_over_the_memory_budget(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_cli_rejects_a_span_of_fewer_than_three_snapshots(tmp_path, capsys, monkeypatch):
+    """Ten steps at stride 10 record two snapshots, and the analysis takes
+    time derivatives over three: the span exits 2 before a grid is built."""
+    def refuse(*args):
+        raise AssertionError("a span of two snapshots must not build a grid")
+
+    monkeypatch.setattr(scenario_module, "make_spectral_grid", refuse)
+    out = tmp_path / "run"
+    started = time.perf_counter()
+    code = main(["analyze", "--config", REFERENCE_CONFIG, "--out", str(out),
+                 "--override", "grid.n_points=256", "--override", "time.t_plus=0.01"])
+    assert time.perf_counter() - started < 0.2
+    assert code == EXIT_CONFIG_ERROR
+    assert "time span records 2 snapshots" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_interval_without_a_snapshot_is_an_error_entry(tmp_path):
+    """A greedy interval that falls between two snapshots gets an error
+    entry in ``bubbles``, as in ``flow_comparisons``; neither analyze nor
+    verify crashes on it, and verify checks no bubble there."""
+    doc = {"dimension": 12, "mu": 0, "grid": {"n_points": 64, "r_max": 8.0},
+           "time": {"t_minus": -0.5, "t_plus": -0.2, "dt": 0.005, "snapshot_stride": 2},
+           "initial_data": {"family": "ring", "amplitude": 1.0, "width": 5.0, "center": 0.1},
+           "analysis": {"c1": 10.0, "morawetz_eps": [10.0], "certify_resolution": False}}
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    bubbles = read_json(out / "report.json")["concentration"]["bubbles"]
+    assert {"interval": 8, "error": "interval contains no snapshot"} in bubbles
+    assert main(["verify", "--out", str(out)]) in (EXIT_OK, EXIT_VERIFY_FAILED)
+    names = [c["check"] for c in read_json(out / "verification.json")["checks"]]
+    assert "bubble(interval=8)" not in names and "bubble(interval=7)" in names
+
 def test_cli_corrupted_snapshot_fails_verify(tmp_path):
     cfg_path = write_config(tmp_path, SMALL_SCENARIO_N5)
     out = tmp_path / "tamper"
     assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
     assert (out / "trajectory" / "kernel.bin").is_file()
-    # inject mass into one stored snapshot
-    victim = out / "trajectory" / snapshot_filename(3)
-    vals = decode_snapshot(victim.read_bytes())
-    vals = vals + 0.05
-    victim.write_bytes(encode_snapshot(vals))
+    # inject mass into one stored snapshot, row 3 of the array
+    victim = out / "trajectory" / "snapshots.bin"
+    n_points = SMALL_SCENARIO_N5["grid"]["n_points"]
+    vals = np.fromfile(victim, dtype="<c16").reshape(-1, n_points)
+    vals[3] += 0.05
+    vals.tofile(victim)
     assert main(["verify", "--out", str(out)]) == EXIT_VERIFY_FAILED
     checks = read_json(out / "verification.json")["checks"]
     mass_check = next(c for c in checks if c["check"] == "mass_conservation")
@@ -743,7 +831,7 @@ def test_cli_file_initial_data_is_read_bit_exact(tmp_path):
     cfg_path = write_config(tmp_path, scenario)
     out = tmp_path / "file"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
-    assert (out / "trajectory" / snapshot_filename(0)).read_bytes() == blob
+    assert (out / "trajectory" / "snapshots.bin").read_bytes()[:len(blob)] == blob
 
 
 def test_cli_import_leaves_interpolation_unloaded():
