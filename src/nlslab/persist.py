@@ -36,7 +36,6 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import BlowupRecord, EvolutionConfig, Trajectory
-from .grid import RadialGrid
 from .transform import bessel_table, get_transform, make_spectral_grid
 
 # perfbench/reference.json pins format_version 1, so the one-array store keeps
@@ -81,12 +80,6 @@ def decode_snapshot(blob: bytes) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # trajectory store
-
-
-def grid_from_spec(spec: dict) -> RadialGrid:
-    if spec["kind"] != "bessel":
-        raise ValueError(f"unsupported stored grid kind {spec['kind']!r}")
-    return make_spectral_grid(int(spec["dimension"]), int(spec["n_points"]), float(spec["r_max"]))
 
 
 def blowup_dict(b: BlowupRecord | None) -> dict | None:
@@ -134,8 +127,12 @@ def load_trajectory(directory) -> Trajectory:
         raise StoreError(f"trajectory store {directory} has format version "
                          f"{meta.get('format_version')!r}, not {FORMAT_VERSION}; re-run simulate")
     # checked before any grid or kernel is built
+    spec = meta["grid"]
+    if spec["kind"] != "bessel":
+        raise StoreError(f"trajectory store {directory} has grid kind {spec['kind']!r}, "
+                         "not 'bessel'; re-run simulate")
     times = np.asarray(meta["times"], dtype=float)
-    n_points = int(meta["grid"]["n_points"])
+    n_points = int(spec["n_points"])
     snapshots = directory / "snapshots.bin"
     values = np.fromfile(snapshots, dtype="<c16") if snapshots.is_file() else np.empty(0)
     if values.size != times.size * n_points:
@@ -143,10 +140,10 @@ def load_trajectory(directory) -> Trajectory:
                          f"in snapshots.bin, not {times.size} x {n_points}; re-run simulate")
     values = values.reshape(times.size, n_points)
     table = directory / "bessel.bin"
-    if meta["grid"]["dimension"] == 3 and table.is_file():
+    if spec["dimension"] == 3 and table.is_file():
         # adopted, once certified, before the grid is built from it
         bessel_table(3, n_points, np.fromfile(table, dtype="<f8"))
-    grid = grid_from_spec(meta["grid"])
+    grid = make_spectral_grid(int(spec["dimension"]), n_points, float(spec["r_max"]))
     kernel = directory / "kernel.bin"
     get_transform(grid, np.fromfile(kernel, dtype="<f8") if kernel.is_file() else np.empty(0))
     cfg = EvolutionConfig(**meta["config"])

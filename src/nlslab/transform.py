@@ -23,16 +23,18 @@ coefficients, one row (N,) or a stack (S, N) such as
 ``Trajectory.coefficients``, which every diagnostic of a trajectory
 reads.  The kernel is real and the fields are complex, and ``real_matrix
 @ complex_vector`` would cast the whole kernel to complex on every call
-(16 MB at N = 1024).  ``_matvec`` casts it ``_ROWS`` rows at a time, once
-per call, and runs one zgemv per row of a stack: numpy's cast-then-zgemv
-arithmetic, bit for bit, so a row of a stack has the bits of a single-row
-call.  A ``KernelCast`` (``SpectralTransform.cast()``) holds one full
-cast of each kernel for all the one-row products of an evolution, with
-the same bits, and splits their rows over threads.  One real GEMM on the
-float view, or one zgemm over a stack, would be faster but rounds
-differently (a zgemm moved the last bits of about 98% of a stack's
-coefficients), and the pinned reports sit on an exact tie of the greedy
-interval subdivision that one ulp can flip.
+(16 MB at N = 1024).  An n = 3 kernel is one complex array, whose real
+view is ``kernel``, and every product reads its rows; nothing casts it.
+Elsewhere ``_matvec`` casts the kernel ``_ROWS`` rows at a time, once per
+call, and a ``KernelCast`` (``SpectralTransform.cast()``) holds one full
+cast of each kernel for all the one-row products of an evolution and
+splits their rows over threads.  Each runs one zgemv per row of a stack:
+numpy's cast-then-zgemv arithmetic, bit for bit, so a row of a stack has
+the bits of a single-row call.  One real GEMM on the float view, or one
+zgemm over a stack, would be faster but rounds differently (a zgemm moved
+the last bits of about 98% of a stack's coefficients), and the pinned
+reports sit on an exact tie of the greedy interval subdivision that one
+ulp can flip.
 
 In three dimensions nu = 1/2, J_{1/2}(x) is proportional to sin(x)/sqrt(x),
 the zeros are j_m = m pi, and the nodes r_i = i R / (N+1) are uniform.
@@ -43,11 +45,12 @@ transform therefore takes its kernel from this closed form, with the
 angle i m reduced modulo 2(N+1) in integers so that only one rounding
 enters: no Bessel sampling, no SVD and nothing that depends on the BLAS
 thread count.  The matrix is exactly symmetric, so ``kernel_t`` is the
-same array.  An FFT (``scipy.fft.dst(type=1)``) would apply it in
-O(N log N), but N + 1 = 257 is prime at N = 256: there it took 87-167 us
-per complex row against 79-89 us for the dense product (three runs on a
-2-core x86_64 box, one BLAS thread), and it rounds differently from the
-dense product.
+same array, and its complex form serves both orientations: with a step
+operator, the dense n = 3 path holds 32 N^2 bytes.  An FFT
+(``scipy.fft.dst(type=1)``) would apply it in O(N log N), but N + 1 = 257
+is prime at N = 256: there it took 87-167 us per complex row against
+79-89 us for the dense product (three runs on a 2-core x86_64 box, one
+BLAS thread), and it rounds differently from the dense product.
 
 In other dimensions the polar factor comes from an SVD.  Where LAPACK's
 SVD does not converge, Newton-Schulz iterations X <- X (3I - X^T X) / 2
@@ -187,11 +190,14 @@ class SpectralTransform:
     grid: RadialGrid
     frequencies: NDArray[np.float64]
     kernel: NDArray[np.float64]        # orthogonal: columns = weighted modes
-    kernel_t: NDArray[np.float64]      # kernel.T, C-contiguous
+    kernel_t: NDArray[np.float64]      # kernel.T, C-contiguous except at n = 3
     sqrt_weights: NDArray[np.float64]
     # the computed polar factor (``kernel`` itself), which a trajectory
     # store carries; None where the kernel has a closed form (n = 3)
     factor: NDArray[np.float64] | None
+    # n = 3: the kernel as complex (``kernel`` is its real view), which
+    # every product reads; None where products cast ``kernel``
+    complex_kernel: NDArray[np.complex128] | None
 
     @cached_property
     def deriv_matrix(self) -> NDArray[np.float64]:
@@ -200,11 +206,15 @@ class SpectralTransform:
         k, r = self.frequencies, self.grid.nodes
         if self.grid.dimension == 3:
             # d/dr [sin(k r)/r] = (k cos(k r) - sin(k r)/r)/r, and the
-            # weighted mode is sqrt(w) times the normalized one
+            # weighted mode is sqrt(w) times the normalized one; built in
+            # place, with the bits of that expression
             n = self.grid.n_points
-            theta = _dst1_angles(n)
-            dphi = k[None, :] * np.cos(theta) - np.sin(theta) / r[:, None]
-            return math.sqrt(2.0 / (n + 1)) * dphi / self.sqrt_weights[:, None]
+            theta = _dst1_angles(n, np.empty((n, n)))
+            dphi = np.cos(theta)
+            dphi *= k[None, :]
+            dphi -= np.divide(np.sin(theta, out=theta), r[:, None], out=theta)
+            dphi *= math.sqrt(2.0 / (n + 1))
+            return np.divide(dphi, self.sqrt_weights[:, None], out=dphi)
         from scipy import special
         nu, _, mode_norm = _modes(self.grid)
         # d/dr [J_nu(k r)/r^nu] = -k J_{nu+1}(k r)/r^nu
@@ -221,12 +231,14 @@ class SpectralTransform:
         """Mode coefficients of node samples; of one row through ``cast``,
         a ``KernelCast`` of this transform, where given."""
         x = self.sqrt_weights * values
-        return _matvec(self.kernel_t, x) if cast is None else cast.product(cast.kernel_t, x)
+        return (_matvec(self._complex(self.kernel_t), x) if cast is None
+                else cast.product(cast.kernel_t, x))
 
     def backward(self, coeffs, cast=None) -> NDArray[np.complex128]:
         """Node samples from mode coefficients; of one row through
         ``cast`` where given."""
-        out = _matvec(self.kernel, coeffs) if cast is None else cast.product(cast.kernel, coeffs)
+        out = (_matvec(self._complex(self.kernel), coeffs) if cast is None
+               else cast.product(cast.kernel, coeffs))
         out /= self.sqrt_weights
         return out
 
@@ -254,6 +266,10 @@ class SpectralTransform:
                                           out=out[rows]), _ROWS)
         return out
 
+    def _complex(self, real):
+        """The complex n = 3 kernel, or ``real`` (a kernel) to be cast."""
+        return real if self.complex_kernel is None else self.complex_kernel
+
     @contextmanager
     def cast(self):
         """Yield a ``KernelCast`` of this transform; its threads are joined
@@ -263,8 +279,8 @@ class SpectralTransform:
 
 
 class KernelCast:
-    """A transform's kernels cast to complex, each once on first use (one
-    array for n = 3, whose kernel is its own transpose), and a
+    """A transform's kernels cast to complex, each once on first use (at
+    n = 3 the transform's complex kernel, which nothing casts), and a
     ``workers.row_split`` over its rows.  ``product(mat, x)`` is ``mat @ x``
     for one complex row ``x`` and a complex ``mat``, with the bits of
     numpy's full-cast product (so of ``_matvec``): each thread computes
@@ -275,12 +291,11 @@ class KernelCast:
 
     @cached_property
     def kernel_t(self) -> NDArray[np.complex128]:
-        return self.tr.kernel_t.astype(complex)
+        return self.tr._complex(self.tr.kernel_t).astype(complex, copy=False)
 
     @cached_property
     def kernel(self) -> NDArray[np.complex128]:
-        tr = self.tr
-        return self.kernel_t if tr.kernel is tr.kernel_t else tr.kernel.astype(complex)
+        return self.tr._complex(self.tr.kernel).astype(complex, copy=False)
 
     def product(self, mat, x) -> NDArray[np.complex128]:
         out = np.empty(x.shape, dtype=complex)
@@ -294,17 +309,18 @@ class KernelCast:
 _ROWS = 64
 
 
-def _matvec(mat: NDArray[np.float64], x) -> NDArray[np.complex128]:
+def _matvec(mat: NDArray, x) -> NDArray[np.complex128]:
     """``mat @ row`` for one complex row (N,) or each row of a stack (S, N),
     with the bits of numpy's full-cast product: each C-contiguous row block
-    of ``mat`` is cast once per call, then one zgemv per row."""
+    of a real ``mat`` is cast once per call (a complex one is read as it
+    is), then one zgemv per row."""
     x = np.ascontiguousarray(x)
     out = np.empty(x.shape[:-1] + mat.shape[:1], dtype=complex)
     # row views made once, not per block (5% of a row call at N = 1024)
     pairs = list(zip(*np.atleast_2d(x, out)))
     for start in range(0, mat.shape[0], _ROWS):
         rows = slice(start, start + _ROWS)
-        block = mat[rows].astype(complex)
+        block = mat[rows].astype(complex, copy=False)
         for row, dest in pairs:
             np.matmul(block, row, out=dest[rows])
         # released before the next cast: holding two blocks slows a
@@ -376,12 +392,14 @@ def _minus_identity(a: NDArray[np.float64]) -> NDArray[np.float64]:
     return a
 
 
-def _dst1_angles(n: int) -> NDArray[np.float64]:
+def _dst1_angles(n: int, out: NDArray[np.float64]) -> NDArray[np.float64]:
     """The angles pi (i m mod 2(N+1)) / (N+1), i, m = 1..N, of the DST-I of
-    size N: k_m r_i on a three-dimensional grid, reduced exactly in
-    integers before the one rounding."""
+    size N, written into the N x N ``out``: k_m r_i on a three-dimensional
+    grid, reduced exactly in integers before the one rounding."""
     i = np.arange(1, n + 1)
-    return (np.outer(i, i) % (2 * (n + 1))) * (math.pi / (n + 1))
+    angles = np.outer(i, i)
+    angles %= 2 * (n + 1)
+    return np.multiply(angles, math.pi / (n + 1), out=out)
 
 
 def _build_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
@@ -389,10 +407,14 @@ def _build_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
     k = j / grid.r_max
     sw = np.sqrt(grid.weights)
     if grid.dimension == 3:
-        # the orthonormal DST-I, exactly symmetric; ``stored`` is not read
+        # the orthonormal DST-I, exactly symmetric, built in place in the
+        # real part of one complex array; ``stored`` is not read
         n = grid.n_points
-        kernel = math.sqrt(2.0 / (n + 1)) * np.sin(_dst1_angles(n))
-        return SpectralTransform(grid, k, kernel, kernel, sw, None)
+        dense = np.zeros((n, n), dtype=complex)
+        kernel = _dst1_angles(n, dense.real)
+        np.sin(kernel, out=kernel)
+        kernel *= math.sqrt(2.0 / (n + 1))
+        return SpectralTransform(grid, k, kernel, kernel, sw, None, dense)
     from scipy import special
     r = grid.nodes
     # the sampled modes, weighted and normalized in place: one N x N array
@@ -406,12 +428,12 @@ def _build_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
     kernel = None if stored is None else _certified(stored, sampled)
     if kernel is None:
         kernel = _polar_factor(sampled)
-    return SpectralTransform(grid, k, kernel, np.ascontiguousarray(kernel.T), sw, kernel)
+    return SpectralTransform(grid, k, kernel, np.ascontiguousarray(kernel.T), sw, kernel, None)
 
 
-# grids whose transform (two N x N arrays, 16 MB at N = 1024, one for
-# n = 3, and one more once ``deriv_matrix`` is read) and propagator stay
-# cached
+# grids whose transform (two real N x N arrays, 16 MB at N = 1024, or
+# one complex one for n = 3, and one more once ``deriv_matrix`` is read)
+# and propagator stay cached
 CACHED_GRIDS = 8
 
 

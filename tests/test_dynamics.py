@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from nlslab import (
     make_spectral_grid,
 )
 from nlslab.dynamics import _phase_rotation
-from nlslab.propagator import gaussian_free_evolution
-from nlslab.transform import get_transform
+from nlslab.propagator import gaussian_free_evolution, get_propagator
+from nlslab.transform import _ROWS, get_transform
 
 from tests.conftest import free_evolve
 
@@ -219,6 +220,25 @@ def test_free_evolution_matches_the_gaussian_closed_form(n):
     cfg = EvolutionConfig(dimension=n, mu=0, dt=1e-2, snapshot_stride=10**6)
     traj = evolve(gaussian_field(g), 0.0, 1.0, cfg)
     assert np.abs(traj.values[-1] - gaussian_free_evolution(g, 1.0).values).max() < 1e-7
+
+
+@pytest.mark.parametrize("mu", [1, -1])
+def test_n3_evolution_allocates_no_kernel_cast(g3, mu):
+    """With the transform built, an n = 3 evolution allocates its step
+    operator (one N x N complex array, dense branch only), the S x N
+    snapshot array and a few ``_ROWS``-row blocks, and no complex copy of
+    the kernel (another N x N complex array)."""
+    n = g3.n_points
+    get_propagator(g3)          # builds the transform, before the count
+    cfg = EvolutionConfig(dimension=3, mu=mu, dt=1e-3, snapshot_stride=10)
+    tracemalloc.start()
+    try:
+        traj = evolve(gaussian_field(g3), 0.0, 0.1, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    step_operator = n * n if mu != -1 else 0
+    assert peak <= 16 * (step_operator + n * (len(traj.times) + 3 * _ROWS))
 
 
 # ---------------------------------------------------------------------------

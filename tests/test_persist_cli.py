@@ -455,15 +455,23 @@ def _format_version_2(store):
     write_json(store / "metadata.json", meta)
 
 
+def _chebyshev_grid(store):
+    meta = read_json(store / "metadata.json")
+    meta["grid"]["kind"] = "chebyshev"
+    write_json(store / "metadata.json", meta)
+
+
 @pytest.mark.parametrize("damage,message", [
     (_truncate_snapshots, "holds 4991 snapshot samples in snapshots.bin, not 26 x 192"),
     (_per_row_files, "holds 0 snapshot samples in snapshots.bin, not 26 x 192"),
     (_format_version_2, "has format version 2, not 1"),
-], ids=["truncated", "per-row-files", "format-2"])
+    (_chebyshev_grid, "has grid kind 'chebyshev', not 'bessel'"),
+], ids=["truncated", "per-row-files", "format-2", "grid-kind"])
 def test_unreadable_store_exits_2_and_writes_nothing(tmp_path, capsys, damage, message):
-    """analyze and verify of a store of another format version or layout,
-    or of a snapshot array of the wrong size, exit 2 with a message that
-    names the store and says to re-run simulate, and write nothing."""
+    """analyze and verify of a store of another format version, layout or
+    grid kind, or of a snapshot array of the wrong size, exit 2 with a
+    message that names the store and says to re-run simulate, and write
+    nothing."""
     cfg_path = write_config(tmp_path, SMALL_SCENARIO)
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
@@ -801,6 +809,23 @@ def test_interval_without_a_snapshot_is_an_error_entry(tmp_path):
     assert main(["verify", "--out", str(out)]) in (EXIT_OK, EXIT_VERIFY_FAILED)
     names = [c["check"] for c in read_json(out / "verification.json")["checks"]]
     assert "bubble(interval=8)" not in names and "bubble(interval=7)" in names
+
+
+def test_exactly_agreeing_twins_measure_no_order(tmp_path):
+    """Zero initial data stays zero, so the coarse twins agree exactly: the
+    certificate writes a null order with a note, not an inf that JSON
+    cannot hold, and verify adds no order check for it."""
+    out = tmp_path / "run"
+    args = ["--config", REFERENCE_CONFIG, "--out", str(out), "--override",
+            "grid.n_points=256", "--override", "initial_data.amplitude=0"]
+    assert main(["analyze", *args]) == EXIT_OK
+    cert = read_json(out / "report.json")["resolution_certification"]
+    assert cert["self_difference_fine"] == cert["self_difference_coarse"] == 0.0
+    assert cert["measured_order"] is None and "agree exactly" in cert["note"]
+    assert main(["verify", "--out", str(out)]) in (EXIT_OK, EXIT_VERIFY_FAILED)
+    names = [c["check"] for c in read_json(out / "verification.json")["checks"]]
+    assert "resolution_order" not in names and "mass_conservation" in names
+
 
 def test_cli_corrupted_snapshot_fails_verify(tmp_path):
     cfg_path = write_config(tmp_path, SMALL_SCENARIO_N5)

@@ -174,6 +174,30 @@ def test_n3_kernel_is_the_closed_form_dst1(monkeypatch, n_points, r_max):
     assert np.abs(tr.deriv_matrix - deriv).max() < 1e-13 * np.abs(deriv).max()
 
 
+def test_n3_transform_holds_one_kernel_array():
+    """An n = 3 transform holds one N x N array, the complex kernel with a
+    +0 imaginary part, whose real view is ``kernel`` and ``kernel_t``; its
+    ``KernelCast`` reads that array instead of a copy.  The in-place builds
+    keep the bits of the expressions they spell."""
+    n = 192
+    grid = make_spectral_grid(3, n, 16.0)
+    tr = _build_transform(grid)
+    dense = tr.complex_kernel
+    assert dense.shape == (n, n) and dense.dtype == np.complex128
+    assert tr.kernel is tr.kernel_t and tr.kernel.base is dense and tr.factor is None
+    assert not np.any(dense.imag) and not np.any(np.signbit(dense.imag))
+    arrays = [a for a in vars(tr).values() if isinstance(a, np.ndarray) and a.size >= n * n]
+    assert len(arrays) == 3 and all(np.shares_memory(a, dense) for a in arrays)
+    with tr.cast() as cast:
+        assert np.shares_memory(cast.kernel_t, tr.kernel) and cast.kernel is cast.kernel_t
+    i = np.arange(1, n + 1)
+    theta = (np.outer(i, i) % (2 * (n + 1))) * (math.pi / (n + 1))
+    assert tr.kernel.tobytes() == (math.sqrt(2.0 / (n + 1)) * np.sin(theta)).tobytes()
+    dphi = tr.frequencies * np.cos(theta) - np.sin(theta) / grid.nodes[:, None]
+    deriv = math.sqrt(2.0 / (n + 1)) * dphi / tr.sqrt_weights[:, None]
+    assert tr.deriv_matrix.tobytes() == deriv.tobytes()
+
+
 def _fft_dst1(x):
     """The orthonormal DST-I of the last axis of ``x`` by numpy's FFT of
     the odd extension [0, x, 0, -x reversed]: an oracle independent of the
