@@ -178,8 +178,9 @@ def cmd_verify(args) -> int:
     checks = verify_report(report, store if store.is_dir() else None)
     failed = [c for c in checks if not c["passed"]]
     for c in checks:
+        where = "" if c["passed"] else f" (report section: {c['section']})"
         mark = "PASS" if c["passed"] else "FAIL"
-        print(f"[{mark}] {c['check']}: measured={c['measured']} bound={c['bound']}")
+        print(f"[{mark}] {c['check']}: measured={c['measured']} bound={c['bound']}{where}")
     write_json(run_dir / "verification.json", {"checks": checks, "all_passed": not failed})
     print(f"verify: {len(checks) - len(failed)}/{len(checks)} checks passed")
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED

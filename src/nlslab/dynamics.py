@@ -192,6 +192,10 @@ def evolve(
     # (n = 5, N = 1024, one thread on a 2-core Xeon: 500 steps took
     # 1.36-1.58 s, against 0.85-1.01 s for the dense operator, its build
     # included) and its different rounding would move pinned report values.
+    # At n = 3 that loop's transforms are FFTs, far cheaper than the dense
+    # operator at N = 1024, yet the dense branch stays: an FFT step would
+    # move the trajectory values, and the pinned reports sit on an exact
+    # tie of the greedy interval count, which must be settled first.
     watch_every_step = mu == -1
 
     u = np.asarray(u0.values, dtype=complex).copy()
@@ -209,7 +213,8 @@ def evolve(
         potentials.append(pot)
         return e, math.sqrt(2.0 * kin)
 
-    # one complex cast of the kernel serves every product of the loop, each
+    # one complex cast of the kernel serves every kernel product of the
+    # loop (at n = 3 the step operator's alone: the rest are FFTs), each
     # product's rows split over the process budget's threads
     with tr.cast() as cast:
         step_op = None if watch_every_step else tr.step_operator(phases, cast)

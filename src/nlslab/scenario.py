@@ -378,18 +378,25 @@ def _hardy_table(s, traj):
     return {"rows": rows, "sweep_sup": float(max(sweep)), "bound": fn.HARDY_RATIO_BOUND}
 
 
+def _or_null(x):
+    """``x``, or None where it is not finite (JSON null)."""
+    return x if math.isfinite(x) else None
+
+
 def _morawetz_table(s, traj):
+    # an entry that does not fit a float (the ratio of a run whose energy
+    # is not positive, an integral that overflows) is written as null
     rows = []
     for A in s["analysis"]["morawetz_A"]:
         rep = fn.morawetz_check(traj, None, float(A), tuple(s["analysis"]["morawetz_eps"]))
         rows.append(
             {
                 "A": rep.A,
-                "lhs": rep.lhs,
-                "rhs_without_constant": rep.rhs_without_constant,
-                "ratio": rep.ratio,
+                "lhs": _or_null(rep.lhs),
+                "rhs_without_constant": _or_null(rep.rhs_without_constant),
+                "ratio": _or_null(rep.ratio),
                 "bound": fn.MORAWETZ_RATIO_BOUND,
-                "regularized": {str(k): v for k, v in rep.regularized.items()},
+                "regularized": {str(k): _or_null(v) for k, v in rep.regularized.items()},
             }
         )
     return {"rows": rows, "bound": fn.MORAWETZ_RATIO_BOUND}
@@ -555,9 +562,11 @@ def _certify_resolution(traj, twins):
 # verification
 
 
-def _check(name, passed, measured, bound, note="") -> dict:
+def _check(section, name, passed, measured, bound, note="") -> dict:
+    """One verify check; ``section`` is the report key it reads."""
     return {
         "check": name,
+        "section": section,
         "passed": bool(passed),
         "measured": _finite(measured),
         "bound": _finite(bound),
@@ -597,12 +606,14 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
 
     trusted = report["status"] == "complete"
     checks.append(
-        _check("mass_conservation", not trusted or mass_drift <= cons["mass_drift_tolerance"],
+        _check("conserved", "mass_conservation",
+               not trusted or mass_drift <= cons["mass_drift_tolerance"],
                mass_drift, cons["mass_drift_tolerance"],
                "recomputed from store" if store_dir else "from report series")
     )
     checks.append(
-        _check("energy_conservation", not trusted or energy_drift <= cons["energy_drift_tolerance"],
+        _check("conserved", "energy_conservation",
+               not trusted or energy_drift <= cons["energy_drift_tolerance"],
                energy_drift, cons["energy_drift_tolerance"])
     )
 
@@ -611,7 +622,7 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
         qv = float(q) if not isinstance(q, str) else math.inf
         rv = float(r) if not isinstance(r, str) else math.inf
         checks.append(
-            _check(f"admissible({_exponent_name(q)},{_exponent_name(r)})",
+            _check("strichartz", f"admissible({_exponent_name(q)},{_exponent_name(r)})",
                    fn.is_admissible(qv, rv, n), [q, r], "identity")
         )
 
@@ -619,31 +630,35 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
     if flux and "rows" in flux:
         for row in flux["rows"]:
             checks.append(
-                _check(f"mass_flux_ratio(R={row['radius']:g})",
+                _check("mass_flux", f"mass_flux_ratio(R={row['radius']:g})",
                        row["ratio"] <= row["tolerance"], row["ratio"], row["tolerance"])
             )
     hardy = report.get("hardy")
     if hardy and "rows" in hardy:
         checks.append(
-            _check("hardy_ratio_sup", hardy["sweep_sup"] <= hardy["bound"],
+            _check("hardy", "hardy_ratio_sup", hardy["sweep_sup"] <= hardy["bound"],
                    hardy["sweep_sup"], hardy["bound"])
         )
     mor = report.get("morawetz")
     if mor:
         for row in mor["rows"]:
+            # a ratio that did not fit a float is written as null, and fails
+            ratio = row["ratio"]
             checks.append(
-                _check(f"morawetz_ratio(A={row['A']:g})", row["ratio"] <= row["bound"],
-                       row["ratio"], row["bound"])
+                _check("morawetz", f"morawetz_ratio(A={row['A']:g})",
+                       ratio is not None and ratio <= row["bound"], ratio, row["bound"],
+                       "" if ratio is not None else "the ratio is not finite")
             )
     ident = report.get("momentum_flux_identity")
     if ident:
         checks.append(
-            _check("momentum_flux_identity", ident["max_defect"] <= ident["tolerance"],
+            _check("momentum_flux_identity", "momentum_flux_identity",
+                   ident["max_defect"] <= ident["tolerance"],
                    ident["max_defect"], ident["tolerance"])
         )
     for row in report.get("duhamel", []):
         checks.append(
-            _check(f"duhamel(t0={row['t0']:g},t={row['t']:g})",
+            _check("duhamel", f"duhamel(t0={row['t0']:g},t={row['t']:g})",
                    row["relative"] <= row["tolerance"], row["relative"], row["tolerance"])
         )
 
@@ -655,7 +670,7 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
         _, lap_a, neg_bilap = fn.MorawetzWeight(float(eps), n).evaluate(radii)
         worst = min(worst, float(lap_a.min()), float(neg_bilap.min()))
         pos_ok = pos_ok and np.all(lap_a > 0) and np.all(neg_bilap > 0)
-    checks.append(_check("weight_positivity", pos_ok, worst, 0.0, "min over |x|<=1"))
+    checks.append(_check("scenario", "weight_positivity", pos_ok, worst, 0.0, "min over |x|<=1"))
 
     conc_block = report.get("concentration")
     if conc_block and "decomposition" in conc_block:
@@ -667,7 +682,7 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
             eta * (1 - 1e-9) <= m <= 2 * eta * (1 + 1e-9) for m in non_tail
         )
         checks.append(
-            _check("interval_mass_window", window_ok,
+            _check("concentration", "interval_mass_window", window_ok,
                    [min(non_tail, default=eta), max(non_tail, default=eta)],
                    [eta, 2 * eta])
         )
@@ -678,38 +693,38 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
             and abs(bdry[-1] - times[-1]) < 1e-9
             and all(b2 > b1 for b1, b2 in zip(bdry, bdry[1:]))
         )
-        checks.append(_check("interval_coverage", cover_ok, [bdry[0], bdry[-1]],
+        checks.append(_check("concentration", "interval_coverage", cover_ok, [bdry[0], bdry[-1]],
                              [times[0], times[-1]]))
         exc = conc_block["exceptional"]
         checks.append(
-            _check("exceptional_count_bound", exc["count"] <= exc["count_bound"],
+            _check("concentration", "exceptional_count_bound", exc["count"] <= exc["count_bound"],
                    exc["count"], exc["count_bound"])
         )
         stats = conc_block.get("window_statistics", {})
         if "largest_fraction_at_sup" in stats and stats["sup_half_norm_ratio"] > 0:
             product = stats["largest_fraction_at_sup"] * stats["sup_half_norm_ratio"] ** 2
             checks.append(
-                _check("window_cauchy_schwarz", product >= 1.0 - 1e-9, product, 1.0,
-                       "largest_fraction * half_norm_ratio^2 >= 1")
+                _check("concentration", "window_cauchy_schwarz", product >= 1.0 - 1e-9,
+                       product, 1.0, "largest_fraction * half_norm_ratio^2 >= 1")
             )
         nest = conc_block.get("nest", {})
         if nest and not nest.get("empty"):
             checks.append(
-                _check("nest_invariants", not nest["violations"],
+                _check("concentration", "nest_invariants", not nest["violations"],
                        nest["violations"], [], "dyadic decay and closeness")
             )
         for b in conc_block.get("bubbles", []):
             if "error" in b:         # no search ran on that interval
                 continue
             checks.append(
-                _check(f"bubble(interval={b['interval']})",
+                _check("concentration", f"bubble(interval={b['interval']})",
                        b["radius"] > 0 and b["attained_mass"] >= b["threshold"],
                        b["attained_mass"], b["threshold"])
             )
     cert = report.get("resolution_certification")
     if cert and cert.get("measured_order") is not None:    # not skipped, not exact
         checks.append(
-            _check("resolution_order", cert["measured_order"] >= 1.5,
+            _check("resolution_certification", "resolution_order", cert["measured_order"] >= 1.5,
                    cert["measured_order"], 1.5, "self-convergence of the splitting")
         )
     return checks

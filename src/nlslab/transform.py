@@ -21,36 +21,45 @@ conserve the discrete L^2 mass by construction.
 ``backward``, ``derivative`` and ``kinetic_energy`` take mode
 coefficients, one row (N,) or a stack (S, N) such as
 ``Trajectory.coefficients``, which every diagnostic of a trajectory
-reads.  The kernel is real and the fields are complex, and ``real_matrix
-@ complex_vector`` would cast the whole kernel to complex on every call
-(16 MB at N = 1024).  An n = 3 kernel is one complex array, whose real
-view is ``kernel``, and every product reads its rows; nothing casts it.
-Elsewhere ``_matvec`` casts the kernel ``_ROWS`` rows at a time, once per
-call, and a ``KernelCast`` (``SpectralTransform.cast()``) holds one full
-cast of each kernel for all the one-row products of an evolution and
-splits their rows over threads.  Each runs one zgemv per row of a stack:
-numpy's cast-then-zgemv arithmetic, bit for bit, so a row of a stack has
-the bits of a single-row call.  One real GEMM on the float view, or one
-zgemm over a stack, would be faster but rounds differently (a zgemm moved
-the last bits of about 98% of a stack's coefficients), and the pinned
-reports sit on an exact tie of the greedy interval subdivision that one
-ulp can flip.
+reads.  A row of a stack has the bits of a single-row call.
 
 In three dimensions nu = 1/2, J_{1/2}(x) is proportional to sin(x)/sqrt(x),
 the zeros are j_m = m pi, and the nodes r_i = i R / (N+1) are uniform.
 The weighted, normalized modes are then exactly the orthonormal DST-I
 matrix sqrt(2/(N+1)) sin(pi i m / (N+1)), i, m = 1..N, and the SVD's
 polar factor equals it to rounding (2.6e-14 at N = 1024).  An n = 3
-transform therefore takes its kernel from this closed form, with the
-angle i m reduced modulo 2(N+1) in integers so that only one rounding
-enters: no Bessel sampling, no SVD and nothing that depends on the BLAS
-thread count.  The matrix is exactly symmetric, so ``kernel_t`` is the
-same array, and its complex form serves both orientations: with a step
-operator, the dense n = 3 path holds 32 N^2 bytes.  An FFT
-(``scipy.fft.dst(type=1)``) would apply it in O(N log N), but N + 1 = 257
-is prime at N = 256: there it took 87-167 us per complex row against
-79-89 us for the dense product (three runs on a 2-core x86_64 box, one
-BLAS thread), and it rounds differently from the dense product.
+transform therefore computes ``coefficients`` and ``backward`` as one
+DST-I each, an FFT of the odd extension of length 2(N+1) (Martucci, IEEE
+Trans. Signal Process. 42 (1994) 1038), and ``derivative`` from the
+cosine series of k b, an FFT of the even extension; numpy's FFT alone,
+so no n = 3 reader imports scipy.  One complex row, and a stack, on a
+2-core x86_64 box at one BLAS thread:
+
+    N      stack size   dense      FFT
+    1024   one row      1.18 ms    0.07 ms
+    1024   101 rows     50.5 ms    5.9 ms
+    256    one row      0.050 ms   0.066 ms
+    256    1001 rows    47.5 ms    37.5 ms
+
+(N + 1 = 257 is prime.)  Only the dense step operator of ``evolve`` reads
+an N x N array at n = 3: the DST-I ``complex_kernel``, built on first use
+from the closed form with the angle i m reduced modulo 2(N+1) in
+integers, so that only one rounding enters and nothing depends on the
+BLAS thread count.  It is exactly symmetric, so ``kernel_t`` is
+``kernel``, and one complex array serves both orientations: with a step
+operator, the dense n = 3 path holds 32 N^2 bytes.
+
+Elsewhere the kernel is real and the fields are complex, and ``real_matrix
+@ complex_vector`` would cast the whole kernel to complex on every call
+(16 MB at N = 1024).  ``_matvec`` casts the kernel ``_ROWS`` rows at a
+time, once per call, and a ``KernelCast`` (``SpectralTransform.cast()``)
+holds one full cast of each kernel for all the one-row products of an
+evolution and splits their rows over threads.  Each runs one zgemv per
+row of a stack: numpy's cast-then-zgemv arithmetic, bit for bit.  One
+real GEMM on the float view, or one zgemm over a stack, would be faster
+but rounds differently (a zgemm moved the last bits of about 98% of a
+stack's coefficients), and the pinned reports sit on an exact tie of the
+greedy interval subdivision that one ulp can flip.
 
 In other dimensions the polar factor comes from an SVD.  Where LAPACK's
 SVD does not converge, Newton-Schulz iterations X <- X (3I - X^T X) / 2
@@ -180,7 +189,7 @@ def make_spectral_grid(dimension: int, n_points: int, r_max: float) -> RadialGri
 
 @dataclass(frozen=True, eq=False)
 class SpectralTransform:
-    """Dense orthogonal transform between node samples and mode coefficients.
+    """Orthogonal transform between node samples and mode coefficients.
 
     ``forward`` maps weighted samples to coefficients of the L^2-normalized
     Dirichlet modes; ``backward`` is its exact transpose-inverse.  The
@@ -189,33 +198,43 @@ class SpectralTransform:
 
     grid: RadialGrid
     frequencies: NDArray[np.float64]
-    kernel: NDArray[np.float64]        # orthogonal: columns = weighted modes
-    kernel_t: NDArray[np.float64]      # kernel.T, C-contiguous except at n = 3
     sqrt_weights: NDArray[np.float64]
-    # the computed polar factor (``kernel`` itself), which a trajectory
-    # store carries; None where the kernel has a closed form (n = 3)
+    # the computed polar factor (columns = weighted modes), which a
+    # trajectory store carries, and its C-contiguous transpose; None where
+    # the kernel is the closed-form DST-I (n = 3)
     factor: NDArray[np.float64] | None
-    # n = 3: the kernel as complex (``kernel`` is its real view), which
-    # every product reads; None where products cast ``kernel``
-    complex_kernel: NDArray[np.complex128] | None
+    factor_t: NDArray[np.float64] | None
+
+    @cached_property
+    def complex_kernel(self) -> NDArray[np.complex128]:
+        """The n = 3 kernel, the orthonormal DST-I, as one complex array
+        with a +0 imaginary part, built in place on first use: only
+        ``step_operator`` reads it."""
+        n = self.grid.n_points
+        dense = np.zeros((n, n), dtype=complex)
+        kernel = _dst1_angles(n, dense.real)
+        np.sin(kernel, out=kernel)
+        kernel *= math.sqrt(2.0 / (n + 1))
+        return dense
+
+    @property
+    def kernel(self) -> NDArray[np.float64]:
+        """The orthogonal kernel, columns = weighted modes; at n = 3 the
+        real view of ``complex_kernel``."""
+        return self.complex_kernel.real if self.factor is None else self.factor
+
+    @property
+    def kernel_t(self) -> NDArray[np.float64]:
+        """``kernel.T``, C-contiguous (at n = 3 ``kernel``, which is
+        symmetric)."""
+        return self.kernel if self.factor is None else self.factor_t
 
     @cached_property
     def deriv_matrix(self) -> NDArray[np.float64]:
-        """Coefficients -> d/dr samples, built on first use: only the
-        momentum-flux identity check differentiates."""
-        k, r = self.frequencies, self.grid.nodes
-        if self.grid.dimension == 3:
-            # d/dr [sin(k r)/r] = (k cos(k r) - sin(k r)/r)/r, and the
-            # weighted mode is sqrt(w) times the normalized one; built in
-            # place, with the bits of that expression
-            n = self.grid.n_points
-            theta = _dst1_angles(n, np.empty((n, n)))
-            dphi = np.cos(theta)
-            dphi *= k[None, :]
-            dphi -= np.divide(np.sin(theta, out=theta), r[:, None], out=theta)
-            dphi *= math.sqrt(2.0 / (n + 1))
-            return np.divide(dphi, self.sqrt_weights[:, None], out=dphi)
+        """Coefficients -> d/dr samples where n != 3, built on first use:
+        only the momentum-flux identity check differentiates."""
         from scipy import special
+        k, r = self.frequencies, self.grid.nodes
         nu, _, mode_norm = _modes(self.grid)
         # d/dr [J_nu(k r)/r^nu] = -k J_{nu+1}(k r)/r^nu
         dphi = -k[None, :] * special.jv(nu + 1, np.outer(r, k)) / r[:, None] ** nu
@@ -228,24 +247,36 @@ class SpectralTransform:
         return self.coefficients(u.values)
 
     def coefficients(self, values, cast=None) -> NDArray[np.complex128]:
-        """Mode coefficients of node samples; of one row through ``cast``,
-        a ``KernelCast`` of this transform, where given."""
+        """Mode coefficients of node samples; where n != 3, of one row
+        through ``cast``, a ``KernelCast`` of this transform, where given."""
         x = self.sqrt_weights * values
-        return (_matvec(self._complex(self.kernel_t), x) if cast is None
-                else cast.product(cast.kernel_t, x))
+        if self.factor is None:
+            return _fft_sums(x, -1)
+        return _matvec(self.kernel_t, x) if cast is None else cast.product(cast.kernel_t, x)
 
     def backward(self, coeffs, cast=None) -> NDArray[np.complex128]:
-        """Node samples from mode coefficients; of one row through
-        ``cast`` where given."""
-        out = (_matvec(self._complex(self.kernel), coeffs) if cast is None
-               else cast.product(cast.kernel, coeffs))
+        """Node samples from mode coefficients; where n != 3, of one row
+        through ``cast`` where given."""
+        if self.factor is None:
+            out = _fft_sums(coeffs, -1)
+        else:
+            out = (_matvec(self.kernel, coeffs) if cast is None
+                   else cast.product(cast.kernel, coeffs))
         out /= self.sqrt_weights
         return out
 
     def derivative(self, coeffs) -> NDArray[np.complex128]:
         """Spectrally accurate radial derivative u_r, at the nodes, of the
         field with mode coefficients ``coeffs``."""
-        return _matvec(self.deriv_matrix, coeffs)
+        if self.factor is not None:
+            return _matvec(self.deriv_matrix, coeffs)
+        # n = 3: u_r = (d/dr (r u) - u) / r, and r u is the sine series of
+        # the coefficients, so d/dr (r u) is r / sqrt(w) times the cosine
+        # series of k b
+        out = _fft_sums(self.frequencies * coeffs, 1)
+        out /= self.sqrt_weights
+        out -= self.backward(coeffs) / self.grid.nodes
+        return out
 
     def kinetic_energy(self, coeffs):
         """(1/2) integral of |grad u|^2 from mode coefficients, exact in the
@@ -261,14 +292,11 @@ class SpectralTransform:
         weighted samples sqrt(w) * u, built through ``cast``, a
         ``KernelCast`` of this transform, in ``_ROWS``-row blocks split
         over the cast's threads."""
-        right, out = cast.kernel_t, np.empty(self.kernel.shape, dtype=complex)
-        cast.split(lambda rows: np.matmul(self.kernel[rows] * multiplier[None, :], right,
+        left, right = self.kernel, cast.kernel_t
+        out = np.empty(left.shape, dtype=complex)
+        cast.split(lambda rows: np.matmul(left[rows] * multiplier[None, :], right,
                                           out=out[rows]), _ROWS)
         return out
-
-    def _complex(self, real):
-        """The complex n = 3 kernel, or ``real`` (a kernel) to be cast."""
-        return real if self.complex_kernel is None else self.complex_kernel
 
     @contextmanager
     def cast(self):
@@ -280,22 +308,24 @@ class SpectralTransform:
 
 class KernelCast:
     """A transform's kernels cast to complex, each once on first use (at
-    n = 3 the transform's complex kernel, which nothing casts), and a
-    ``workers.row_split`` over its rows.  ``product(mat, x)`` is ``mat @ x``
-    for one complex row ``x`` and a complex ``mat``, with the bits of
-    numpy's full-cast product (so of ``_matvec``): each thread computes
-    whole dot products for its own rows of the output."""
+    n = 3 the transform's complex kernel, which nothing casts, and which
+    only the step operator reads), and a ``workers.row_split`` over its
+    rows.  ``product(mat, x)`` is ``mat @ x`` for one complex row ``x`` and
+    a complex ``mat``, with the bits of numpy's full-cast product (so of
+    ``_matvec``): each thread computes whole dot products for its own rows
+    of the output."""
 
     def __init__(self, tr: SpectralTransform, split):
         self.tr, self.split = tr, split
 
     @cached_property
     def kernel_t(self) -> NDArray[np.complex128]:
-        return self.tr._complex(self.tr.kernel_t).astype(complex, copy=False)
+        tr = self.tr
+        return tr.complex_kernel if tr.factor is None else tr.factor_t.astype(complex)
 
     @cached_property
     def kernel(self) -> NDArray[np.complex128]:
-        return self.tr._complex(self.tr.kernel).astype(complex, copy=False)
+        return self.tr.factor.astype(complex)
 
     def product(self, mat, x) -> NDArray[np.complex128]:
         out = np.empty(x.shape, dtype=complex)
@@ -304,16 +334,16 @@ class KernelCast:
 
 
 # rows of a real matrix cast to complex at a time (a 1 MB block at
-# N = 1024); the tests hold the bits to the full-cast product for N that
-# are and are not multiples of it
+# N = 1024), or of a stack transformed by FFT; the tests hold the bits to
+# the full-cast product, and a stack's rows to single-row calls, for N and
+# row counts that are and are not multiples of it
 _ROWS = 64
 
 
 def _matvec(mat: NDArray, x) -> NDArray[np.complex128]:
     """``mat @ row`` for one complex row (N,) or each row of a stack (S, N),
     with the bits of numpy's full-cast product: each C-contiguous row block
-    of a real ``mat`` is cast once per call (a complex one is read as it
-    is), then one zgemv per row."""
+    of the real ``mat`` is cast once per call, then one zgemv per row."""
     x = np.ascontiguousarray(x)
     out = np.empty(x.shape[:-1] + mat.shape[:1], dtype=complex)
     # row views made once, not per block (5% of a row call at N = 1024)
@@ -327,6 +357,28 @@ def _matvec(mat: NDArray, x) -> NDArray[np.complex128]:
         # single-row call by half
         del block
     return out
+
+
+def _fft_sums(x, parity: int) -> NDArray[np.complex128]:
+    """sqrt(2/(N+1)) sum_m x_m sin(pi i m / (N+1)) (``parity`` -1, the
+    orthonormal DST-I) or the same sum of cosines (``parity`` +1), i = 1..N,
+    of one row (N,) or of each row of a stack (S, N): the FFT of the odd or
+    even extension [0, x, 0, parity * x reversed], of length 2(N+1), is
+    -2i or 2 times the sum.  A stack goes ``_ROWS`` rows at a time, so
+    that the extension and the FFT's output stay small."""
+    x = np.asarray(x)
+    n = x.shape[-1]
+    rows = np.atleast_2d(x)
+    out = np.empty(rows.shape, dtype=complex)
+    ext = np.zeros((min(_ROWS, len(rows)), 2 * n + 2), dtype=complex)
+    scale = 0.5 * math.sqrt(2.0 / (n + 1)) * (1j if parity < 0 else 1.0)
+    for start in range(0, len(rows), _ROWS):
+        block = rows[start:start + _ROWS]
+        part = ext[:len(block)]
+        part[:, 1:n + 1] = block
+        np.multiply(block[:, ::-1], parity, out=part[:, n + 2:])
+        np.multiply(np.fft.fft(part)[:, 1:n + 1], scale, out=out[start:start + _ROWS])
+    return out.reshape(x.shape)
 
 
 def _polar_factor(a: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -407,14 +459,8 @@ def _build_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
     k = j / grid.r_max
     sw = np.sqrt(grid.weights)
     if grid.dimension == 3:
-        # the orthonormal DST-I, exactly symmetric, built in place in the
-        # real part of one complex array; ``stored`` is not read
-        n = grid.n_points
-        dense = np.zeros((n, n), dtype=complex)
-        kernel = _dst1_angles(n, dense.real)
-        np.sin(kernel, out=kernel)
-        kernel *= math.sqrt(2.0 / (n + 1))
-        return SpectralTransform(grid, k, kernel, kernel, sw, None, dense)
+        # the orthonormal DST-I, applied by FFT; ``stored`` is not read
+        return SpectralTransform(grid, k, sw, None, None)
     from scipy import special
     r = grid.nodes
     # the sampled modes, weighted and normalized in place: one N x N array
@@ -428,12 +474,12 @@ def _build_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
     kernel = None if stored is None else _certified(stored, sampled)
     if kernel is None:
         kernel = _polar_factor(sampled)
-    return SpectralTransform(grid, k, kernel, np.ascontiguousarray(kernel.T), sw, kernel, None)
+    return SpectralTransform(grid, k, sw, kernel, np.ascontiguousarray(kernel.T))
 
 
-# grids whose transform (two real N x N arrays, 16 MB at N = 1024, or
-# one complex one for n = 3, and one more once ``deriv_matrix`` is read)
-# and propagator stay cached
+# grids whose transform (two real N x N arrays, 16 MB at N = 1024, and
+# one more once ``deriv_matrix`` is read; at n = 3 none until a step
+# operator is built, then one complex one) and propagator stay cached
 CACHED_GRIDS = 8
 
 

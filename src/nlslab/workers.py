@@ -85,14 +85,16 @@ ROWS_PER_THREAD = 512
 def row_split(rows: int):
     """Yield ``split(fill, step)``: it runs ``fill(block)`` for each slice of
     ``step`` rows of ``rows`` (default: one share per thread), each thread
-    taking the next block left, and raises what a ``fill`` raised.  It
-    starts min(budget, rows // ROWS_PER_THREAD) threads, the caller's one;
-    in a forked worker, each call below that cap takes a free token of the
+    taking the next block left, and raises what a ``fill`` raised.  Its
+    first call starts min(budget, rows // ROWS_PER_THREAD) threads, the
+    caller's one, so a context that splits nothing starts none; in a
+    forked worker, each call below that cap takes a free token of the
     worker's batch, if any, for one more thread.  The threads are joined,
     and the tokens given back, on exit."""
     cap = max(1, rows // ROWS_PER_THREAD)
     todo, done = queue.SimpleQueue(), queue.SimpleQueue()
     threads, borrowed, tokens = [], 0, _tokens
+    unstarted = min(process_budget(), cap) - 1
 
     def serve():
         while (item := todo.get()) is not None:
@@ -104,7 +106,10 @@ def row_split(rows: int):
         threads.append(thread)
 
     def split(fill, step=None):
-        nonlocal borrowed
+        nonlocal borrowed, unstarted
+        for _ in range(unstarted):
+            grow()
+        unstarted = 0
         # a token lent by the batch's caller: one more thread, up to the cap
         if len(threads) + 1 < cap and tokens is not None and tokens.acquire(False):
             borrowed += 1
@@ -126,8 +131,6 @@ def row_split(rows: int):
             raise errors[0]
 
     try:
-        for _ in range(min(process_budget(), cap) - 1):
-            grow()
         yield split
     finally:
         for thread in threads:

@@ -224,12 +224,13 @@ def test_free_evolution_matches_the_gaussian_closed_form(n):
 
 @pytest.mark.parametrize("mu", [1, -1])
 def test_n3_evolution_allocates_no_kernel_cast(g3, mu):
-    """With the transform built, an n = 3 evolution allocates its step
-    operator (one N x N complex array, dense branch only), the S x N
-    snapshot array and a few ``_ROWS``-row blocks, and no complex copy of
-    the kernel (another N x N complex array)."""
+    """With the transform and its kernel built, an n = 3 evolution
+    allocates its step operator (one N x N complex array, dense branch
+    only), the S x N snapshot array and a few ``_ROWS``-row blocks, and no
+    complex copy of the kernel (another N x N complex array)."""
     n = g3.n_points
     get_propagator(g3)          # builds the transform, before the count
+    get_transform(g3).complex_kernel    # and the kernel, which it builds on first use
     cfg = EvolutionConfig(dimension=3, mu=mu, dt=1e-3, snapshot_stride=10)
     tracemalloc.start()
     try:

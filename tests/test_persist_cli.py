@@ -397,6 +397,33 @@ def test_n3_store_is_analyzed_and_verified_without_scipy(tmp_path, honest_n3_run
         assert blocked[name] == deleted[name], name
 
 
+# a CLI process that prints its traced peak and the scipy modules it loaded
+_TRACED = ('import sys, tracemalloc; from nlslab.cli import main; tracemalloc.start(); '
+           'code = main(sys.argv[1:]); peak = tracemalloc.get_traced_memory()[1]; '
+           'print(peak, [m for m in sys.modules if m.startswith("scipy")]); sys.exit(code)')
+
+
+def test_n3_store_is_read_without_scipy_or_an_n_by_n_array(tmp_path):
+    """analyze (the propagator self-test and every report table) and verify
+    of an n = 3 store take their transforms by FFT: they load no scipy and
+    allocate less than one N x N array of floats, about 8 MB here."""
+    n = 1024
+    doc = dict(SMALL_SCENARIO, grid={"n_points": n, "r_max": 32.0},
+               time={"t_minus": 0.0, "t_plus": 0.05, "dt": 2e-3, "snapshot_stride": 5},
+               analysis={"certify_resolution": False})
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    env = dict(os.environ, PYTHONPATH=str(Path(nlslab.__file__).resolve().parents[1]))
+    for command in (["analyze", "--config", str(cfg_path)], ["verify"]):
+        proc = subprocess.run([sys.executable, "-c", _TRACED, *command, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        peak, modules = proc.stdout.splitlines()[-1].split(" ", 1)
+        assert modules == "[]", command
+        assert int(peak) < 8 * n * n, command
+
+
 def test_bessel_table_cache_is_bounded():
     maxsize = _table_slot.cache_info().maxsize
     for n in range(16, 20 + maxsize):
@@ -825,6 +852,42 @@ def test_exactly_agreeing_twins_measure_no_order(tmp_path):
     assert main(["verify", "--out", str(out)]) in (EXIT_OK, EXIT_VERIFY_FAILED)
     names = [c["check"] for c in read_json(out / "verification.json")["checks"]]
     assert "resolution_order" not in names and "mass_conservation" in names
+
+
+def test_non_finite_morawetz_ratio_is_null_and_fails_verify(tmp_path, capsys):
+    """A focusing ring of amplitude 50 has negative energy, so its Morawetz
+    ratios do not fit a float: analyze writes them as null instead of
+    exiting 4, and verify fails each of those checks, naming the report
+    section it read."""
+    doc = {"dimension": 6, "mu": -1, "grid": {"n_points": 100, "r_max": 32.0},
+           "time": {"t_minus": -0.5, "t_plus": -0.2, "dt": 0.01, "snapshot_stride": 5},
+           "initial_data": {"family": "ring", "amplitude": 50.0, "width": 5.0, "center": 4.0},
+           "analysis": {"morawetz_eps": [10.0], "identity_eps": 100.0}}
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "run"
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) != EXIT_INTERNAL_ERROR
+    rows = read_json(out / "report.json")["morawetz"]["rows"]
+    assert [row["ratio"] for row in rows] == [None, None, None]
+    assert all(math.isfinite(row["lhs"]) for row in rows)
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == EXIT_VERIFY_FAILED
+    checks = read_json(out / "verification.json")["checks"]
+    morawetz = [c for c in checks if c["check"].startswith("morawetz_ratio")]
+    assert len(morawetz) == 3
+    assert all(not c["passed"] and c["measured"] is None and c["section"] == "morawetz"
+               for c in morawetz)
+    printed = capsys.readouterr().out
+    assert "[FAIL] morawetz_ratio(A=1): measured=None bound=0.5 (report section: morawetz)" in printed
+
+
+def test_every_check_names_its_report_section(small_run):
+    """Each verify check carries ``section``, a key of the report it reads."""
+    checks = verify_report(small_run.report)
+    assert checks and all(c["section"] in small_run.report for c in checks)
+    by_name = {c["check"]: c["section"] for c in checks}
+    assert by_name["mass_conservation"] == "conserved"
+    assert by_name["weight_positivity"] == "scenario"
+    assert by_name["resolution_order"] == "resolution_certification"
 
 
 def test_cli_corrupted_snapshot_fails_verify(tmp_path):
@@ -1299,24 +1362,31 @@ def _evolve_bytes(n, mu, n_points, tol=1e-3):
 
 
 def _thread_log(monkeypatch):
-    """The set of threads other than the main one that run ``np.matmul``
-    from now on."""
+    """The set of threads other than the main one that start, or run
+    ``np.matmul``, from now on."""
     import threading
 
-    seen, real = set(), np.matmul
+    seen, real, start = set(), np.matmul, threading.Thread.start
 
     def logged(*args, **kwargs):
         if threading.current_thread() is not threading.main_thread():
-            seen.add(threading.get_ident())
+            seen.add(threading.current_thread())
         return real(*args, **kwargs)
 
+    def logged_start(thread):
+        seen.add(thread)
+        start(thread)
+
     monkeypatch.setattr(np, "matmul", logged)
+    monkeypatch.setattr(threading.Thread, "start", logged_start)
     return seen
 
 
 # N = 1000 is below the floor at budget 2 and 1024 splits evenly; 1030 and
 # 1031 split unevenly, 1030 inside one of the 4-row groups of OpenBLAS's
-# zgemv (a 515-row share) and 1031 on a group boundary (516 rows)
+# zgemv (a 515-row share) and 1031 on a group boundary (516 rows).  At
+# n = 3 the focusing (gradient-watch) loop runs FFTs and no kernel
+# product, so no thread starts there
 @pytest.mark.parametrize("n,mu,n_points", [
     (n, mu, n_points) for n in (3, 5) for mu in (1, -1) for n_points in (1000, 1024)
 ] + [(3, mu, n_points) for mu in (1, -1) for n_points in (1030, 1031)])
@@ -1330,7 +1400,8 @@ def test_evolve_bytes_equal_at_budget_one_and_two(monkeypatch, n, mu, n_points):
         runs.append(_evolve_bytes(n, mu, n_points))
         monkeypatch.undo()
     assert runs[0] == runs[1] and runs[0][0] == "complete"
-    assert [bool(t) for t in threads] == [False, n_points >= 2 * workers.ROWS_PER_THREAD]
+    split = n_points >= 2 * workers.ROWS_PER_THREAD and (n, mu) != (3, -1)
+    assert [bool(t) for t in threads] == [False, split]
 
 
 def test_evolve_bytes_equal_at_budget_one_and_two_on_the_energy_alarm(monkeypatch):

@@ -12,6 +12,7 @@ from nlslab import energy, gaussian_field, get_propagator, make_spectral_grid
 from nlslab.functionals import _energy_rows
 from nlslab.grid import sphere_area
 from nlslab.transform import (
+    _ROWS,
     CACHED_GRIDS,
     _build_transform,
     _modes,
@@ -47,17 +48,52 @@ def test_kernel_exactly_orthogonal(g3):
     assert np.abs(q.T @ q - np.eye(q.shape[0])).max() < 1e-12
 
 
-@pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1024)])
+def _dst1_closed_forms(tr):
+    """The orthonormal DST-I and the derivative matrix of an n = 3
+    transform's grid, as dense closed forms: the angle pi i m / (N+1)
+    reduced modulo 2 pi in integers, and d/dr [sin(k r)/r] =
+    (k cos(k r) - sin(k r)/r)/r over the weighted mode's sqrt(w)."""
+    n = tr.grid.n_points
+    i = np.arange(1, n + 1)
+    theta = (np.outer(i, i) % (2 * (n + 1))) * (math.pi / (n + 1))
+    kernel = math.sqrt(2.0 / (n + 1)) * np.sin(theta)
+    dphi = tr.frequencies * np.cos(theta) - np.sin(theta) / tr.grid.nodes[:, None]
+    return kernel, math.sqrt(2.0 / (n + 1)) * dphi / tr.sqrt_weights[:, None]
+
+
+def _close(got, want, rtol):
+    """Each row of ``got`` within ``rtol`` of ``want``'s, relative in norm."""
+    err = np.linalg.norm(got - want, axis=-1) / np.linalg.norm(want, axis=-1)
+    return bool(np.all(err <= rtol))
+
+
+# n = 3: N + 1 a power of two (255), prime (256) and neither; the products
+# are FFTs, and only the step operator is a dense product
+@pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1024)]
+                         + [(3, n_points) for n_points in (16, 255, 256, 1024)])
 def test_dense_application_matches_full_cast_products(n, n_points):
     """Row-blocked application keeps numpy's bits for complex input,
     including a last block shorter than the others (N = 1000), and so do
-    the products through a ``KernelCast``."""
+    the products through a ``KernelCast``.  At n = 3 the coefficient,
+    backward and derivative products, with or without a cast, match the
+    closed-form dense DST-I and derivative matrix, and the step operator
+    keeps the bits of the dense product."""
     tr = get_transform(make_spectral_grid(n, n_points, 32.0))
     rng = np.random.default_rng(n_points + n)
     x = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
     sw = tr.sqrt_weights
-    assert np.array_equal(tr.derivative(x), tr.deriv_matrix @ x)
     phases = np.exp(-1j * tr.frequencies**2 * 1e-3)
+    if n == 3:
+        kernel, deriv = _dst1_closed_forms(tr)
+        assert _close(tr.derivative(x), deriv @ x, 1e-12)
+        with tr.cast() as kernel_cast:
+            for cast in (None, kernel_cast):
+                assert _close(tr.coefficients(x, cast), kernel @ (sw * x), 1e-13)
+                assert _close(tr.backward(x, cast), (kernel @ x) / sw, 1e-13)
+            step = (kernel * phases[None, :]) @ kernel.T
+            assert np.array_equal(tr.step_operator(phases, kernel_cast), step)
+        return
+    assert np.array_equal(tr.derivative(x), tr.deriv_matrix @ x)
     step = (tr.kernel * phases[None, :]) @ tr.kernel.T
     with tr.cast() as kernel_cast:
         for cast in (None, kernel_cast):
@@ -66,13 +102,16 @@ def test_dense_application_matches_full_cast_products(n, n_points):
         assert np.array_equal(tr.step_operator(phases, kernel_cast), step)
 
 
-@pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1000)])
+@pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1000)]
+                         + [(3, n_points) for n_points in (16, 255, 256, 1024)])
 def test_row_stacks_equal_per_field_loops(n, n_points):
     """Every row method, on a stack (S, N) of any row count or memory
     layout, or on one row, has the bits of the per-field arithmetic
     applied one snapshot at a time.  ``coefficients`` reads node samples;
     ``backward``, ``derivative`` and ``kinetic_energy`` read the stack as
-    mode coefficients."""
+    mode coefficients.  At n = 3 the per-field products are the one-row
+    FFT calls, which match the closed-form dense DST-I and derivative
+    matrix."""
     grid = make_spectral_grid(n, n_points, 32.0)
     tr = get_transform(grid)
     rng = np.random.default_rng(7 * n_points + n)
@@ -86,12 +125,23 @@ def test_row_stacks_equal_per_field_loops(n, n_points):
     }
     sw, k = tr.sqrt_weights, tr.frequencies
 
-    # the full-cast products equal the row-blocked apply on one vector
-    def coef(v):
-        return tr.kernel.T @ (sw * v)
+    if n == 3:
+        kernel, deriv = _dst1_closed_forms(tr)
+        for v in stack:
+            assert _close(tr.coefficients(v), kernel @ (sw * v), 1e-13)
+            assert _close(tr.backward(v), (kernel @ v) / sw, 1e-13)
+            assert _close(tr.derivative(v), deriv @ v, 1e-12)
+        coef, back, deriv_of = tr.coefficients, tr.backward, tr.derivative
+    else:
+        # the full-cast products equal the row-blocked apply on one vector
+        def coef(v):
+            return tr.kernel.T @ (sw * v)
 
-    def back(b):
-        return (tr.kernel @ b) / sw
+        def back(b):
+            return (tr.kernel @ b) / sw
+
+        def deriv_of(b):
+            return tr.deriv_matrix @ b
 
     def kinetic_of_coeffs(b):
         return float(0.5 * np.sum(k**2 * np.abs(b) ** 2))
@@ -103,7 +153,7 @@ def test_row_stacks_equal_per_field_loops(n, n_points):
         "coefficients": (tr.coefficients, coef),
         "forward": (tr.coefficients, lambda v: tr.forward(grid.field(v))),
         "backward": (tr.backward, back),
-        "derivative": (tr.derivative, lambda b: tr.deriv_matrix @ b),
+        "derivative": (tr.derivative, deriv_of),
         "kinetic_energy": (tr.kinetic_energy, kinetic_of_coeffs),
     }
     for name, (rows, per_field) in cases.items():
@@ -128,6 +178,19 @@ def test_row_stacks_equal_per_field_loops(n, n_points):
         assert (one.total, one.kinetic, one.potential) == (total[3], kin[3], pot[3])
 
 
+@pytest.mark.parametrize("n_points", [16, 256, 1024])
+def test_n3_fft_stacks_keep_single_row_bits_across_blocks(n_points):
+    """A stack of more rows than one FFT block (``_ROWS``), with a short
+    last block, has the bits of single-row calls in every row."""
+    tr = get_transform(make_spectral_grid(3, n_points, 32.0))
+    rng = np.random.default_rng(n_points)
+    shape = (2 * _ROWS + 3, n_points)
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for method in (tr.coefficients, tr.backward, tr.derivative):
+        got = method(stack)
+        assert all(np.array_equal(row, method(v)) for row, v in zip(got, stack))
+
+
 def test_polar_factor_survives_svd_failure(monkeypatch):
     grid = make_spectral_grid(5, 160, 16.0)
     reference = _build_transform(grid).kernel
@@ -146,8 +209,8 @@ def test_polar_factor_survives_svd_failure(monkeypatch):
 
 @pytest.mark.parametrize("n_points,r_max", [(192, 8.0), (1000, 32.0), (2048, 32.0)])
 def test_n3_kernel_is_the_closed_form_dst1(monkeypatch, n_points, r_max):
-    """An n = 3 transform builds the orthonormal DST-I and its derivative
-    matrix in closed form, without an SVD, and both match what Bessel
+    """An n = 3 transform builds the orthonormal DST-I in closed form,
+    without an SVD, and it and the FFT derivative match what Bessel
     sampling and the polar factor give."""
     grid = make_spectral_grid(3, n_points, r_max)
 
@@ -171,31 +234,36 @@ def test_n3_kernel_is_the_closed_form_dst1(monkeypatch, n_points, r_max):
     sampled *= np.sqrt(grid.weights)[:, None] / mode_norm[None, :]
     assert np.abs(q - _polar_factor(sampled)).max() < 1e-13
     deriv = -k[None, :] * special.jv(nu + 1, phase) / r[:, None] ** nu / mode_norm[None, :]
-    assert np.abs(tr.deriv_matrix - deriv).max() < 1e-13 * np.abs(deriv).max()
+    # row m of the derivative of the identity's rows is column m of deriv
+    assert np.abs(tr.derivative(np.eye(n_points)).T - deriv).max() < 1e-13 * np.abs(deriv).max()
 
 
 def test_n3_transform_holds_one_kernel_array():
-    """An n = 3 transform holds one N x N array, the complex kernel with a
-    +0 imaginary part, whose real view is ``kernel`` and ``kernel_t``; its
-    ``KernelCast`` reads that array instead of a copy.  The in-place builds
-    keep the bits of the expressions they spell."""
+    """An n = 3 transform holds no N x N array until its step operator is
+    built; then one, the complex kernel with a +0 imaginary part, whose
+    real view is ``kernel`` and ``kernel_t`` and which its ``KernelCast``
+    reads instead of a copy.  The in-place build keeps the bits of the
+    expression it spells."""
     n = 192
     grid = make_spectral_grid(3, n, 16.0)
     tr = _build_transform(grid)
+    x = np.ones(n, dtype=complex)
+    for product in (tr.coefficients, tr.backward, tr.derivative):
+        product(x)
+    assert tr.factor is None and tr.factor_t is None
+    assert not [a for a in vars(tr).values() if isinstance(a, np.ndarray) and a.size >= n * n]
+    with tr.cast() as cast:
+        tr.step_operator(np.ones(n, dtype=complex), cast)
+        assert cast.kernel_t is tr.complex_kernel
     dense = tr.complex_kernel
     assert dense.shape == (n, n) and dense.dtype == np.complex128
-    assert tr.kernel is tr.kernel_t and tr.kernel.base is dense and tr.factor is None
+    assert np.shares_memory(tr.kernel, dense) and np.shares_memory(tr.kernel_t, dense)
     assert not np.any(dense.imag) and not np.any(np.signbit(dense.imag))
     arrays = [a for a in vars(tr).values() if isinstance(a, np.ndarray) and a.size >= n * n]
-    assert len(arrays) == 3 and all(np.shares_memory(a, dense) for a in arrays)
-    with tr.cast() as cast:
-        assert np.shares_memory(cast.kernel_t, tr.kernel) and cast.kernel is cast.kernel_t
+    assert len(arrays) == 1 and arrays[0] is dense
     i = np.arange(1, n + 1)
     theta = (np.outer(i, i) % (2 * (n + 1))) * (math.pi / (n + 1))
     assert tr.kernel.tobytes() == (math.sqrt(2.0 / (n + 1)) * np.sin(theta)).tobytes()
-    dphi = tr.frequencies * np.cos(theta) - np.sin(theta) / grid.nodes[:, None]
-    deriv = math.sqrt(2.0 / (n + 1)) * dphi / tr.sqrt_weights[:, None]
-    assert tr.deriv_matrix.tobytes() == deriv.tobytes()
 
 
 def _fft_dst1(x):
