@@ -18,10 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import workers
 from .functionals import _energy_rows, _mass_series, energy_scale
 from .grid import GridError, RadialField, RadialGrid
 from .propagator import TimeRangeError, get_propagator
-from .transform import get_transform
+from .transform import get_transform, product
 
 
 @dataclass(frozen=True)
@@ -206,18 +207,17 @@ def evolve(
     def record(t: float, u_now: np.ndarray):
         values[len(times)] = u_now
         times.append(t)
-        coeffs = tr.coefficients(u_now, cast)[None, :]
+        coeffs = tr.coefficients(u_now, split)[None, :]
         e, kin, pot = (float(x[0]) for x in _energy_rows(u0.grid, u_now[None, :], mu, coeffs))
         energies.append(e)
         kinetics.append(kin)
         potentials.append(pot)
         return e, math.sqrt(2.0 * kin)
 
-    # one complex cast of the kernel serves every kernel product of the
-    # loop (at n = 3 the step operator's alone: the rest are FFTs), each
-    # product's rows split over the process budget's threads
-    with tr.cast() as cast:
-        step_op = None if watch_every_step else tr.step_operator(phases, cast)
+    # every kernel product of the loop (at n = 3 the step operator's alone:
+    # the rest are FFTs) splits its rows over the process budget's threads
+    with workers.row_split(u.size) as split:
+        step_op = None if watch_every_step else tr.step_operator(phases, split)
         e0, grad0 = record(t_minus, u)
         pot_exceeds = abs(potentials[0]) > kinetics[0]
         e_scale = energy_scale(e0)
@@ -228,11 +228,11 @@ def evolve(
             if mu != 0:
                 u = _phase_rotation(u, mu, dt / 2.0, p)
             if watch_every_step:
-                b = tr.coefficients(u, cast)
+                b = tr.coefficients(u, split)
                 grad_lin = math.sqrt(2.0 * tr.kinetic_energy(b))
-                u = tr.backward(phases * b, cast)
+                u = tr.backward(phases * b, split)
             else:
-                u = cast.product(step_op, sw * u) / sw
+                u = product(step_op, sw * u, split) / sw
             if mu != 0:
                 u = _phase_rotation(u, mu, dt / 2.0, p)
             if not np.all(np.isfinite(u)):

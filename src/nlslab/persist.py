@@ -8,7 +8,7 @@ Layout of a trajectory store::
                                row-major numpy ``<c16`` bytes (little-endian
                                float64 (re, im) pairs); bit-exact on
                                round-trip, signed zeros included
-    <dir>/kernel.bin           n != 3 only (``SpectralTransform.factor``):
+    <dir>/kernel.bin           n != 3 only (``SpectralTransform.kernel``):
                                the N x N polar factor that the evolution
                                used, ``<f8`` bytes in row-major order (8 MB
                                at N = 1024); loading adopts it once
@@ -112,7 +112,8 @@ def save_trajectory(traj: Trajectory, directory) -> Path:
     write_json(directory / "metadata.json", meta)
     np.asarray(traj.values, dtype="<c16").tofile(directory / "snapshots.bin")
     table = bessel_table(3, g.n_points) if g.dimension == 3 else None
-    for name, array in (("bessel.bin", table), ("kernel.bin", get_transform(g).factor)):
+    kernel = None if g.dimension == 3 else get_transform(g).kernel
+    for name, array in (("bessel.bin", table), ("kernel.bin", kernel)):
         if array is None:        # a stale copy, from a store of another grid
             (directory / name).unlink(missing_ok=True)
         else:

@@ -106,8 +106,8 @@ def _list_of(ok):
 
 
 # the dense path holds about 32 N^2 bytes at n = 3 (the complex kernel and
-# the step operator) and 64 N^2 otherwise (two real kernels, their casts and
-# the step operator): a memory budget of about 2.1 GB, and 4.3 GB
+# the step operator) and 48 N^2 otherwise (the kernel in both orientations
+# and the step operator): a memory budget of about 2.1 GB, and 3.2 GB
 MAX_POINTS = 8192
 
 # (dotted path, predicate, requirement) of every single-valued knob; an
@@ -118,7 +118,7 @@ _KNOBS = (
     ("grid.n_points", lambda v: type(v) is int and 16 <= v <= MAX_POINTS,
      f"be an integer in [16, {MAX_POINTS}] (the dense transform holds about 32 N^2 "
      f"bytes at n = 3, {32 * MAX_POINTS**2 / 1e9:.1f} GB at N = {MAX_POINTS}, and "
-     f"about 64 N^2 otherwise, {64 * MAX_POINTS**2 / 1e9:.1f} GB)"),
+     f"about 48 N^2 otherwise, {48 * MAX_POINTS**2 / 1e9:.1f} GB)"),
     ("grid.r_max", _within(0), "be positive"),
     ("time.dt", _within(0), "be positive"),
     ("time.snapshot_stride", lambda v: type(v) is int and v >= 1, "be a positive integer"),

@@ -45,17 +45,18 @@ so no n = 3 reader imports scipy.  One complex row, and a stack, on a
 an N x N array at n = 3: the DST-I ``complex_kernel``, built on first use
 from the closed form with the angle i m reduced modulo 2(N+1) in
 integers, so that only one rounding enters and nothing depends on the
-BLAS thread count.  It is exactly symmetric, so ``kernel_t`` is
-``kernel``, and one complex array serves both orientations: with a step
-operator, the dense n = 3 path holds 32 N^2 bytes.
+BLAS thread count.  It is exactly symmetric, so one complex array serves
+both orientations: with a step operator, the dense n = 3 path holds
+32 N^2 bytes.
 
-Elsewhere the kernel is real and the fields are complex, and ``real_matrix
-@ complex_vector`` would cast the whole kernel to complex on every call
-(16 MB at N = 1024).  ``_matvec`` casts the kernel ``_ROWS`` rows at a
-time, once per call, and a ``KernelCast`` (``SpectralTransform.cast()``)
-holds one full cast of each kernel for all the one-row products of an
-evolution and splits their rows over threads.  Each runs one zgemv per
-row of a stack: numpy's cast-then-zgemv arithmetic, bit for bit.  One
+Elsewhere the fields are complex and a real kernel would be cast on every
+product (16 MB at N = 1024), so the transform holds the kernel's
+C-contiguous transpose as a complex array with a +0 imaginary part,
+``complex_kernel_t``, and ``backward`` a C-order copy of the kernel built
+on first use; ``kernel`` is a real view.  ``product`` runs one zgemv per
+row of a stack, numpy's cast-then-zgemv arithmetic bit for bit, split
+over threads by a ``workers.row_split`` where given; with a step
+operator, the dense path holds 48 N^2 bytes.  One
 real GEMM on the float view, or one zgemm over a stack, would be faster
 but rounds differently (a zgemm moved the last bits of about 98% of a
 stack's coefficients), and the pinned reports sit on an exact tie of the
@@ -89,14 +90,12 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import workers
 from .grid import GridError, RadialField, RadialGrid, UnresolvedGridError, _row_sums, sphere_area
 
 
@@ -199,17 +198,17 @@ class SpectralTransform:
     grid: RadialGrid
     frequencies: NDArray[np.float64]
     sqrt_weights: NDArray[np.float64]
-    # the computed polar factor (columns = weighted modes), which a
-    # trajectory store carries, and its C-contiguous transpose; None where
-    # the kernel is the closed-form DST-I (n = 3)
-    factor: NDArray[np.float64] | None
-    factor_t: NDArray[np.float64] | None
+    # the polar factor's C-contiguous complex transpose (+0 imaginary part);
+    # None where the kernel is the closed-form DST-I (n = 3)
+    complex_kernel_t: NDArray[np.complex128] | None
 
     @cached_property
     def complex_kernel(self) -> NDArray[np.complex128]:
-        """The n = 3 kernel, the orthonormal DST-I, as one complex array
-        with a +0 imaginary part, built in place on first use: only
-        ``step_operator`` reads it."""
+        """The kernel, C-contiguous, with a +0 imaginary part, built on first
+        use: at n = 3 the DST-I, in place, which only ``step_operator``
+        reads; elsewhere ``complex_kernel_t.T``, which ``backward`` reads."""
+        if self.complex_kernel_t is not None:
+            return np.ascontiguousarray(self.complex_kernel_t.T)
         n = self.grid.n_points
         dense = np.zeros((n, n), dtype=complex)
         kernel = _dst1_angles(n, dense.real)
@@ -219,26 +218,25 @@ class SpectralTransform:
 
     @property
     def kernel(self) -> NDArray[np.float64]:
-        """The orthogonal kernel, columns = weighted modes; at n = 3 the
-        real view of ``complex_kernel``."""
-        return self.complex_kernel.real if self.factor is None else self.factor
-
-    @property
-    def kernel_t(self) -> NDArray[np.float64]:
-        """``kernel.T``, C-contiguous (at n = 3 ``kernel``, which is
-        symmetric)."""
-        return self.kernel if self.factor is None else self.factor_t
+        """The orthogonal kernel, columns = weighted modes, as a real view:
+        of ``complex_kernel`` at n = 3, of ``complex_kernel_t`` elsewhere."""
+        kt = self.complex_kernel_t
+        return self.complex_kernel.real if kt is None else kt.real.T
 
     @cached_property
-    def deriv_matrix(self) -> NDArray[np.float64]:
-        """Coefficients -> d/dr samples where n != 3, built on first use:
-        only the momentum-flux identity check differentiates."""
+    def deriv_matrix(self) -> NDArray[np.complex128]:
+        """Coefficients -> d/dr samples (n != 3), built on first use in place
+        in a complex array's real part; only the identity check reads it."""
         from scipy import special
         k, r = self.frequencies, self.grid.nodes
         nu, _, mode_norm = _modes(self.grid)
         # d/dr [J_nu(k r)/r^nu] = -k J_{nu+1}(k r)/r^nu
-        dphi = -k[None, :] * special.jv(nu + 1, np.outer(r, k)) / r[:, None] ** nu
-        return dphi / mode_norm[None, :]
+        dense = np.zeros((r.size, k.size), dtype=complex)
+        dphi = special.jv(nu + 1, np.multiply.outer(r, k, out=dense.real), out=dense.real)
+        dphi *= -k[None, :]
+        dphi /= r[:, None] ** nu
+        dphi /= mode_norm[None, :]
+        return dense
 
     def forward(self, u: RadialField) -> NDArray[np.complex128]:
         """Mode coefficients of a field."""
@@ -246,30 +244,29 @@ class SpectralTransform:
             raise GridError("field grid does not match transform grid")
         return self.coefficients(u.values)
 
-    def coefficients(self, values, cast=None) -> NDArray[np.complex128]:
-        """Mode coefficients of node samples; where n != 3, of one row
-        through ``cast``, a ``KernelCast`` of this transform, where given."""
+    def coefficients(self, values, split=None) -> NDArray[np.complex128]:
+        """Mode coefficients of node samples; where n != 3, with each
+        product's rows split by ``split``, a ``workers.row_split``, if given."""
         x = self.sqrt_weights * values
-        if self.factor is None:
+        if self.complex_kernel_t is None:
             return _fft_sums(x, -1)
-        return _matvec(self.kernel_t, x) if cast is None else cast.product(cast.kernel_t, x)
+        return product(self.complex_kernel_t, x, split)
 
-    def backward(self, coeffs, cast=None) -> NDArray[np.complex128]:
-        """Node samples from mode coefficients; where n != 3, of one row
-        through ``cast`` where given."""
-        if self.factor is None:
+    def backward(self, coeffs, split=None) -> NDArray[np.complex128]:
+        """Node samples from mode coefficients; where n != 3, split by
+        ``split`` where given."""
+        if self.complex_kernel_t is None:
             out = _fft_sums(coeffs, -1)
         else:
-            out = (_matvec(self.kernel, coeffs) if cast is None
-                   else cast.product(cast.kernel, coeffs))
+            out = product(self.complex_kernel, coeffs, split)
         out /= self.sqrt_weights
         return out
 
     def derivative(self, coeffs) -> NDArray[np.complex128]:
         """Spectrally accurate radial derivative u_r, at the nodes, of the
         field with mode coefficients ``coeffs``."""
-        if self.factor is not None:
-            return _matvec(self.deriv_matrix, coeffs)
+        if self.complex_kernel_t is not None:
+            return product(self.deriv_matrix, coeffs)
         # n = 3: u_r = (d/dr (r u) - u) / r, and r u is the sine series of
         # the coefficients, so d/dr (r u) is r / sqrt(w) times the cosine
         # series of k b
@@ -287,76 +284,43 @@ class SpectralTransform:
         kin = 0.5 * _row_sums(lambda b: self.frequencies**2 * np.abs(b) ** 2, rows)
         return float(kin[0]) if coeffs.ndim == 1 else kin
 
-    def step_operator(self, multiplier, cast) -> NDArray[np.complex128]:
+    def step_operator(self, multiplier, split) -> NDArray[np.complex128]:
         """Dense matrix of a diagonal frequency multiplier, acting on
-        weighted samples sqrt(w) * u, built through ``cast``, a
-        ``KernelCast`` of this transform, in ``_ROWS``-row blocks split
-        over the cast's threads."""
-        left, right = self.kernel, cast.kernel_t
+        weighted samples sqrt(w) * u, built in ``_ROWS``-row blocks split
+        by ``split``, a ``workers.row_split`` over N rows."""
+        left = self.kernel
+        # kernel.T, C-contiguous: at n = 3 the kernel itself, which is symmetric
+        right = self.complex_kernel if self.complex_kernel_t is None else self.complex_kernel_t
         out = np.empty(left.shape, dtype=complex)
-        cast.split(lambda rows: np.matmul(left[rows] * multiplier[None, :], right,
-                                          out=out[rows]), _ROWS)
-        return out
-
-    @contextmanager
-    def cast(self):
-        """Yield a ``KernelCast`` of this transform; its threads are joined
-        on exit."""
-        with workers.row_split(self.grid.n_points) as split:
-            yield KernelCast(self, split)
-
-
-class KernelCast:
-    """A transform's kernels cast to complex, each once on first use (at
-    n = 3 the transform's complex kernel, which nothing casts, and which
-    only the step operator reads), and a ``workers.row_split`` over its
-    rows.  ``product(mat, x)`` is ``mat @ x`` for one complex row ``x`` and
-    a complex ``mat``, with the bits of numpy's full-cast product (so of
-    ``_matvec``): each thread computes whole dot products for its own rows
-    of the output."""
-
-    def __init__(self, tr: SpectralTransform, split):
-        self.tr, self.split = tr, split
-
-    @cached_property
-    def kernel_t(self) -> NDArray[np.complex128]:
-        tr = self.tr
-        return tr.complex_kernel if tr.factor is None else tr.factor_t.astype(complex)
-
-    @cached_property
-    def kernel(self) -> NDArray[np.complex128]:
-        return self.tr.factor.astype(complex)
-
-    def product(self, mat, x) -> NDArray[np.complex128]:
-        out = np.empty(x.shape, dtype=complex)
-        self.split(lambda rows: np.matmul(mat[rows], x, out=out[rows]))
+        # C order, as a C-ordered kernel's rows give, whatever the view's layout
+        split(lambda rows: np.matmul(np.multiply(left[rows], multiplier, order="C"), right,
+                                     out=out[rows]), _ROWS)
         return out
 
 
-# rows of a real matrix cast to complex at a time (a 1 MB block at
-# N = 1024), or of a stack transformed by FFT; the tests hold the bits to
-# the full-cast product, and a stack's rows to single-row calls, for N and
-# row counts that are and are not multiples of it
-_ROWS = 64
-
-
-def _matvec(mat: NDArray, x) -> NDArray[np.complex128]:
-    """``mat @ row`` for one complex row (N,) or each row of a stack (S, N),
-    with the bits of numpy's full-cast product: each C-contiguous row block
-    of the real ``mat`` is cast once per call, then one zgemv per row."""
+def product(mat: NDArray[np.complex128], x, split=None) -> NDArray[np.complex128]:
+    """``mat @ row`` for a complex ``mat`` and one row (N,) or each row of a
+    stack (S, N): one zgemv per row, with the bits of numpy's product of a
+    real matrix cast to complex.  ``split``, a ``workers.row_split`` over
+    ``mat``'s rows, where given, splits the output rows over its threads,
+    each computing whole dot products."""
     x = np.ascontiguousarray(x)
     out = np.empty(x.shape[:-1] + mat.shape[:1], dtype=complex)
-    # row views made once, not per block (5% of a row call at N = 1024)
+    # row views made once, not per block
     pairs = list(zip(*np.atleast_2d(x, out)))
-    for start in range(0, mat.shape[0], _ROWS):
-        rows = slice(start, start + _ROWS)
-        block = mat[rows].astype(complex, copy=False)
+
+    def fill(rows):
         for row, dest in pairs:
-            np.matmul(block, row, out=dest[rows])
-        # released before the next cast: holding two blocks slows a
-        # single-row call by half
-        del block
+            np.matmul(mat[rows], row, out=dest[rows])
+
+    fill(slice(None)) if split is None else split(fill)
     return out
+
+
+# rows of a stack transformed by FFT at a time, or of a step operator built
+# at a time; the tests hold a stack's rows to single-row calls, for row
+# counts that are and are not multiples of it
+_ROWS = 64
 
 
 def _fft_sums(x, parity: int) -> NDArray[np.complex128]:
@@ -460,7 +424,7 @@ def _build_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
     sw = np.sqrt(grid.weights)
     if grid.dimension == 3:
         # the orthonormal DST-I, applied by FFT; ``stored`` is not read
-        return SpectralTransform(grid, k, sw, None, None)
+        return SpectralTransform(grid, k, sw, None)
     from scipy import special
     r = grid.nodes
     # the sampled modes, weighted and normalized in place: one N x N array
@@ -474,12 +438,12 @@ def _build_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
     kernel = None if stored is None else _certified(stored, sampled)
     if kernel is None:
         kernel = _polar_factor(sampled)
-    return SpectralTransform(grid, k, sw, kernel, np.ascontiguousarray(kernel.T))
+    return SpectralTransform(grid, k, sw, kernel.T.astype(complex, order="C"))
 
 
-# grids whose transform (two real N x N arrays, 16 MB at N = 1024, and
-# one more once ``deriv_matrix`` is read; at n = 3 none until a step
-# operator is built, then one complex one) and propagator stay cached
+# grids whose transform (one complex N x N array, 16 MB at N = 1024, one
+# more for each of ``complex_kernel`` and ``deriv_matrix`` once read; at
+# n = 3 none until a step operator is built) and propagator stay cached
 CACHED_GRIDS = 8
 
 
@@ -495,7 +459,7 @@ def get_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
     for the ``CACHED_GRIDS`` most recently used grids; grids hash by
     identity).  A ``stored`` polar factor is certified and adopted only if
     this call builds the transform, and is not held afterwards; a grid
-    whose kernel is a closed form (``factor`` None) never reads it."""
+    whose kernel is a closed form (n = 3) never reads it."""
     if grid.kind != "bessel":
         raise GridError("spectral transform requires a bessel-kind grid")
     slot = _transform_slot(grid)

@@ -157,7 +157,7 @@ def test_n3_store_carries_no_kernel(tmp_path, caplog):
     store.mkdir()
     (store / "kernel.bin").write_bytes(b"stale")
     save_trajectory(evolve(gaussian_field(g), 0.0, 0.1, cfg), store)
-    assert get_transform(g).factor is None
+    assert get_transform(g).complex_kernel_t is None
     assert not (store / "kernel.bin").exists()
     table = bessel_table(3, 128)
     assert table.size == 2 * 128 + 1 and not table.flags.writeable
@@ -210,7 +210,7 @@ def _delete(store):
 
 def _other_dimension(store):
     n = read_json(store / "metadata.json")["grid"]["n_points"]
-    get_transform(make_spectral_grid(4, n, 16.0)).factor.tofile(store / "kernel.bin")
+    get_transform(make_spectral_grid(4, n, 16.0)).kernel.tofile(store / "kernel.bin")
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
-from nlslab import energy, gaussian_field, get_propagator, make_spectral_grid
+from nlslab import energy, gaussian_field, get_propagator, make_spectral_grid, workers
 from nlslab.functionals import _energy_rows
 from nlslab.grid import sphere_area
 from nlslab.transform import (
@@ -72,12 +72,14 @@ def _close(got, want, rtol):
 @pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1024)]
                          + [(3, n_points) for n_points in (16, 255, 256, 1024)])
 def test_dense_application_matches_full_cast_products(n, n_points):
-    """Row-blocked application keeps numpy's bits for complex input,
-    including a last block shorter than the others (N = 1000), and so do
-    the products through a ``KernelCast``.  At n = 3 the coefficient,
-    backward and derivative products, with or without a cast, match the
-    closed-form dense DST-I and derivative matrix, and the step operator
-    keeps the bits of the dense product."""
+    """The complex-kernel products keep the bits of numpy's full-cast
+    products of the real kernel for complex input, with and without a
+    ``workers.row_split`` over their rows, and so does the step operator,
+    built in ``_ROWS``-row blocks with a last block shorter than the
+    others (N = 1000).  At n = 3 the coefficient, backward and derivative
+    products, with or without a split, match the closed-form dense DST-I
+    and derivative matrix, and the step operator keeps the bits of the
+    dense product."""
     tr = get_transform(make_spectral_grid(n, n_points, 32.0))
     rng = np.random.default_rng(n_points + n)
     x = rng.standard_normal(n_points) + 1j * rng.standard_normal(n_points)
@@ -86,20 +88,21 @@ def test_dense_application_matches_full_cast_products(n, n_points):
     if n == 3:
         kernel, deriv = _dst1_closed_forms(tr)
         assert _close(tr.derivative(x), deriv @ x, 1e-12)
-        with tr.cast() as kernel_cast:
-            for cast in (None, kernel_cast):
-                assert _close(tr.coefficients(x, cast), kernel @ (sw * x), 1e-13)
-                assert _close(tr.backward(x, cast), (kernel @ x) / sw, 1e-13)
+        with workers.row_split(n_points) as row_split:
+            for split in (None, row_split):
+                assert _close(tr.coefficients(x, split), kernel @ (sw * x), 1e-13)
+                assert _close(tr.backward(x, split), (kernel @ x) / sw, 1e-13)
             step = (kernel * phases[None, :]) @ kernel.T
-            assert np.array_equal(tr.step_operator(phases, kernel_cast), step)
+            assert np.array_equal(tr.step_operator(phases, row_split), step)
         return
-    assert np.array_equal(tr.derivative(x), tr.deriv_matrix @ x)
-    step = (tr.kernel * phases[None, :]) @ tr.kernel.T
-    with tr.cast() as kernel_cast:
-        for cast in (None, kernel_cast):
-            assert np.array_equal(tr.coefficients(x, cast), tr.kernel.T @ (sw * x))
-            assert np.array_equal(tr.backward(x, cast), (tr.kernel @ x) / sw)
-        assert np.array_equal(tr.step_operator(phases, kernel_cast), step)
+    kernel = np.array(tr.kernel)                 # the real kernel, C-contiguous
+    assert np.array_equal(tr.derivative(x), tr.deriv_matrix.real @ x)
+    step = (kernel * phases[None, :]) @ kernel.T
+    with workers.row_split(n_points) as row_split:
+        for split in (None, row_split):
+            assert np.array_equal(tr.coefficients(x, split), kernel.T @ (sw * x))
+            assert np.array_equal(tr.backward(x, split), (kernel @ x) / sw)
+        assert np.array_equal(tr.step_operator(phases, row_split), step)
 
 
 @pytest.mark.parametrize("n,n_points", [(3, 192), (5, 192), (3, 1000), (5, 1000)]
@@ -222,8 +225,9 @@ def test_n3_kernel_is_the_closed_form_dst1(monkeypatch, n_points, r_max):
         _transform_slot.cache_clear()
         tr = get_transform(grid)
     q = tr.kernel
-    assert tr.factor is None
-    assert np.array_equal(q, q.T) and np.array_equal(tr.kernel_t, q)
+    assert tr.complex_kernel_t is None
+    # symmetric, so the complex kernel is also the step operator's transpose
+    assert np.array_equal(q, q.T) and np.shares_memory(q, tr.complex_kernel)
     assert np.abs(q.T @ q - np.eye(n_points)).max() < 1e-14
     if n_points > 1000:
         return                     # the sampled reference below needs a 2048 x 2048 SVD
@@ -241,29 +245,57 @@ def test_n3_kernel_is_the_closed_form_dst1(monkeypatch, n_points, r_max):
 def test_n3_transform_holds_one_kernel_array():
     """An n = 3 transform holds no N x N array until its step operator is
     built; then one, the complex kernel with a +0 imaginary part, whose
-    real view is ``kernel`` and ``kernel_t`` and which its ``KernelCast``
-    reads instead of a copy.  The in-place build keeps the bits of the
-    expression it spells."""
+    real view is ``kernel`` and which the step operator reads in both
+    orientations instead of a copy.  The in-place build keeps the bits of
+    the expression it spells."""
     n = 192
     grid = make_spectral_grid(3, n, 16.0)
     tr = _build_transform(grid)
     x = np.ones(n, dtype=complex)
     for product in (tr.coefficients, tr.backward, tr.derivative):
         product(x)
-    assert tr.factor is None and tr.factor_t is None
+    assert tr.complex_kernel_t is None
     assert not [a for a in vars(tr).values() if isinstance(a, np.ndarray) and a.size >= n * n]
-    with tr.cast() as cast:
-        tr.step_operator(np.ones(n, dtype=complex), cast)
-        assert cast.kernel_t is tr.complex_kernel
+    with workers.row_split(n) as split:
+        tr.step_operator(np.ones(n, dtype=complex), split)
     dense = tr.complex_kernel
     assert dense.shape == (n, n) and dense.dtype == np.complex128
-    assert np.shares_memory(tr.kernel, dense) and np.shares_memory(tr.kernel_t, dense)
+    assert np.shares_memory(tr.kernel, dense)
     assert not np.any(dense.imag) and not np.any(np.signbit(dense.imag))
     arrays = [a for a in vars(tr).values() if isinstance(a, np.ndarray) and a.size >= n * n]
     assert len(arrays) == 1 and arrays[0] is dense
     i = np.arange(1, n + 1)
     theta = (np.outer(i, i) % (2 * (n + 1))) * (math.pi / (n + 1))
     assert tr.kernel.tobytes() == (math.sqrt(2.0 / (n + 1)) * np.sin(theta)).tobytes()
+
+
+def test_transform_holds_one_complex_kernel_array():
+    """An n != 3 transform holds one N x N array once built: the complex
+    transpose of its polar factor, with no imaginary bit set, of which
+    ``kernel`` is a real view; ``backward`` adds one, ``complex_kernel``.
+    ``deriv_matrix``, built in place in a complex array's real part, has
+    the bits of the expression it spells."""
+    n = 256
+    grid = make_spectral_grid(5, n, 16.0)
+    tr = _build_transform(grid)
+
+    def dense():
+        return [a for a in vars(tr).values() if isinstance(a, np.ndarray) and a.size >= n * n]
+
+    assert len(dense()) == 1 and dense()[0] is tr.complex_kernel_t
+    kt = tr.complex_kernel_t
+    assert kt.dtype == np.complex128 and kt.flags.c_contiguous
+    assert not np.any(kt.imag.view(np.uint64))
+    assert np.shares_memory(tr.kernel, kt) and np.array_equal(tr.kernel, kt.real.T)
+    tr.backward(np.ones(n, dtype=complex))
+    assert len(dense()) == 2 and tr.complex_kernel.flags.c_contiguous
+    assert np.array_equal(tr.complex_kernel, kt.T)
+    nu, _, mode_norm = _modes(grid)
+    k, r = tr.frequencies, grid.nodes
+    want = -k * special.jv(nu + 1, np.outer(r, k)) / r[:, None] ** nu / mode_norm
+    deriv = tr.deriv_matrix
+    assert deriv.dtype == np.complex128 and not np.any(deriv.imag.view(np.uint64))
+    assert deriv.real.tobytes() == want.tobytes()
 
 
 def _fft_dst1(x):
