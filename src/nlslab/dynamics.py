@@ -151,6 +151,8 @@ def evolve(
     t_plus: float,
     cfg: EvolutionConfig,
     provenance: dict | None = None,
+    *,
+    pinned: bool = True,
 ) -> Trajectory:
     """Run Strang splitting from t_minus to t_plus.
 
@@ -158,6 +160,8 @@ def evolve(
     state).  The run is truncated early with a partial trajectory when the
     gradient norm exceeds ``blowup_grad_factor`` times its start or the
     relative energy drift exceeds the alarm; the status says which.
+    ``pinned=False`` lets an n = 3 run whose rows are never stored (a
+    resolution twin) step by FFT; see the branch comment below.
     """
     if t_plus <= t_minus:
         raise ValueError("empty time span")
@@ -194,10 +198,13 @@ def evolve(
     # 1.36-1.58 s, against 0.85-1.01 s for the dense operator, its build
     # included) and its different rounding would move pinned report values.
     # At n = 3 that loop's transforms are FFTs, far cheaper than the dense
-    # operator at N = 1024, yet the dense branch stays: an FFT step would
-    # move the trajectory values, and the pinned reports sit on an exact
-    # tie of the greedy interval count, which must be settled first.
+    # operator at N = 1024 and with no N x N array, yet a ``pinned`` run
+    # keeps the dense branch: an FFT step moves the stored values by
+    # rounding, and the pinned reports sit on an exact tie of the greedy
+    # interval count, which must be settled first.  A resolution twin's
+    # rows feed only the order estimate, so it takes the FFT loop.
     watch_every_step = mu == -1
+    in_coefficients = watch_every_step or (not pinned and tr.complex_kernel_t is None)
 
     u = np.asarray(u0.values, dtype=complex).copy()
     # the initial state, one row per stride and the final (or abort) state
@@ -217,7 +224,7 @@ def evolve(
     # every kernel product of the loop (at n = 3 the step operator's alone:
     # the rest are FFTs) splits its rows over the process budget's threads
     with workers.row_split(u.size) as split:
-        step_op = None if watch_every_step else tr.step_operator(phases, split)
+        step_op = None if in_coefficients else tr.step_operator(phases, split)
         e0, grad0 = record(t_minus, u)
         pot_exceeds = abs(potentials[0]) > kinetics[0]
         e_scale = energy_scale(e0)
@@ -227,9 +234,10 @@ def evolve(
         for step in range(1, n_steps + 1):
             if mu != 0:
                 u = _phase_rotation(u, mu, dt / 2.0, p)
-            if watch_every_step:
+            if in_coefficients:
                 b = tr.coefficients(u, split)
-                grad_lin = math.sqrt(2.0 * tr.kinetic_energy(b))
+                if watch_every_step:
+                    grad_lin = math.sqrt(2.0 * tr.kinetic_energy(b))
                 u = tr.backward(phases * b, split)
             else:
                 u = product(step_op, sw * u, split) / sw

@@ -10,7 +10,9 @@ invariant and returns a machine-readable pass/fail list.
 
 The resolution certificate's coarse twins run through ``workers.run``: in
 forked workers beside the report's tables when the process budget allows,
-in-process otherwise, with the same bytes either way.
+in-process otherwise, with the same bytes either way.  Their rows are never
+stored, so at n = 3 they step by FFT and hold no N x N array; the stored
+run keeps the dense step operator, whose bits the pinned reports hold.
 """
 
 from __future__ import annotations
@@ -527,12 +529,14 @@ def _twin_tasks(traj) -> list:
 
 
 def _twin_final(traj, factor: int):
+    """The twin at ``factor`` times dt.  Its rows are never stored, so at
+    n = 3 it steps by FFT (``pinned=False``), with no N x N array."""
     cfg = replace(
         traj.config,
         dt=traj.config.dt * factor,
         snapshot_stride=max(1, traj.config.snapshot_stride // factor),
     )
-    tw = evolve(traj.field(0), traj.t_minus, traj.t_plus, cfg)
+    tw = evolve(traj.field(0), traj.t_minus, traj.t_plus, cfg, pinned=False)
     return tw.status, tw.abort_reason, tw.values[-1]
 
 

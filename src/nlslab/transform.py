@@ -41,13 +41,13 @@ so no n = 3 reader imports scipy.  One complex row, and a stack, on a
     256    one row      0.050 ms   0.066 ms
     256    1001 rows    47.5 ms    37.5 ms
 
-(N + 1 = 257 is prime.)  Only the dense step operator of ``evolve`` reads
-an N x N array at n = 3: the DST-I ``complex_kernel``, built on first use
-from the closed form with the angle i m reduced modulo 2(N+1) in
-integers, so that only one rounding enters and nothing depends on the
-BLAS thread count.  It is exactly symmetric, so one complex array serves
-both orientations: with a step operator, the dense n = 3 path holds
-32 N^2 bytes.
+(N + 1 = 257 is prime.)  Only the dense step operator of a stored run's
+``evolve`` (not a resolution twin's) reads an N x N array at n = 3: the
+DST-I ``complex_kernel``, built on first use from the closed form with
+the angle i m reduced modulo 2(N+1) in integers, so that only one
+rounding enters and nothing depends on the BLAS thread count.  It is
+exactly symmetric, so one complex array serves both orientations: with a
+step operator, the dense n = 3 path holds 32 N^2 bytes.
 
 Elsewhere the fields are complex and a real kernel would be cast on every
 product (16 MB at N = 1024), so the transform holds the kernel's

@@ -404,9 +404,10 @@ _TRACED = ('import sys, tracemalloc; from nlslab.cli import main; tracemalloc.st
 
 
 def test_n3_store_is_read_without_scipy_or_an_n_by_n_array(tmp_path):
-    """analyze (the propagator self-test and every report table) and verify
-    of an n = 3 store take their transforms by FFT: they load no scipy and
-    allocate less than one N x N array of floats, about 8 MB here."""
+    """analyze (the propagator self-test, every report table and, when
+    certified, the resolution twins) and verify of an n = 3 store take
+    their transforms by FFT: they load no scipy and allocate less than one
+    N x N array of floats, about 8 MB here."""
     n = 1024
     doc = dict(SMALL_SCENARIO, grid={"n_points": n, "r_max": 32.0},
                time={"t_minus": 0.0, "t_plus": 0.05, "dt": 2e-3, "snapshot_stride": 5},
@@ -415,13 +416,20 @@ def test_n3_store_is_read_without_scipy_or_an_n_by_n_array(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
     env = dict(os.environ, PYTHONPATH=str(Path(nlslab.__file__).resolve().parents[1]))
-    for command in (["analyze", "--config", str(cfg_path)], ["verify"]):
+    # no BLAS pin: budget 1, so the twins run in the traced process
+    for pin in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(pin, None)
+    certified = ["--override", "analysis.certify_resolution=true"]
+    for command in (["analyze", "--config", str(cfg_path)],
+                    ["analyze", "--config", str(cfg_path), *certified], ["verify"]):
         proc = subprocess.run([sys.executable, "-c", _TRACED, *command, "--out", str(out)],
                               env=env, capture_output=True, text=True)
         assert proc.returncode == EXIT_OK, proc.stderr
         peak, modules = proc.stdout.splitlines()[-1].split(" ", 1)
         assert modules == "[]", command
         assert int(peak) < 8 * n * n, command
+    # verify read the certified report
+    assert read_json(out / "report.json")["resolution_certification"]["measured_order"] > 1.5
 
 
 def test_bessel_table_cache_is_bounded():
@@ -854,6 +862,18 @@ def test_exactly_agreeing_twins_measure_no_order(tmp_path):
     assert "resolution_order" not in names and "mass_conservation" in names
 
 
+def test_fft_twins_measure_the_order_of_dense_twins(small_run, monkeypatch):
+    """At n = 3 the coarse twins step by FFT; twins on the dense step
+    operator, which the stored run takes, measure the same order."""
+    traj, fft = small_run.trajectory, small_run.report["resolution_certification"]
+    monkeypatch.setattr(scenario_module, "evolve", lambda *args, pinned: evolve(*args, pinned=True))
+    dense = scenario_module._certify_resolution(
+        traj, [scenario_module._twin_final(traj, f) for f in scenario_module._TWIN_FACTORS])
+    assert dense["measured_order"] == pytest.approx(fft["measured_order"], rel=1e-7, abs=0)
+    for key in ("self_difference_fine", "self_difference_coarse"):
+        assert dense[key] == pytest.approx(fft[key], rel=1e-7, abs=0), key
+
+
 def test_non_finite_morawetz_ratio_is_null_and_fails_verify(tmp_path, capsys):
     """A focusing ring of amplitude 50 has negative energy, so its Morawetz
     ratios do not fit a float: analyze writes them as null instead of
@@ -1097,7 +1117,7 @@ def _logged_evolve(monkeypatch, log: Path, fail=None):
 
     base_dt = SMALL_SCENARIO["time"]["dt"]
 
-    def logged(u0, t_minus, t_plus, cfg, provenance=None):
+    def logged(u0, t_minus, t_plus, cfg, provenance=None, *, pinned=True):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {cfg.dt / base_dt:g}\n")
         if cfg.dt > base_dt and fail == "raise":
@@ -1106,7 +1126,7 @@ def _logged_evolve(monkeypatch, log: Path, fail=None):
             os._exit(1)
         if cfg.dt > base_dt and fail == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
-        return dynamics.evolve(u0, t_minus, t_plus, cfg, provenance)
+        return dynamics.evolve(u0, t_minus, t_plus, cfg, provenance, pinned=pinned)
 
     monkeypatch.setattr(scenario, "evolve", logged)
 
@@ -1582,11 +1602,11 @@ def test_no_token_is_lent_while_build_report_computes_its_tables(monkeypatch):
         assert events.poll(30.0)
         return events.recv()
 
-    def evolve(u0, t_minus, t_plus, cfg, provenance=None):
+    def evolve(u0, t_minus, t_plus, cfg, provenance=None, *, pinned=True):
         if cfg.dt == 2 * base_dt:
             assert workers._tokens.acquire(True, 30.0)
             sender.send(("token", time.monotonic()))
-        traj = dynamics.evolve(u0, t_minus, t_plus, cfg, provenance)
+        traj = dynamics.evolve(u0, t_minus, t_plus, cfg, provenance, pinned=pinned)
         if cfg.dt == 4 * base_dt:
             sender.send(("4x twin", time.monotonic()))
         return traj
