@@ -76,12 +76,12 @@ class IntervalDecomposition:
 def greedy_subdivide(traj: Trajectory, eta: float) -> IntervalDecomposition:
     """Left-to-right subdivision of the critical-norm spacetime mass.
 
-    Sweeping the cumulative integral of the snapshot-sampled density,
-    an interval closes as soon as its mass reaches eta; if the remainder
-    past a prospective boundary is below eta the current interval absorbs
-    it (mass below 2 eta), so every non-tail interval lands in [eta, 2 eta].
-    A trajectory whose total mass is below eta yields a single tail
-    interval, flagged rather than rejected.
+    Sweeping the cumulative integral of the snapshot-sampled density, an
+    interval closes as soon as its mass reaches eta, as long as at least
+    eta remains past its boundary; the last interval absorbs the sub-eta
+    remainder (mass below 2 eta), so every non-tail interval lands in
+    [eta, 2 eta].  A trajectory whose total mass is below eta yields a
+    single tail interval, flagged rather than rejected.
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -103,25 +103,13 @@ def greedy_subdivide(traj: Trajectory, eta: float) -> IntervalDecomposition:
     boundaries = [float(ts[0])]
     masses = []
     consumed = 0.0
-    while total - consumed >= eta:
-        target = consumed + eta
-        remainder = total - target
-        if remainder < eta:
-            # absorb the sub-eta remainder into this final interval
-            boundaries.append(t_end)
-            masses.append(total - consumed)
-            consumed = total
-            break
-        t_cut = timegrid.invert_cumulative(ts, dens, cum, target)
-        boundaries.append(t_cut)
+    while total - (consumed + eta) >= eta:
+        consumed += eta
+        boundaries.append(timegrid.invert_cumulative(ts, dens, cum, consumed))
         masses.append(eta)
-        consumed = target
-    tail = False
-    if consumed < total:
-        boundaries.append(t_end)
-        masses.append(total - consumed)
-        tail = True
-    return IntervalDecomposition(tuple(boundaries), tuple(masses), eta, tail)
+    boundaries.append(t_end)
+    masses.append(total - consumed)
+    return IntervalDecomposition(tuple(boundaries), tuple(masses), eta, tail_flag=False)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +159,7 @@ def classify_exceptional(
         minus_masses.append(m_minus)
         plus_masses.append(m_plus)
         flags.append(m_minus > threshold or m_plus > threshold)
-    total = timegrid.pl_integral(ts, dens_minus, ts[0], ts[-1]) + timegrid.pl_integral(
-        ts, dens_plus, ts[0], ts[-1]
-    )
+    total = float(np.trapezoid(dens_minus, ts)) + float(np.trapezoid(dens_plus, ts))
     return ExceptionalReport(
         flags=tuple(flags),
         minus_masses=tuple(minus_masses),

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import timegrid
 from .grid import RadialField, RadialGrid, _lp_norms, _row_sums
 from .transform import get_transform
 
@@ -214,36 +213,23 @@ def _hardy_ratio(u: RadialField, radius: float, e: float) -> float:
 # spacetime norms
 
 
-def spacetime_norm(traj: Trajectory, q: float, r: float, interval=None) -> float:
-    """Mixed norm ( int_I ||u(t)||_{L^r}^q dt )^{1/q} over snapshots.
+def spacetime_norm(traj: Trajectory, q: float, r: float) -> float:
+    """Mixed norm ( int ||u(t)||_{L^r}^q dt )^{1/q} over the trajectory's span.
 
     The time integral treats the sampled r-norm density as piecewise
-    linear; q = inf takes the supremum over the interval.
+    linear; q = inf takes the supremum over the snapshots.
     """
-    return _mixed_norm(traj, traj.values, q, r, interval)
+    return _mixed_norm(traj, traj.values, q, r)
 
 
-def _mixed_norm(traj: Trajectory, values: np.ndarray, q: float, r: float, interval) -> float:
+def _mixed_norm(traj: Trajectory, values: np.ndarray, q: float, r: float) -> float:
     """``spacetime_norm`` of the (S, N) ``values`` at the trajectory's times."""
     if q < 1 or r < 1:
         raise ValueError("exponents must be >= 1")
-    a, b = _resolve_interval(traj, interval)
     norms = _lp_norms(traj.grid, values, r)
     if math.isinf(q):
-        return timegrid.pl_maximum(traj.times, norms, a, b)
-    dens = norms**q
-    return float(timegrid.pl_integral(traj.times, dens, a, b) ** (1.0 / q))
-
-
-def _resolve_interval(traj: Trajectory, interval) -> tuple[float, float]:
-    if interval is None:
-        return traj.t_minus, traj.t_plus
-    a, b = float(interval[0]), float(interval[1])
-    if b <= a:
-        raise ValueError("empty interval")
-    if a < traj.t_minus - 1e-9 or b > traj.t_plus + 1e-9:
-        raise ValueError("interval outside trajectory span")
-    return max(a, traj.t_minus), min(b, traj.t_plus)
+        return float(norms.max())
+    return float(np.trapezoid(norms**q, traj.times)) ** (1.0 / q)
 
 
 def _gradient_values(traj: Trajectory) -> np.ndarray:
@@ -315,26 +301,25 @@ class MorawetzReport:
     lhs: float                # weighted spacetime integral of |u|^{2n/(n-2)} / |x|
     rhs_without_constant: float   # A |I|^{1/2} E
     ratio: float
-    window_radius: float
     A: float
-    interval: tuple[float, float]
     regularized: dict         # eps -> LHS with 1/(eps^2+|x|^2)^{1/2}, and "richardson"
 
 
-def _morawetz_lhs(traj: Trajectory, a: float, b: float, A: float, denominator) -> float:
-    """int_a^b int_{|x| <= A (b-a)^{1/2}}  |u|^{2n/(n-2)} / denominator(|x|)  dx dt."""
+def _morawetz_densities(traj: Trajectory, radius: float, denominator) -> np.ndarray:
+    """int_{|x| <= radius}  |u(t)|^{2n/(n-2)} / denominator(|x|)  dx at each
+    snapshot time."""
     n = traj.grid.dimension
-    mask = traj.grid.nodes <= A * math.sqrt(b - a)
+    mask = traj.grid.nodes <= radius
     wq = traj.grid.weights[mask] / denominator(traj.grid.nodes[mask])
     expo = 2.0 * n / (n - 2)
     # numpy lays a boolean column selection out in Fortran order; the row
     # sums repeat the per-snapshot sums bit for bit only on C-ordered rows
-    dens = _row_sums(lambda v: wq * np.abs(np.ascontiguousarray(v[:, mask])) ** expo, traj.values)
-    return timegrid.pl_integral(traj.times, dens, a, b)
+    return _row_sums(lambda v: wq * np.abs(np.ascontiguousarray(v[:, mask])) ** expo, traj.values)
 
 
-def morawetz_check(traj: Trajectory, interval=None, A: float = 1.0, eps=()) -> MorawetzReport:
-    """Weighted spacetime concentration integral against  A |I|^{1/2} E.
+def morawetz_check(traj: Trajectory, A: float = 1.0, eps=()) -> MorawetzReport:
+    """Weighted spacetime concentration integral against  A |I|^{1/2} E
+    over the trajectory's span I.
 
     LHS = int_I int_{|x| <= A |I|^{1/2}}  |u|^{2n/(n-2)} / |x|  dx dt.
     The 1/|x| singularity is absorbed by the volume factor (the radial
@@ -347,23 +332,22 @@ def morawetz_check(traj: Trajectory, interval=None, A: float = 1.0, eps=()) -> M
     """
     if A < 1.0:
         raise ValueError("A must be >= 1")
-    a, b = _resolve_interval(traj, interval)
-    length = b - a
-    rad = A * math.sqrt(length)
-    lhs = _morawetz_lhs(traj, a, b, A, lambda r: r)
+    rad = A * math.sqrt(traj.span)
+
+    def lhs_of(denominator) -> float:
+        return float(np.trapezoid(_morawetz_densities(traj, rad, denominator), traj.times))
+
+    lhs = lhs_of(lambda r: r)
     e = float(traj.energy_series[0])
-    rhs = A * math.sqrt(length) * e
+    rhs = rad * e
     ratio = lhs / rhs if rhs > 0 else math.inf if lhs > 0 else 0.0
-    reg = {
-        ep: _morawetz_lhs(traj, a, b, A, lambda r, ep=ep: np.sqrt(ep**2 + r**2))
-        for ep in eps
-    }
+    reg = {ep: lhs_of(lambda r, ep=ep: np.sqrt(ep**2 + r**2)) for ep in eps}
     eps_sorted = sorted(reg)
     if len(eps_sorted) >= 2:
         e1, e0 = eps_sorted[-1], eps_sorted[0]  # largest, smallest
         v1, v0 = reg[e1], reg[e0]
         reg["richardson"] = v0 + (v0 - v1) * e0 / (e1 - e0)
-    return MorawetzReport(lhs, rhs, ratio, rad, A, (a, b), reg)
+    return MorawetzReport(lhs, rhs, ratio, A, reg)
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,6 @@ def read_json(path: Path):
 # snapshot binary codec
 
 
-def encode_snapshot(values: np.ndarray) -> bytes:
-    return np.asarray(values, dtype="<c16").tobytes()
-
-
 def decode_snapshot(blob: bytes) -> np.ndarray:
     if len(blob) % 16:
         raise ValueError("corrupt snapshot: not a whole number of complex samples")
@@ -135,11 +131,11 @@ def load_trajectory(directory) -> Trajectory:
     times = np.asarray(meta["times"], dtype=float)
     n_points = int(spec["n_points"])
     snapshots = directory / "snapshots.bin"
-    values = np.fromfile(snapshots, dtype="<c16") if snapshots.is_file() else np.empty(0)
-    if values.size != times.size * n_points:
-        raise StoreError(f"trajectory store {directory} holds {values.size} snapshot samples "
-                         f"in snapshots.bin, not {times.size} x {n_points}; re-run simulate")
-    values = values.reshape(times.size, n_points)
+    size = snapshots.stat().st_size if snapshots.is_file() else 0
+    if size != times.size * n_points * 16:
+        raise StoreError(f"trajectory store {directory} holds {size} bytes in snapshots.bin, "
+                         f"not {times.size} x {n_points} x 16; re-run simulate")
+    values = np.fromfile(snapshots, dtype="<c16").reshape(times.size, n_points)
     table = directory / "bessel.bin"
     if spec["dimension"] == 3 and table.is_file():
         # adopted, once certified, before the grid is built from it

@@ -390,7 +390,7 @@ def _morawetz_table(s, traj):
     # is not positive, an integral that overflows) is written as null
     rows = []
     for A in s["analysis"]["morawetz_A"]:
-        rep = fn.morawetz_check(traj, None, float(A), tuple(s["analysis"]["morawetz_eps"]))
+        rep = fn.morawetz_check(traj, float(A), tuple(s["analysis"]["morawetz_eps"]))
         rows.append(
             {
                 "A": rep.A,
@@ -422,7 +422,7 @@ def _strichartz_table(s, traj):
     pairs = _pairs_for(s)
     rows = []
     for k, values in ((0, traj.values), (1, fn._gradient_values(traj))):
-        norms = [fn._mixed_norm(traj, values, pr.q, pr.r, None) for pr in pairs]
+        norms = [fn._mixed_norm(traj, values, pr.q, pr.r) for pr in pairs]
         rows += [{"k": k, "q": _finite(pr.q), "r": _finite(pr.r), "value": v}
                  for pr, v in zip(pairs, norms)]
         rows.append({"k": k, "q": "sup", "r": "sup", "value": max(norms)})

@@ -28,13 +28,6 @@ def pl_integral(ts: np.ndarray, vs: np.ndarray, a: float, b: float) -> float:
     return float(np.trapezoid(vals, grid))
 
 
-def pl_maximum(ts: np.ndarray, vs: np.ndarray, a: float, b: float) -> float:
-    """Maximum of the interpolant over [a, b]."""
-    inner = vs[(ts > a) & (ts < b)]
-    ends = np.interp([a, b], ts, vs)
-    return float(max(inner.max(initial=-np.inf), ends.max()))
-
-
 def cumulative_panels(ts: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Cumulative integral of the interpolant evaluated at the sample times."""
     out = np.zeros(ts.size)

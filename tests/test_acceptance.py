@@ -145,8 +145,8 @@ def test_criterion_4_morawetz(reference_grid):
     for n, grid in ((3, g), (5, make_spectral_grid(5, 384, 16.0))):
         cfg = EvolutionConfig(dimension=n, mu=1, dt=1e-3, snapshot_stride=10)
         traj = evolve(gaussian_field(grid), 0.0, 0.4, cfg)
-        rep0 = morawetz_check(traj, None, 2.0)
-        rep1 = morawetz_check(scaled_trajectory(traj, 0.5), None, 2.0)
+        rep0 = morawetz_check(traj, 2.0)
+        rep1 = morawetz_check(scaled_trajectory(traj, 0.5), 2.0)
         scale_dev = max(scale_dev, abs(rep1.ratio - rep0.ratio) / rep0.ratio)
     assert scale_dev < 1e-10
 
@@ -164,7 +164,7 @@ def test_criterion_4_morawetz(reference_grid):
         traj = evolve(ref.field(vals), 0.0, 1.0, cfg)
         assert traj.status == "complete"
         for A in (1.0, 2.0, 4.0):
-            worst = max(worst, morawetz_check(traj, None, A).ratio)
+            worst = max(worst, morawetz_check(traj, A).ratio)
     assert worst <= MORAWETZ_RATIO_BOUND
     ok(
         f"criterion 4 (morawetz): identity order {order:.2f} >= 1.5, "

@@ -22,6 +22,7 @@ from nlslab import (
     largest_fraction,
     linear_flow_check,
     make_spectral_grid,
+    timegrid,
 )
 from nlslab.concentration import (
     ResolutionError,
@@ -105,8 +106,8 @@ def test_greedy_masses_in_window(g3, synth_factory):
     traj = density_trajectory(g3, times, lambda t: np.interp(t, times, bumps), synth_factory)
     eta = 0.31
     d = greedy_subdivide(traj, eta)
-    non_tail = d.masses[:-1] if d.tail_flag else d.masses
-    for m in non_tail:
+    assert not d.tail_flag          # the last interval absorbs the remainder
+    for m in d.masses:
         assert eta * (1 - 1e-9) <= m <= 2 * eta * (1 + 1e-9)
     assert abs(sum(d.masses) - np.trapezoid(critical_density(traj), times)) < 1e-9
 
@@ -141,6 +142,18 @@ def test_greedy_count_stable_at_default_eta(g3, synth_factory):
             for e in (np.nextafter(eta, 0.0), eta, np.nextafter(eta, np.inf))
         }
         assert len(counts) == 1, counts
+
+
+def test_whole_span_pl_integral_is_the_trapezoid_rule():
+    # the report's whole-span integrals are np.trapezoid over the snapshot
+    # times: bit for bit the interpolant's integral over [t_0, t_S], since
+    # np.interp returns the samples themselves at the nodes
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        size = int(rng.integers(3, 120))
+        ts = rng.normal() + np.cumsum(10.0 ** rng.uniform(-6.0, 1.0, size))
+        vs = 10.0 ** rng.uniform(-40.0, 40.0, size)
+        assert timegrid.pl_integral(ts, vs, ts[0], ts[-1]) == np.trapezoid(vs, ts)
 
 
 # ---------------------------------------------------------------------------

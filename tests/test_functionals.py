@@ -259,7 +259,7 @@ def test_strichartz_finite_and_stable_under_dt(g3_mid):
         cfg = EvolutionConfig(dimension=3, mu=1, dt=dt, snapshot_stride=int(0.01 / dt))
         traj = evolve(u0, 0.0, 0.5, cfg)
         grad = _gradient_values(traj)
-        vals.append(max(_mixed_norm(traj, grad, pr.q, pr.r, None)
+        vals.append(max(_mixed_norm(traj, grad, pr.q, pr.r)
                         for pr in default_admissible_pairs(3)))
     assert all(math.isfinite(v) and v > 0 for v in vals)
     assert abs(vals[1] - vals[0]) / vals[0] < 0.02
@@ -302,12 +302,12 @@ def test_weight_rejects_outside_unit_ball():
 def test_morawetz_zero(g3, synth_factory):
     times = np.linspace(0, 1, 5)
     traj = synth_factory(g3, times, [g3.zeros()] * 5)
-    assert morawetz_check(traj, None, 1.0).lhs == 0.0
+    assert morawetz_check(traj, 1.0).lhs == 0.0
 
 
 @pytest.mark.parametrize("A", [1.0, 2.0, 4.0])
 def test_morawetz_ratio_under_bound(traj_defocusing, A):
-    rep = morawetz_check(traj_defocusing, None, A)
+    rep = morawetz_check(traj_defocusing, A)
     assert rep.ratio <= MORAWETZ_RATIO_BOUND
 
 
@@ -315,23 +315,23 @@ def test_morawetz_scale_invariance(traj_defocusing):
     g5 = make_spectral_grid(5, 384, 16.0)
     cfg5 = EvolutionConfig(dimension=5, mu=1, dt=1e-3, snapshot_stride=10)
     for traj in (traj_defocusing, evolve(gaussian_field(g5), 0.0, 0.4, cfg5)):
-        rep0 = morawetz_check(traj, None, 2.0)
-        rep1 = morawetz_check(scaled_trajectory(traj, 0.5), None, 2.0)
+        rep0 = morawetz_check(traj, 2.0)
+        rep1 = morawetz_check(scaled_trajectory(traj, 0.5), 2.0)
         assert abs(rep1.ratio - rep0.ratio) / rep0.ratio < 1e-10
 
 
 def test_morawetz_regularized_converges_from_below(traj_defocusing):
-    rep = morawetz_check(traj_defocusing, None, 1.0, (1e-2, 1e-3))
+    rep = morawetz_check(traj_defocusing, 1.0, (1e-2, 1e-3))
     sharp, reg = rep.lhs, rep.regularized
     assert reg[1e-2] < reg[1e-3] < sharp
     assert abs(reg["richardson"] - sharp) < abs(reg[1e-2] - sharp)
     # a Richardson value needs two epsilons
-    assert morawetz_check(traj_defocusing, None, 1.0, (1e-2,)).regularized == {1e-2: reg[1e-2]}
+    assert morawetz_check(traj_defocusing, 1.0, (1e-2,)).regularized == {1e-2: reg[1e-2]}
 
 
 def test_morawetz_rejects_small_A(traj_defocusing):
     with pytest.raises(ValueError):
-        morawetz_check(traj_defocusing, None, 0.5)
+        morawetz_check(traj_defocusing, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +366,11 @@ def test_identity_rejects_unresolved_eps(traj_defocusing):
 def test_row_reductions_equal_per_snapshot_loops(traj_defocusing):
     # every reference below is the old one-snapshot-at-a-time arithmetic;
     # the row sums must reproduce it bit for bit, not within a tolerance
-    from nlslab import timegrid
     from nlslab.functionals import (
         _critical_densities,
         _local_masses,
         _mass_series,
-        _morawetz_lhs,
+        _morawetz_densities,
         _weight_derivs,
     )
     from nlslab.grid import _lp_norms
@@ -396,14 +395,16 @@ def test_row_reductions_equal_per_snapshot_loops(traj_defocusing):
                               loop(lambda v: np.sum(w * np.abs(v) ** p) ** (1.0 / p)))
     assert np.array_equal(_lp_norms(g, traj.values, math.inf), loop(lambda v: np.abs(v).max()))
 
-    # one snapshot panel at a time, so that one ulp of one density shows
+    # the Morawetz densities row by row, so that one ulp of one density
+    # shows, at the radius of each snapshot panel and of the whole span
     ts = traj.times
-    for a, b in zip(ts[:-1], ts[1:]):
-        mask = r <= 20.0 * math.sqrt(b - a)
+    radii = [20.0 * math.sqrt(b - a) for a, b in zip(ts[:-1], ts[1:])]
+    for radius in radii + [2.0 * math.sqrt(traj.span)]:
+        mask = r <= radius
         wq = w[mask] / r[mask]
         dens = loop(lambda v: np.sum(wq * np.abs(v[mask]) ** 6.0))
-        lhs = _morawetz_lhs(traj, a, b, 20.0, lambda x: x)
-        assert lhs == timegrid.pl_integral(ts, dens, a, b)
+        assert np.array_equal(_morawetz_densities(traj, radius, lambda x: x), dens)
+    assert morawetz_check(traj, 2.0).lhs == np.trapezoid(dens, ts)
 
     eps = 0.5
     s2 = eps * eps + r * r

@@ -25,7 +25,6 @@ from nlslab.cli import (
 from nlslab.persist import (
     canonical_json,
     decode_snapshot,
-    encode_snapshot,
     load_trajectory,
     read_json,
     save_trajectory,
@@ -97,7 +96,7 @@ def test_canonical_json_deterministic():
 def test_snapshot_codec_bit_exact():
     rng = np.random.default_rng(0)
     vals = rng.normal(size=64) + 1j * rng.normal(size=64)
-    blob = encode_snapshot(vals)
+    blob = np.asarray(vals, "<c16").tobytes()
     assert len(blob) == 64 * 16
     back = decode_snapshot(blob)
     assert np.array_equal(back, vals)          # bit-exact, not approx
@@ -106,7 +105,7 @@ def test_snapshot_codec_bit_exact():
 def test_snapshot_codec_keeps_signed_zeros():
     # np.array_equal takes -0.0 for 0.0, so compare the bytes
     blob = struct.pack("<6d", -0.0, -0.0, -0.0, 0.0, 0.0, -0.0)
-    assert encode_snapshot(decode_snapshot(blob)) == blob
+    assert decode_snapshot(blob).tobytes() == blob
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +475,18 @@ def _truncate_snapshots(store):
     path.write_bytes(path.read_bytes()[:-16])
 
 
+def _append_bytes(store):
+    # half a sample past the last row, which a whole-sample read would drop
+    with open(store / "snapshots.bin", "ab") as f:
+        f.write(bytes(8))
+
+
 def _per_row_files(store):
     # the layout of a store written one file per snapshot row
     rows = np.fromfile(store / "snapshots.bin", dtype="<c16").reshape(26, 192)
     (store / "snapshots.bin").unlink()
     for i, row in enumerate(rows):
-        (store / f"snapshot_{i:06d}.bin").write_bytes(encode_snapshot(row))
+        (store / f"snapshot_{i:06d}.bin").write_bytes(row.tobytes())
 
 
 def _format_version_2(store):
@@ -497,11 +502,12 @@ def _chebyshev_grid(store):
 
 
 @pytest.mark.parametrize("damage,message", [
-    (_truncate_snapshots, "holds 4991 snapshot samples in snapshots.bin, not 26 x 192"),
-    (_per_row_files, "holds 0 snapshot samples in snapshots.bin, not 26 x 192"),
+    (_truncate_snapshots, "holds 79856 bytes in snapshots.bin, not 26 x 192 x 16"),
+    (_append_bytes, "holds 79880 bytes in snapshots.bin, not 26 x 192 x 16"),
+    (_per_row_files, "holds 0 bytes in snapshots.bin, not 26 x 192 x 16"),
     (_format_version_2, "has format version 2, not 1"),
     (_chebyshev_grid, "has grid kind 'chebyshev', not 'bessel'"),
-], ids=["truncated", "per-row-files", "format-2", "grid-kind"])
+], ids=["truncated", "trailing-bytes", "per-row-files", "format-2", "grid-kind"])
 def test_unreadable_store_exits_2_and_writes_nothing(tmp_path, capsys, damage, message):
     """analyze and verify of a store of another format version, layout or
     grid kind, or of a snapshot array of the wrong size, exit 2 with a
@@ -520,6 +526,25 @@ def test_unreadable_store_exits_2_and_writes_nothing(tmp_path, capsys, damage, m
         assert err == (f"configuration error: trajectory store {out / 'trajectory'} "
                        f"{message}; re-run simulate\n")
     assert _files(out) == before
+
+
+def test_unexceptional_interval_reports_a_nest_that_verify_checks(tmp_path):
+    """With eta above the total critical mass the one interval is a tail
+    whose linear flows stay below the threshold eta^c1, so the report
+    carries a non-empty nest and verify checks its invariants."""
+    scenario = dict(SMALL_SCENARIO, analysis={"certify_resolution": False, "eta": 0.3})
+    cfg_path = write_config(tmp_path, scenario)
+    out = tmp_path / "run"
+    for cmd in ("simulate", "analyze"):
+        assert main([cmd, "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    block = read_json(out / "report.json")["concentration"]
+    assert block["total_critical_mass"] < block["eta"] == 0.3
+    assert block["decomposition"]["exceptional"] == [False]
+    assert block["nest"] == {"t_star": 0.125, "chain": [0], "depth": 1, "achieved_kappa": 0.0,
+                             "kappa_tolerance": 25.0, "half_factor": 0.5, "violations": []}
+    assert main(["verify", "--out", str(out)]) == EXIT_OK
+    checks = read_json(out / "verification.json")["checks"]
+    assert [c["passed"] for c in checks if c["check"] == "nest_invariants"] == [True]
 
 
 def _cli(threads, *args):
@@ -931,7 +956,7 @@ def test_cli_corrupted_snapshot_fails_verify(tmp_path):
 def test_cli_file_initial_data_is_read_bit_exact(tmp_path):
     # the decoder hands back a read-only view of the file's bytes
     g = make_spectral_grid(3, 192, 16.0)
-    blob = encode_snapshot(gaussian_field(g).values * (1 - 0.5j))
+    blob = np.asarray(gaussian_field(g).values * (1 - 0.5j), "<c16").tobytes()
     (tmp_path / "u0.bin").write_bytes(blob)
     scenario = json.loads(json.dumps(SMALL_SCENARIO))
     scenario["initial_data"] = {"family": "file", "path": str(tmp_path / "u0.bin")}
@@ -1301,7 +1326,7 @@ def test_cli_sweep_prints_each_line_once_in_config_order(tmp_path):
 def test_cli_sweep_config_error_in_a_worker_exits_2(tmp_path, monkeypatch, capsys, second, message):
     """A configuration error that a scenario raises while it runs keeps
     exit 2 and its message, serially and when it is raised in a worker."""
-    (tmp_path / "seven-samples.bin").write_bytes(encode_snapshot(np.ones(7, dtype=complex)))
+    (tmp_path / "seven-samples.bin").write_bytes(np.ones(7, "<c16").tobytes())
     monkeypatch.chdir(tmp_path)
     doc = {"scenarios": [dict(SMALL_SCENARIO, scenario_id="sweep-a"),
                          dict(SMALL_SCENARIO, scenario_id="sweep-b", **second)]}
@@ -1320,8 +1345,7 @@ def test_cli_sweep_config_error_in_a_worker_exits_2(tmp_path, monkeypatch, capsy
     pytest.param(5, None, id="not-a-string"),
     pytest.param("a-directory", None, id="a-directory"),
     pytest.param("17-bytes.bin", bytes(17), id="partial-sample"),
-    pytest.param("nan.bin", encode_snapshot(np.full(192, np.nan, dtype=complex)),
-                 id="non-finite"),
+    pytest.param("nan.bin", np.full(192, np.nan, "<c16").tobytes(), id="non-finite"),
 ])
 def test_cli_bad_initial_data_path_exits_2(tmp_path, monkeypatch, capsys, path, content):
     """simulate, and a sweep that reads the path in a forked worker, report
