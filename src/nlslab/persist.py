@@ -17,7 +17,7 @@ Layout of a trajectory store::
                                (see ``transform``).  An n = 3 kernel is a
                                closed form whose bits do not depend on the
                                thread count, so its store needs none
-    <dir>/bessel.bin           n = 3 only: the grid's Bessel table, 2N + 1
+    <dir>/bessel.bin           odd n only: the grid's Bessel table, 2N + 1
                                ``<f8`` values, adopted once certified, so a
                                reader needs no scipy (see ``transform``)
 
@@ -107,7 +107,7 @@ def save_trajectory(traj: Trajectory, directory) -> Path:
     }
     write_json(directory / "metadata.json", meta)
     np.asarray(traj.values, dtype="<c16").tofile(directory / "snapshots.bin")
-    table = bessel_table(3, g.n_points) if g.dimension == 3 else None
+    table = bessel_table(g.dimension, g.n_points) if g.dimension % 2 else None
     kernel = None if g.dimension == 3 else get_transform(g).kernel
     for name, array in (("bessel.bin", table), ("kernel.bin", kernel)):
         if array is None:        # a stale copy, from a store of another grid
@@ -137,10 +137,11 @@ def load_trajectory(directory) -> Trajectory:
                          f"not {times.size} x {n_points} x 16; re-run simulate")
     values = np.fromfile(snapshots, dtype="<c16").reshape(times.size, n_points)
     table = directory / "bessel.bin"
-    if spec["dimension"] == 3 and table.is_file():
+    dimension = int(spec["dimension"])
+    if dimension % 2 and table.is_file():
         # adopted, once certified, before the grid is built from it
-        bessel_table(3, n_points, np.fromfile(table, dtype="<f8"))
-    grid = make_spectral_grid(int(spec["dimension"]), n_points, float(spec["r_max"]))
+        bessel_table(dimension, n_points, np.fromfile(table, dtype="<f8"))
+    grid = make_spectral_grid(dimension, n_points, float(spec["r_max"]))
     kernel = directory / "kernel.bin"
     get_transform(grid, np.fromfile(kernel, dtype="<f8") if kernel.is_file() else np.empty(0))
     cfg = EvolutionConfig(**meta["config"])

@@ -74,16 +74,20 @@ A: K^T K = I and H = K^T A = H^T, both to 1e-12, and ||H - I||_F < 1, so
 that H is positive definite.  The polar decomposition of a nonsingular A
 into an orthogonal and a symmetric positive definite factor is unique
 (Higham, SIAM J. Sci. Stat. Comput. 7 (1986) 1160), so this pins K as
-A's polar factor to rounding.  A factor that fails (another grid's, a
-corrupted file) is dropped with a warning, and the SVD runs.
+A's polar factor to rounding.  At odd n the A that certifies is sampled
+from ``_jv_half``, numpy's closed form of J_nu; the A that builds, by SVD,
+is scipy's.  A factor that fails (another grid's, a corrupted file) is
+dropped with a warning, and the SVD of scipy's A runs.
 
 Grids and modes read one cached Bessel table per (dimension, N): the zeros
 j_1..j_{N+1} of J_nu, then J_{nu+1}(j_1..j_N).  scipy computes it, and is
-imported only inside the functions that compute with it.  An n = 3 store
-carries its table, adopted once numpy alone certifies it against the
-closed forms for nu = 1/2 (DLMF 10.16): zeros within 1e-14 m pi of m pi,
-J_{3/2}(z) within 1e-12, relative, of sqrt(2/(pi z)) (sin z/z - cos z).
-scipy's tables pass with room (1 ulp and 1.3e-14 up to N = 16384).
+imported only inside the functions that compute with it.  An odd-n store
+carries its table, adopted once numpy alone certifies it: each zero within
+pi/2 of McMahon's approximation, where no other lies (zeros of J_nu,
+nu >= 1/2, are at least pi apart), its Newton step below 1e-14 z, and each
+J_{nu+1} within 1e-12, relative, of the closed form.  scipy's tables pass
+with room (steps below 1.4e-16 z, values within 2.7e-14, for odd n <= 21
+and N <= 16384), so no odd-n ``verify`` imports scipy.
 """
 
 from __future__ import annotations
@@ -106,14 +110,7 @@ def bessel_zeros(nu: float, count: int) -> NDArray[np.float64]:
     machine precision for the orders used here (nu = n/2 - 1, n >= 3).
     """
     from scipy import special
-    m = np.arange(1, count + 1, dtype=float)
-    beta = (m + 0.5 * nu - 0.25) * math.pi
-    mu = 4.0 * nu * nu
-    z = (
-        beta
-        - (mu - 1) / (8 * beta)
-        - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3)
-    )
+    z = _mcmahon(nu, count)
     for _ in range(12):
         dz = special.jv(nu, z) / special.jvp(nu, z)
         z -= dz
@@ -122,6 +119,39 @@ def bessel_zeros(nu: float, count: int) -> NDArray[np.float64]:
     if np.any(np.diff(z) <= 0):
         raise UnresolvedGridError(f"Bessel zero computation failed for nu={nu}")
     return z
+
+
+def _mcmahon(nu: float, count: int) -> NDArray[np.float64]:
+    """McMahon's three-term approximations to the first ``count`` zeros of
+    J_nu (DLMF 10.21.19), exact, m pi, at nu = 1/2."""
+    beta = (np.arange(1, count + 1) + 0.5 * nu - 0.25) * math.pi
+    mu = 4.0 * nu * nu
+    return beta - (mu - 1) / (8 * beta) - 4 * (mu - 1) * (7 * mu - 31) / (3 * (8 * beta) ** 3)
+
+
+def _jv_half(nu: float, x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """J_nu(x) = sqrt(2x/pi) j_l(x) for a half-integer order nu = l + 1/2
+    and x > 0, numpy alone (DLMF 10.47.3): the spherical Bessel j_l by
+    upward recurrence from j_{-1} = cos x / x and j_0 = sin x / x where
+    x >= l (DLMF 10.51.1), by its ascending series where x < l, which the
+    recurrence loses to cancellation (DLMF 10.53.1)."""
+    l = round(nu - 0.5)
+    prev, j = np.cos(x) / x, np.sin(x) / x
+    # the recurrence may overflow at small x, where the series replaces it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(l):
+            prev, j = j, (2 * k + 1) / x * j - prev
+    small = x < l
+    if small.any():
+        xs = x[small]
+        term, total = np.ones(xs.size), np.ones(xs.size)
+        k = 0
+        while not np.all(np.abs(term) <= 1e-17 * total):
+            k += 1
+            term *= -0.5 * xs * xs / (k * (2 * l + 2 * k + 1))
+            total += term
+        j[small] = total * np.prod(xs / np.arange(3, 2 * l + 2, 2)[:, None], axis=0)  # x^l/(2l+1)!!
+    return j * np.sqrt(2.0 / math.pi * x)
 
 
 # one slot per (dimension, n_points), as many as grids, filled by the first
@@ -133,14 +163,14 @@ def _table_slot(dimension: int, n_points: int) -> list:
 
 def bessel_table(dimension: int, n_points: int, stored=None) -> NDArray[np.float64]:
     """The read-only Bessel table of the module docstring, 2N + 1 values.  A
-    ``stored`` n = 3 table is adopted, once certified, only if this call
-    fills the cache; scipy computes the table otherwise."""
+    ``stored`` table of an odd dimension is adopted, once certified, only
+    if this call fills the cache; scipy computes the table otherwise."""
     slot = _table_slot(dimension, n_points)
     if not slot:
-        table = None if stored is None else _certified_table(stored, n_points)
+        nu = dimension / 2.0 - 1.0
+        table = None if stored is None else _certified_table(stored, nu, n_points)
         if table is None:
             from scipy import special
-            nu = dimension / 2.0 - 1.0
             z = bessel_zeros(nu, n_points + 1)
             table = np.concatenate([z, special.jv(nu + 1, z[:n_points])])
         table.flags.writeable = False
@@ -148,21 +178,26 @@ def bessel_table(dimension: int, n_points: int, stored=None) -> NDArray[np.float
     return slot[0]
 
 
-def _certified_table(stored: NDArray[np.float64], n: int) -> NDArray[np.float64] | None:
-    """``stored`` as the n = 3 table of ``n`` points if it passes the
-    certificate; else None, with a warning that names the failed check."""
-    # each test passes only on a true comparison, which a NaN never is
-    z, m_pi = stored[: n + 1], np.arange(1, n + 2) * math.pi
+def _certified_table(stored: NDArray[np.float64], nu: float, n: int) -> NDArray[np.float64] | None:
+    """``stored`` as the table of the half-integer order ``nu`` and ``n``
+    points if it passes the certificate of the module docstring; else None,
+    with a warning that names the failed check."""
+    # each test passes only on a true comparison, which a NaN never is; the
+    # bracket comes first, so that the closed forms see only positive zeros
+    z = stored[: n + 1]
     if stored.size != 2 * n + 1:
         reason = f"{stored.size} values, not {2 * n + 1}"
-    elif not np.all(np.abs(z - m_pi) <= 1e-14 * m_pi):
-        reason = "a zero is not m pi"
+    elif not np.all(np.abs(z - _mcmahon(nu, n + 1)) < 0.5 * math.pi):
+        reason = "a zero is outside its bracket"
     else:
-        z = z[:n]
-        j = np.sqrt(2.0 / (math.pi * z)) * (np.sin(z) / z - np.cos(z))
-        if np.all(np.abs(stored[n + 1:] - j) <= 1e-12 * np.abs(j)):
+        j, j_next = _jv_half(nu, z), _jv_half(nu + 1, z)
+        # Newton's step j / J_nu'(z), where J_nu' = (nu / z) J_nu - J_{nu+1}
+        if not np.all(np.abs(j / (nu / z * j - j_next)) <= 1e-14 * z):
+            reason = "a zero fails its Newton step"
+        elif np.all(np.abs(stored[n + 1:] - j_next[:n]) <= 1e-12 * np.abs(j_next[:n])):
             return stored
-        reason = "a J_{3/2} value is not the closed form"
+        else:
+            reason = f"a J_{{{round(2 * nu + 2)}/2}} value is not the closed form"
     logging.getLogger("nlslab").warning(
         "stored Bessel table rejected (%s); computing it", reason)
     return None
@@ -419,26 +454,32 @@ def _dst1_angles(n: int, out: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 def _build_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
-    nu, j, mode_norm = _modes(grid)
-    k = j / grid.r_max
+    k = _modes(grid)[1] / grid.r_max
     sw = np.sqrt(grid.weights)
     if grid.dimension == 3:
         # the orthonormal DST-I, applied by FFT; ``stored`` is not read
         return SpectralTransform(grid, k, sw, None)
-    from scipy import special
-    r = grid.nodes
-    # the sampled modes, weighted and normalized in place: one N x N array
-    sampled = special.jv(nu, np.outer(r, k))
-    sampled /= r[:, None] ** nu
-    sampled *= sw[:, None]
-    sampled /= mode_norm[None, :]
     # polar factor: the nearest exactly orthogonal matrix to the sampled
     # (already near-orthonormal) mode matrix, taken from ``stored`` when it
-    # is certified
-    kernel = None if stored is None else _certified(stored, sampled)
+    # is certified, at odd n against the closed-form modes
+    kernel = None if stored is None else _certified(
+        stored, _sampled_modes(grid, closed_form=grid.dimension % 2))
     if kernel is None:
-        kernel = _polar_factor(sampled)
+        kernel = _polar_factor(_sampled_modes(grid, closed_form=False))
     return SpectralTransform(grid, k, sw, kernel.T.astype(complex, order="C"))
+
+
+def _sampled_modes(grid: RadialGrid, closed_form) -> NDArray[np.float64]:
+    """The grid's sampled modes, weighted and normalized in place: one N x N
+    array, of J_nu from ``_jv_half`` where ``closed_form``, else scipy's."""
+    (nu, j, mode_norm), r = _modes(grid), grid.nodes
+    if not closed_form:
+        from scipy import special
+    sampled = (_jv_half if closed_form else special.jv)(nu, np.outer(r, j / grid.r_max))
+    sampled /= r[:, None] ** nu
+    sampled *= np.sqrt(grid.weights)[:, None]
+    sampled /= mode_norm[None, :]
+    return sampled
 
 
 # grids whose transform (one complex N x N array, 16 MB at N = 1024, one

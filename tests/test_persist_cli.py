@@ -132,11 +132,11 @@ def test_trajectory_roundtrip_bit_exact(tmp_path):
 
 
 def test_store_carries_the_kernel_bit_equal(tmp_path):
-    g = make_spectral_grid(5, 128, 12.0)
-    cfg = EvolutionConfig(dimension=5, mu=1, dt=5e-3, snapshot_stride=4)
+    g = make_spectral_grid(4, 128, 12.0)
+    cfg = EvolutionConfig(dimension=4, mu=1, dt=5e-3, snapshot_stride=4)
     store = tmp_path / "store"
     store.mkdir()
-    (store / "bessel.bin").write_bytes(b"stale")  # only an n = 3 store has one
+    (store / "bessel.bin").write_bytes(b"stale")  # only an odd-n store has one
     save_trajectory(evolve(gaussian_field(g), 0.0, 0.1, cfg), store)
     assert not (store / "bessel.bin").exists()
     kernel = get_transform(g).kernel
@@ -257,24 +257,24 @@ def test_stored_kernel_is_certified_on_load(tmp_path, honest_run, caplog, tamper
         assert (out / name).read_bytes() == (honest_run / name).read_bytes(), name
 
 
-def _n3_table(store: Path) -> np.ndarray:
+def _table_file(store: Path) -> np.ndarray:
     return np.fromfile(store / "bessel.bin", dtype="<f8")
 
 
 def _move_zero(store):
-    t = _n3_table(store)
+    t = _table_file(store)
     t[40] += 1e-9
     t.tofile(store / "bessel.bin")
 
 
 def _nan_zero(store):
-    t = _n3_table(store)
+    t = _table_file(store)
     t[11] = np.nan
     t.tofile(store / "bessel.bin")
 
 
 def _flip_j(store):
-    t = _n3_table(store)
+    t = _table_file(store)
     n = read_json(store / "metadata.json")["grid"]["n_points"]
     t[n + 1 + 17] *= -1.0
     t.tofile(store / "bessel.bin")
@@ -287,6 +287,11 @@ def _truncate_table(store):
 
 def _other_n_table(store):
     np.asarray(bessel_table(3, 128), dtype="<f8").tofile(store / "bessel.bin")
+
+
+def _n7_table(store):
+    n = read_json(store / "metadata.json")["grid"]["n_points"]
+    np.asarray(bessel_table(7, n), dtype="<f8").tofile(store / "bessel.bin")
 
 
 def _delete_table(store):
@@ -313,25 +318,38 @@ def honest_n3_run(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("tamper,reason", [
-    (None, None),
-    (_truncate_table, "383 values, not 385"),
-    (_move_zero, "a zero is not m pi"),
-    (_nan_zero, "a zero is not m pi"),
-    (_flip_j, "a J_{3/2} value is not the closed form"),
-    (_other_n_table, "257 values, not 385"),
-    (_delete_table, None),
-], ids=["honest", "truncated", "moved-zero", "nan-zero", "flipped-j", "other-n", "deleted"])
-def test_stored_bessel_table_is_certified_on_load(tmp_path, honest_n3_run, caplog, tamper, reason):
-    """An n = 3 store's bessel.bin is adopted only when it certifies against
-    the closed forms m pi and J_{3/2}; a rejected table gives one warning,
-    a missing one none, and scipy computes it: analyze and verify write
-    the same bytes either way."""
+@pytest.mark.parametrize("run,tamper,reason", [
+    ("n3", None, None),
+    ("n3", _truncate_table, "383 values, not 385"),
+    ("n3", _move_zero, "a zero fails its Newton step"),
+    ("n3", _nan_zero, "a zero is outside its bracket"),
+    ("n3", _flip_j, "a J_{3/2} value is not the closed form"),
+    ("n3", _other_n_table, "257 values, not 385"),
+    ("n3", _delete_table, None),
+    ("n5", None, None),
+    ("n5", _truncate_table, "511 values, not 513"),
+    ("n5", _move_zero, "a zero fails its Newton step"),
+    ("n5", _nan_zero, "a zero is outside its bracket"),
+    ("n5", _flip_j, "a J_{5/2} value is not the closed form"),
+    ("n5", _n7_table, "a zero fails its Newton step"),
+    ("n5", _delete_table, None),
+], ids=["honest", "truncated", "moved-zero", "nan-zero", "flipped-j", "other-n", "deleted",
+        "n5-honest", "n5-truncated", "n5-moved-zero", "n5-nan-zero", "n5-flipped-j",
+        "n5-n7-table", "n5-deleted"])
+def test_stored_bessel_table_is_certified_on_load(tmp_path, request, caplog, run, tamper, reason):
+    """An odd-n store's bessel.bin is adopted only when it certifies against
+    the closed forms of J_nu and J_{nu+1}; a rejected table gives one
+    warning, a missing one (a store written before odd n > 3 stores had
+    one) none, and scipy computes it: analyze and verify write the same
+    bytes either way, and the stored factor of an n = 5 store is adopted."""
+    honest, doc = {"n3": ("honest_n3_run", SMALL_SCENARIO),
+                   "n5": ("honest_run", SMALL_SCENARIO_N5)}[run]
+    honest = request.getfixturevalue(honest)
     out = tmp_path / "run"
-    shutil.copytree(honest_n3_run, out)
+    shutil.copytree(honest, out)
     if tamper is not None:
         tamper(out / "trajectory")
-    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    cfg_path = write_config(tmp_path, doc)
     for command in (["analyze", "--config", str(cfg_path)], ["verify"]):
         _cold_caches()
         caplog.clear()
@@ -340,7 +358,7 @@ def test_stored_bessel_table_is_certified_on_load(tmp_path, honest_n3_run, caplo
         assert len(warnings) == (reason is not None)
         assert all(reason in w and w.endswith("computing it") for w in warnings)
     for name in ("report.json", "verification.json"):
-        assert (out / name).read_bytes() == (honest_n3_run / name).read_bytes(), name
+        assert (out / name).read_bytes() == (honest / name).read_bytes(), name
 
 
 def test_honest_bessel_table_is_adopted_without_computing_zeros(tmp_path, honest_n3_run,
@@ -402,6 +420,39 @@ _TRACED = ('import sys, tracemalloc; from nlslab.cli import main; tracemalloc.st
            'print(peak, [m for m in sys.modules if m.startswith("scipy")]); sys.exit(code)')
 
 
+@pytest.mark.parametrize("dimension", [5, 7])
+def test_odd_n_store_is_verified_without_scipy(tmp_path, dimension):
+    """verify of an odd-n store adopts its Bessel table and certifies its
+    kernel.bin against the closed-form modes, so it loads no scipy module
+    and runs where scipy cannot be imported, into the bytes of a verify
+    whose table was deleted and computed by scipy."""
+    doc = dict(SMALL_SCENARIO_N5, scenario_id=f"test-small-n{dimension}", dimension=dimension,
+               analysis={"certify_resolution": False})
+    cfg_path = write_config(tmp_path, doc)
+    honest = tmp_path / "honest"
+    for command in (["simulate", "--config", str(cfg_path)],
+                    ["analyze", "--config", str(cfg_path)]):
+        assert main([*command, "--out", str(honest)]) == EXIT_OK
+    runs = {name: tmp_path / name for name in ("blocked", "traced", "deleted")}
+    for out in runs.values():
+        shutil.copytree(honest, out)
+    _delete_table(runs["deleted"] / "trajectory")
+    _cold_caches()
+    assert main(["verify", "--out", str(runs["deleted"])]) == EXIT_OK
+    env = dict(os.environ, PYTHONPATH=str(Path(nlslab.__file__).resolve().parents[1]))
+    for name, code in (("blocked", _NO_SCIPY), ("traced", _TRACED)):
+        proc = subprocess.run([sys.executable, "-c", code, "verify", "--out", str(runs[name])],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "rejected" not in proc.stderr
+    assert proc.stdout.splitlines()[-1].split(" ", 1)[1] == "[]"
+    deleted = _files(runs["deleted"])
+    for name in ("blocked", "traced"):
+        files = _files(runs[name])
+        assert files.pop(Path("trajectory", "bessel.bin"))
+        assert files == deleted
+
+
 def test_n3_store_is_read_without_scipy_or_an_n_by_n_array(tmp_path):
     """analyze (the propagator self-test, every report table and, when
     certified, the resolution twins) and verify of an n = 3 store take
@@ -454,17 +505,17 @@ def test_save_removes_snapshots_of_a_longer_run(tmp_path):
 
 
 @pytest.mark.parametrize("scenario,extra", [
-    (SMALL_SCENARIO, "bessel.bin"),
-    (SMALL_SCENARIO_N5, "kernel.bin"),
+    (SMALL_SCENARIO, ["bessel.bin"]),
+    (SMALL_SCENARIO_N5, ["bessel.bin", "kernel.bin"]),
 ], ids=["n3", "n5"])
 def test_store_holds_one_snapshot_array(tmp_path, scenario, extra):
     """A store is its metadata, one (S, N) snapshot array and the grid's
-    table (n = 3) or kernel (n != 3), however many snapshots it holds."""
+    table (odd n) and kernel (n != 3), however many snapshots it holds."""
     cfg_path = write_config(tmp_path, scenario)
     store = tmp_path / "run" / "trajectory"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == EXIT_OK
     assert sorted(p.name for p in store.iterdir()) == sorted(
-        ["metadata.json", "snapshots.bin", extra])
+        ["metadata.json", "snapshots.bin", *extra])
     n_points = scenario["grid"]["n_points"]
     rows = len(read_json(store / "metadata.json")["times"])
     assert (store / "snapshots.bin").stat().st_size == rows * n_points * 16

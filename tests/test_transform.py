@@ -15,9 +15,14 @@ from nlslab.transform import (
     _ROWS,
     CACHED_GRIDS,
     _build_transform,
+    _certified,
+    _certified_table,
+    _jv_half,
     _modes,
     _polar_factor,
+    _sampled_modes,
     _transform_slot,
+    bessel_table,
     bessel_zeros,
     get_transform,
 )
@@ -29,6 +34,49 @@ def test_bessel_zeros_against_mpmath(nu):
     for m in (1, 2, 13, 80):
         exact = float(mpmath.besseljzero(nu, m))
         assert abs(z[m - 1] - exact) < 1e-12 * max(1.0, exact)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.5, 4.5, 9.5, 10.5])
+def test_half_integer_bessel_against_mpmath(nu):
+    """The closed form J_nu of a half-integer order nu = l + 1/2 holds from
+    x = 0.01 to beyond the largest grid argument, on both sides of x = l,
+    where it switches from the ascending series to the upward recurrence:
+    relative to J_nu below l, to the envelope sqrt(2 / (pi x)) above, where
+    J_nu has zeros."""
+    l = nu - 0.5
+    x = np.concatenate([np.geomspace(0.01, 3e4, 60), l + np.array([-1e-9, 0.0, 1e-9])])
+    x = x[x > 0]
+    for xi, got in zip(x, _jv_half(nu, x)):
+        exact = float(mpmath.besselj(nu, xi).real)
+        scale = abs(exact) if xi < l else max(abs(exact), 1.0 / math.sqrt(xi))
+        assert abs(got - exact) <= 4e-15 * scale, xi
+
+
+@pytest.mark.parametrize("dimension", [3, 5, 7, 9, 11, 13, 15, 21])
+def test_closed_form_modes_certify_scipy_tables_and_factors(dimension, caplog):
+    """On every odd-n grid tried, the closed-form J_nu matches scipy's
+    sampled values to 1e-14, scipy's Bessel table passes the table
+    certificate, and the polar factor of scipy's sampled mode matrix, the
+    kernel that a store carries, passes the certificate against the
+    closed-form matrix: odd-n readers adopt both with no warning."""
+    nu = dimension / 2.0 - 1.0
+    for n_points in (16, 64, 256, 1024):
+        table = bessel_table(dimension, n_points)
+        assert _certified_table(table, nu, n_points) is table
+        for r_max in (12.0, 32.0):
+            grid = make_spectral_grid.__wrapped__(dimension, n_points, r_max)
+            x = np.outer(grid.nodes, _modes(grid)[1] / r_max)
+            # the unweighted values: scipy's own error, 2.5e-14 relative near
+            # x = 12 (against mpmath), reaches 1.04e-14 once weighted at N = 16
+            assert np.abs(_jv_half(nu, x) - special.jv(nu, x)).max() <= 1e-14
+            if dimension == 3:
+                continue                 # an n = 3 kernel is the closed-form DST-I
+            closed, sampled = _sampled_modes(grid, True), _sampled_modes(grid, False)
+            assert np.abs(closed - sampled).max() <= 2e-14
+            kernel = _polar_factor(sampled)
+            adopted = _certified(kernel.ravel(), closed)
+            assert adopted is not None and adopted.tobytes() == kernel.tobytes()
+    assert not [r for r in caplog.records if r.name == "nlslab"]
 
 
 def test_frequencies_increasing(g3):
