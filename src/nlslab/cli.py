@@ -40,9 +40,8 @@ from pathlib import Path
 import numpy as np
 
 from . import workers
-from .grid import UnresolvedGridError
+from .grid import TimeRangeError, UnresolvedGridError
 from .persist import StoreError, load_trajectory, read_json, save_trajectory, write_csv, write_json
-from .propagator import TimeRangeError
 from .scenario import (
     RunResult,
     ScenarioError,

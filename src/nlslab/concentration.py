@@ -19,7 +19,6 @@ import numpy as np
 from . import timegrid
 from .dynamics import Trajectory
 from .functionals import _critical_densities, _local_masses, critical_density
-from .propagator import get_propagator
 from .transform import get_transform
 
 
@@ -130,10 +129,9 @@ def _linear_flow_density(traj: Trajectory, anchor_index: int, times) -> np.ndarr
     """Critical-norm density, at ``times``, of the free flow launched from
     the snapshot at ``anchor_index``."""
     tr = get_transform(traj.grid)
-    prop = get_propagator(traj.grid)
     coeffs = traj.coefficients[anchor_index]
     offsets = (np.asarray(times) - traj.times[anchor_index])[:, None]
-    return _critical_densities(traj.grid, tr.backward(prop.evolve_coeffs(coeffs, offsets)))
+    return _critical_densities(traj.grid, tr.backward(tr.evolve_coeffs(coeffs, offsets)))
 
 
 def classify_exceptional(

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import workers
 from .functionals import _energy_rows, _mass_series, energy_scale
-from .grid import GridError, RadialField, RadialGrid
-from .propagator import TimeRangeError, get_propagator
+from .grid import GridError, RadialField, RadialGrid, TimeRangeError
+from .propagator import get_propagator
 from .transform import get_transform, product
 
 
@@ -167,11 +167,11 @@ def evolve(
         raise ValueError("empty time span")
     if u0.grid.dimension != cfg.dimension:
         raise ValueError("config dimension does not match the grid")
-    prop = get_propagator(u0.grid)
-    if (t_plus - t_minus) > prop.validated_t_max:
+    tr = get_propagator(u0.grid)  # the grid's transform, its free flow certified
+    if (t_plus - t_minus) > tr.validated_t_max:
         raise TimeRangeError(
             f"span {t_plus - t_minus:.3g} exceeds the grid-certified horizon "
-            f"{prop.validated_t_max:.3g}"
+            f"{tr.validated_t_max:.3g}"
         )
     warnings = []
     peak = np.abs(u0.values).max()
@@ -182,7 +182,6 @@ def evolve(
                 f"initial data not decayed at r_max (tail/peak {tail / peak:.2e})"
             )
 
-    tr = get_transform(u0.grid)
     span = t_plus - t_minus
     n_steps = max(1, int(round(span / cfg.dt)))
     dt = span / n_steps
@@ -310,7 +309,6 @@ def duhamel_residual(traj: Trajectory, t0: float, t: float) -> float:
         i0, i1 = i1, i0
         t0, t = t, t0
     tr = get_transform(traj.grid)
-    prop = get_propagator(traj.grid)
     mu, p = traj.config.mu, traj.config.phase_exponent
     # the forcing  mu |u|^{4/(n-2)} u  at each snapshot, transformed as one
     # stack (each row keeps the bits of a single-row call)
@@ -325,9 +323,9 @@ def duhamel_residual(traj: Trajectory, t0: float, t: float) -> float:
             wgt = 0.5 * (s - traj.times[j - 1])
         else:
             wgt = 0.5 * (traj.times[j + 1] - traj.times[j - 1])
-        acc += wgt * prop.evolve_coeffs(coeffs, t - s)
+        acc += wgt * tr.evolve_coeffs(coeffs, t - s)
     integral = tr.backward(acc)
-    lin = tr.backward(prop.evolve_coeffs(traj.coefficients[i0], t - t0))
+    lin = tr.backward(tr.evolve_coeffs(traj.coefficients[i0], t - t0))
     resid = traj.values[i1] - lin + 1j * integral
     return float(math.sqrt(np.sum(traj.grid.weights * np.abs(resid) ** 2)))
 

@@ -26,7 +26,7 @@ class GridError(ValueError):
 
 
 class UnresolvedGridError(GridError):
-    """A grid too coarse for the transform or propagator self-tests."""
+    """A grid too coarse for the transform's self-tests."""
 
     def __init__(self, reason: str):
         self.reason = reason
@@ -34,6 +34,10 @@ class UnresolvedGridError(GridError):
 
     def __reduce__(self):  # unpickled (from a worker) with the reason, not the message
         return type(self), (self.reason,)
+
+
+class TimeRangeError(ValueError):
+    """Requested evolution time exceeds the grid-certified span."""
 
 
 def sphere_area(n: int) -> float:
@@ -87,9 +91,6 @@ class RadialGrid:
 
     def field(self, values) -> "RadialField":
         return RadialField(self, np.asarray(values, dtype=complex))
-
-    def zeros(self) -> "RadialField":
-        return RadialField(self, np.zeros(self.n_points, dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)

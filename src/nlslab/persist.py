@@ -29,6 +29,7 @@ byte-identical artifacts.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -120,16 +121,25 @@ def save_trajectory(traj: Trajectory, directory) -> Path:
 def load_trajectory(directory) -> Trajectory:
     directory = Path(directory)
     meta = read_json(directory / "metadata.json")
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise StoreError(f"trajectory store {directory} has format version "
-                         f"{meta.get('format_version')!r}, not {FORMAT_VERSION}; re-run simulate")
-    # checked before any grid or kernel is built
-    spec = meta["grid"]
-    if spec["kind"] != "bessel":
-        raise StoreError(f"trajectory store {directory} has grid kind {spec['kind']!r}, "
+    # every field is read and checked before any grid or kernel is built
+    field = functools.partial(_field, directory, meta)
+    if (version := field("format_version")) != FORMAT_VERSION:
+        raise StoreError(f"trajectory store {directory} has format version {version!r}, "
+                         f"not {FORMAT_VERSION}; re-run simulate")
+    if (kind := field("grid.kind")) != "bessel":
+        raise StoreError(f"trajectory store {directory} has grid kind {kind!r}, "
                          "not 'bessel'; re-run simulate")
-    times = np.asarray(meta["times"], dtype=float)
-    n_points = int(spec["n_points"])
+    dimension, n_points = field("grid.dimension", int), field("grid.n_points", int)
+    r_max, times = field("grid.r_max", float), field("times", _times)
+    cfg = field("config", lambda c: EvolutionConfig(**c))
+    series = [field(f"series.{name}", lambda s: np.asarray(s, dtype=float).reshape(times.size))
+              for name in ("mass", "energy", "kinetic", "potential")]
+    status, abort_reason = field("status"), field("abort_reason")
+    blow = field("blowup", lambda b: None if b is None else BlowupRecord(
+        **{**b, "gradient_history": tuple(b["gradient_history"])}))
+    meta.setdefault("provenance", {})
+    prov = field("provenance", lambda p: {k: tuple(v) if isinstance(v, list) else v
+                                          for k, v in dict(p).items()})
     snapshots = directory / "snapshots.bin"
     size = snapshots.stat().st_size if snapshots.is_file() else 0
     if size != times.size * n_points * 16:
@@ -137,36 +147,33 @@ def load_trajectory(directory) -> Trajectory:
                          f"not {times.size} x {n_points} x 16; re-run simulate")
     values = np.fromfile(snapshots, dtype="<c16").reshape(times.size, n_points)
     table = directory / "bessel.bin"
-    dimension = int(spec["dimension"])
     if dimension % 2 and table.is_file():
         # adopted, once certified, before the grid is built from it
         bessel_table(dimension, n_points, np.fromfile(table, dtype="<f8"))
-    grid = make_spectral_grid(dimension, n_points, float(spec["r_max"]))
+    grid = make_spectral_grid(dimension, n_points, r_max)
     kernel = directory / "kernel.bin"
     get_transform(grid, np.fromfile(kernel, dtype="<f8") if kernel.is_file() else np.empty(0))
-    cfg = EvolutionConfig(**meta["config"])
-    blow = None
-    if meta["blowup"] is not None:
-        b = meta["blowup"]
-        blow = BlowupRecord(**{**b, "gradient_history": tuple(b["gradient_history"])})
-    prov = {
-        k: (tuple(v) if isinstance(v, list) else v)
-        for k, v in meta.get("provenance", {}).items()
-    }
-    return Trajectory(
-        config=cfg,
-        grid=grid,
-        times=times,
-        values=values,
-        mass_series=np.asarray(meta["series"]["mass"], dtype=float),
-        energy_series=np.asarray(meta["series"]["energy"], dtype=float),
-        kinetic_series=np.asarray(meta["series"]["kinetic"], dtype=float),
-        potential_series=np.asarray(meta["series"]["potential"], dtype=float),
-        status=meta["status"],
-        abort_reason=meta["abort_reason"],
-        blowup=blow,
-        provenance=prov,
-    )
+    return Trajectory(cfg, grid, times, values, *series, status, abort_reason, blow, prov)
+
+
+def _field(directory: Path, meta: dict, path: str, parse=lambda value: value):
+    """The metadata field at a dotted ``path``, through ``parse``; a
+    StoreError names the store and the field if it is missing or bad."""
+    value = meta
+    try:
+        for key in path.split("."):
+            value = value[key]
+        return parse(value)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"trajectory store {directory} has an unreadable metadata field "
+                         f"{path!r} ({type(exc).__name__}: {exc}); re-run simulate") from None
+
+
+def _times(values) -> np.ndarray:
+    times = np.asarray(values, dtype=float)
+    if times.ndim != 1 or not np.all(np.diff(times) > 0):
+        raise ValueError("snapshot times must be strictly increasing")
+    return times
 
 
 # ---------------------------------------------------------------------------

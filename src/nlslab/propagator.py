@@ -1,29 +1,23 @@
-"""Exact free Schrodinger evolution e^{i t lap} on radial fields.
+"""The certificate of the exact free Schrodinger evolution e^{i t lap}.
 
-The propagator multiplies spectral coefficients by e^{-i k^2 t}, which is
-exactly unitary for the discrete transform inner product: the L^2 mass of
-a field is preserved to rounding for every evolution time.
+The free flow multiplies spectral coefficients by e^{-i k^2 t}
+(``SpectralTransform.evolve_coeffs``), which is exactly unitary for the
+discrete transform inner product: the L^2 mass of a field is preserved to
+rounding for every evolution time.
 
 Because the transform lives on a truncated ball with a Dirichlet boundary,
 long evolutions of spreading data eventually feel the boundary.  Each
-propagator certifies, at construction, the largest time for which the
-evolved reference Gaussian still matches its closed-form evolution; calls
-beyond that validated span are refused.
+transform certifies, on the first read of its ``validated_t_max``, the
+largest time for which the evolved reference Gaussian still matches its
+closed-form evolution; free flows beyond that validated span are refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 from .grid import RadialField, RadialGrid, UnresolvedGridError
-from .transform import CACHED_GRIDS, SpectralTransform, get_transform
-
-
-class TimeRangeError(ValueError):
-    """Requested evolution time exceeds the grid-certified span."""
+from .transform import SpectralTransform, get_transform
 
 
 def gaussian_field(grid: RadialGrid, amplitude: float = 1.0, width: float = 1.0) -> RadialField:
@@ -53,37 +47,19 @@ _T_LADDER = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 ORACLE_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class FreePropagator:
-    """Free evolution operator bound to one spectral transform."""
-
-    transform: SpectralTransform
-    validated_t_max: float
-
-    def evolve_coeffs(self, coeffs: np.ndarray, t) -> np.ndarray:
-        """Phase-advance mode coefficients without leaving spectral space, to
-        one time ``t`` or to each of a column of times (T, 1), a row each."""
-        t_abs = np.abs(t).max()
-        if t_abs > self.validated_t_max:
-            raise TimeRangeError(
-                f"|t|={t_abs:.3g} exceeds validated span {self.validated_t_max:.3g} "
-                "(boundary reflection artifacts); enlarge r_max"
-            )
-        return coeffs * np.exp(-1j * self.transform.frequencies**2 * t)
+def get_propagator(grid: RadialGrid) -> SpectralTransform:
+    """The cached transform of a bessel grid, its free flow certified."""
+    tr = get_transform(grid)
+    tr.validated_t_max  # certified on first read, then held
+    return tr
 
 
-@lru_cache(maxsize=CACHED_GRIDS)
-def get_propagator(grid: RadialGrid) -> FreePropagator:
-    """Propagator for a bessel grid, certified at construction (cached per
-    grid object, like the transform).
-
-    The validated span is the largest ladder time at which the evolved
+def certified_span(tr: SpectralTransform) -> float:
+    """The largest ladder time at which the transform's free flow of the
     reference Gaussian matches the closed form pointwise within
     ``ORACLE_TOLERANCE`` (checked in both time directions via symmetry),
-    together with a machine-accuracy round-trip test at t = 0.
-    """
-    tr = get_transform(grid)
-    u0 = gaussian_field(grid).values
+    together with a machine-accuracy round-trip test at t = 0."""
+    u0 = gaussian_field(tr.grid).values
     coeffs = tr.coefficients(u0)
     if np.abs(tr.backward(coeffs) - u0).max() > 1e-9:
         raise UnresolvedGridError("spectral round-trip self-test failed")
@@ -91,12 +67,11 @@ def get_propagator(grid: RadialGrid) -> FreePropagator:
     evolved = tr.backward(coeffs * np.exp(-1j * tr.frequencies**2 * ladder))
     t_max = 0.0
     for t, row in zip(_T_LADDER, evolved):
-        oracle = gaussian_free_evolution(grid, t)
+        oracle = gaussian_free_evolution(tr.grid, t)
         if np.abs(row - oracle.values).max() < ORACLE_TOLERANCE:
             t_max = t
         else:
             break
     if t_max == 0.0:
         raise UnresolvedGridError("no ladder time passed the Gaussian oracle self-test")
-    return FreePropagator(tr, t_max)
-
+    return t_max

@@ -22,6 +22,9 @@ conserve the discrete L^2 mass by construction.
 coefficients, one row (N,) or a stack (S, N) such as
 ``Trajectory.coefficients``, which every diagnostic of a trajectory
 reads.  A row of a stack has the bits of a single-row call.
+``evolve_coeffs`` advances coefficients by the free flow, the phase
+e^{-i k^2 t}, within ``validated_t_max``, the span that the certificate
+of ``propagator`` validates on first read (and the transform holds).
 
 In three dimensions nu = 1/2, J_{1/2}(x) is proportional to sin(x)/sqrt(x),
 the zeros are j_m = m pi, and the nodes r_i = i R / (N+1) are uniform.
@@ -100,7 +103,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .grid import GridError, RadialField, RadialGrid, UnresolvedGridError, _row_sums, sphere_area
+from .grid import (GridError, RadialField, RadialGrid, TimeRangeError, UnresolvedGridError,
+                   _row_sums, sphere_area)
 
 
 def bessel_zeros(nu: float, count: int) -> NDArray[np.float64]:
@@ -272,6 +276,23 @@ class SpectralTransform:
         dphi /= r[:, None] ** nu
         dphi /= mode_norm[None, :]
         return dense
+
+    @cached_property
+    def validated_t_max(self) -> float:
+        """The free flow's ``propagator.certified_span``, held once read."""
+        from .propagator import certified_span
+        return certified_span(self)
+
+    def evolve_coeffs(self, coeffs: np.ndarray, t) -> np.ndarray:
+        """Phase-advance mode coefficients without leaving spectral space, to
+        one time ``t`` or to each of a column of times (T, 1), a row each."""
+        t_abs = np.abs(t).max()
+        if t_abs > self.validated_t_max:
+            raise TimeRangeError(
+                f"|t|={t_abs:.3g} exceeds validated span {self.validated_t_max:.3g} "
+                "(boundary reflection artifacts); enlarge r_max"
+            )
+        return coeffs * np.exp(-1j * self.frequencies**2 * t)
 
     def forward(self, u: RadialField) -> NDArray[np.complex128]:
         """Mode coefficients of a field."""
@@ -484,7 +505,7 @@ def _sampled_modes(grid: RadialGrid, closed_form) -> NDArray[np.float64]:
 
 # grids whose transform (one complex N x N array, 16 MB at N = 1024, one
 # more for each of ``complex_kernel`` and ``deriv_matrix`` once read; at
-# n = 3 none until a step operator is built) and propagator stay cached
+# n = 3 none until a step operator is built) stays cached, certified
 CACHED_GRIDS = 8
 
 

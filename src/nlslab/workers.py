@@ -9,7 +9,7 @@ budget 1 each task runs in-process when its result is asked for, one after
 the other: the serial path.
 
 A forked worker inherits the caller's memory, caches included (a built
-transform, a certified propagator), so a task is never pickled.  An
+transform, its certified free flow), so a task is never pickled.  An
 exception raised in a worker is raised again in the caller, chained to a
 ``WorkerError`` that carries the worker's traceback; a worker that ends
 without a result raises ``WorkerError``.  Workers end through ``os._exit``,

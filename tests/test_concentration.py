@@ -300,7 +300,7 @@ def test_bubble_static_gaussian_half_mass(g3, synth_factory):
 
 def test_bubble_zero_field_absent(g3, synth_factory):
     times = np.linspace(0.0, 1.0, 6)
-    traj = synth_factory(g3, times, [g3.zeros()] * 6, mu=0)
+    traj = synth_factory(g3, times, [g3.field(np.zeros(g3.n_points))] * 6, mu=0)
     d = synthetic_decomposition([1.0])
     assert find_bubble(traj, d, 0, 0.5) is None
 

@@ -90,7 +90,7 @@ def test_strang_loop_takes_the_phase_step_definition(g3, monkeypatch):
 
 def test_zero_data_zero_trajectory(g3):
     cfg = EvolutionConfig(dimension=3, mu=1, dt=1e-2, snapshot_stride=5)
-    traj = evolve(g3.zeros(), 0.0, 0.3, cfg)
+    traj = evolve(g3.field(np.zeros(g3.n_points)), 0.0, 0.3, cfg)
     assert traj.status == "complete"
     assert np.abs(traj.values).max() == 0.0
 
@@ -265,7 +265,7 @@ def test_n3_fft_step_matches_the_dense_step(n_points, r_max, mu):
 
 def test_duhamel_zero_trajectory(g3):
     cfg = EvolutionConfig(dimension=3, mu=1, dt=1e-2, snapshot_stride=2)
-    traj = evolve(g3.zeros(), 0.0, 0.2, cfg)
+    traj = evolve(g3.field(np.zeros(g3.n_points)), 0.0, 0.2, cfg)
     assert duhamel_residual(traj, 0.0, 0.2) == 0.0
 
 

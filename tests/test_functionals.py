@@ -89,7 +89,7 @@ def test_admissibility_forces_unique_r(n, q):
 
 
 def test_energy_zero(g3):
-    e = energy(g3.zeros(), 1)
+    e = energy(g3.field(np.zeros(g3.n_points)), 1)
     assert e.total == e.kinetic == e.potential == 0.0
 
 
@@ -140,7 +140,7 @@ def test_bump_shape():
 
 
 def test_local_mass_zero(g3):
-    assert local_mass(g3.zeros(), 1.0) == 0.0
+    assert local_mass(g3.field(np.zeros(g3.n_points)), 1.0) == 0.0
 
 
 def test_local_mass_full_ball_is_l2(g3):
@@ -158,7 +158,7 @@ def test_local_mass_monotone_in_radius(r1, factor):
 
 def test_local_mass_rejects_bad_radius(g3):
     with pytest.raises(ValueError):
-        local_mass(g3.zeros(), 0.0)
+        local_mass(g3.field(np.zeros(g3.n_points)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +200,7 @@ def test_flux_rejects_focusing(g3, synth_factory):
 
 
 def test_hardy_zero_field(g3):
-    assert hardy_bound_check(g3.zeros(), 1.0) == 0.0
+    assert hardy_bound_check(g3.field(np.zeros(g3.n_points)), 1.0) == 0.0
 
 
 def test_hardy_sup_stable_under_refinement():
@@ -233,7 +233,7 @@ def test_hardy_rescale_invariance():
 
 def test_spacetime_zero(g3, synth_factory):
     times = np.linspace(0, 1, 5)
-    traj = synth_factory(g3, times, [g3.zeros()] * 5)
+    traj = synth_factory(g3, times, [g3.field(np.zeros(g3.n_points))] * 5)
     assert spacetime_norm(traj, 2.0, 2.0) == 0.0
     assert all(spacetime_norm(traj, p.q, p.r) == 0.0 for p in default_admissible_pairs(3))
 
@@ -301,7 +301,7 @@ def test_weight_rejects_outside_unit_ball():
 
 def test_morawetz_zero(g3, synth_factory):
     times = np.linspace(0, 1, 5)
-    traj = synth_factory(g3, times, [g3.zeros()] * 5)
+    traj = synth_factory(g3, times, [g3.field(np.zeros(g3.n_points))] * 5)
     assert morawetz_check(traj, 1.0).lhs == 0.0
 
 
@@ -340,7 +340,7 @@ def test_morawetz_rejects_small_A(traj_defocusing):
 
 def test_identity_zero_trajectory(g3, synth_factory):
     times = np.linspace(0, 0.1, 6)
-    traj = synth_factory(g3, times, [g3.zeros()] * 6)
+    traj = synth_factory(g3, times, [g3.field(np.zeros(g3.n_points))] * 6)
     rep = momentum_flux_identity_check(traj, 0.5)
     assert rep.max_defect == 0.0
 

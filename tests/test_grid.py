@@ -49,7 +49,7 @@ def test_weights_sum_to_ball_volume():
 
 
 def test_lp_zero(g3):
-    assert lp_norm(g3.zeros(), 2) == 0.0
+    assert lp_norm(g3.field(np.zeros(g3.n_points)), 2) == 0.0
 
 
 def test_l2_gaussian(g3):
@@ -69,7 +69,7 @@ def test_linf_gaussian(g3):
 
 def test_lp_invalid_exponent(g3):
     with pytest.raises(ValueError):
-        lp_norm(g3.zeros(), 0.5)
+        lp_norm(g3.field(np.zeros(g3.n_points)), 0.5)
 
 
 # ---------------------------------------------------------------------------

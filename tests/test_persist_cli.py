@@ -30,7 +30,6 @@ from nlslab.persist import (
     save_trajectory,
     write_json,
 )
-from nlslab.propagator import get_propagator
 from nlslab.scenario import (
     MAX_POINTS,
     ScenarioError,
@@ -247,7 +246,6 @@ def test_stored_kernel_is_certified_on_load(tmp_path, honest_run, caplog, tamper
     for command in (["analyze", "--config", str(cfg_path)], ["verify"]):
         # a cold cache, so that loading the store builds the transform
         _transform_slot.cache_clear()
-        get_propagator.cache_clear()
         caplog.clear()
         assert main([*command, "--out", str(out)]) == EXIT_OK
         warnings = [r.getMessage() for r in caplog.records if r.name == "nlslab"]
@@ -299,11 +297,10 @@ def _delete_table(store):
 
 
 def _cold_caches():
-    """Empty the table, transform and propagator caches, so that loading a
-    store adopts its table (the grids stay cached: fixtures hold them)."""
+    """Empty the table and transform caches, so that loading a store adopts
+    its table (the grids stay cached: fixtures hold them)."""
     _table_slot.cache_clear()
     _transform_slot.cache_clear()
-    get_propagator.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -540,30 +537,49 @@ def _per_row_files(store):
         (store / f"snapshot_{i:06d}.bin").write_bytes(row.tobytes())
 
 
-def _format_version_2(store):
-    meta = read_json(store / "metadata.json")
-    meta["format_version"] = 2
-    write_json(store / "metadata.json", meta)
+def _metadata(edit):
+    """The damage that applies ``edit`` to the store's metadata."""
+    def damage(store):
+        meta = read_json(store / "metadata.json")
+        edit(meta)
+        write_json(store / "metadata.json", meta)
+    return damage
 
 
-def _chebyshev_grid(store):
-    meta = read_json(store / "metadata.json")
-    meta["grid"]["kind"] = "chebyshev"
-    write_json(store / "metadata.json", meta)
+def _unreadable(field, error):
+    return f"has an unreadable metadata field {field!r} ({error})"
 
 
 @pytest.mark.parametrize("damage,message", [
     (_truncate_snapshots, "holds 79856 bytes in snapshots.bin, not 26 x 192 x 16"),
     (_append_bytes, "holds 79880 bytes in snapshots.bin, not 26 x 192 x 16"),
     (_per_row_files, "holds 0 bytes in snapshots.bin, not 26 x 192 x 16"),
-    (_format_version_2, "has format version 2, not 1"),
-    (_chebyshev_grid, "has grid kind 'chebyshev', not 'bessel'"),
-], ids=["truncated", "trailing-bytes", "per-row-files", "format-2", "grid-kind"])
+    (_metadata(lambda m: m.update(format_version=2)), "has format version 2, not 1"),
+    (_metadata(lambda m: m["grid"].update(kind="chebyshev")),
+     "has grid kind 'chebyshev', not 'bessel'"),
+    (_metadata(lambda m: m.pop("times")), _unreadable("times", "KeyError: 'times'")),
+    (_metadata(lambda m: m.pop("grid")), _unreadable("grid.kind", "KeyError: 'grid'")),
+    (_metadata(lambda m: m.pop("config")), _unreadable("config", "KeyError: 'config'")),
+    (_metadata(lambda m: m.pop("series")), _unreadable("series.mass", "KeyError: 'series'")),
+    (_metadata(lambda m: m["grid"].update(n_points="x")),
+     _unreadable("grid.n_points", "ValueError: invalid literal for int() with base 10: 'x'")),
+    (_metadata(lambda m: m["config"].update(extra=1)), _unreadable(
+        "config",
+        "TypeError: EvolutionConfig.__init__() got an unexpected keyword argument 'extra'")),
+    (_metadata(lambda m: m["times"].reverse()),
+     _unreadable("times", "ValueError: snapshot times must be strictly increasing")),
+    (_metadata(lambda m: m["series"]["mass"].pop()), _unreadable(
+        "series.mass", "ValueError: cannot reshape array of size 25 into shape (26,)")),
+    (lambda store: write_json(store / "metadata.json", []), _unreadable(
+        "format_version", "TypeError: list indices must be integers or slices, not str")),
+], ids=["truncated", "trailing-bytes", "per-row-files", "format-2", "grid-kind", "no-times",
+        "no-grid", "no-config", "no-series", "n-points-x", "unknown-config-key",
+        "reversed-times", "short-series", "not-an-object"])
 def test_unreadable_store_exits_2_and_writes_nothing(tmp_path, capsys, damage, message):
     """analyze and verify of a store of another format version, layout or
-    grid kind, or of a snapshot array of the wrong size, exit 2 with a
-    message that names the store and says to re-run simulate, and write
-    nothing."""
+    grid kind, of a snapshot array of the wrong size, or with a metadata
+    field missing or unreadable, exit 2 with a message that names the store
+    and says to re-run simulate, and write nothing."""
     cfg_path = write_config(tmp_path, SMALL_SCENARIO)
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK

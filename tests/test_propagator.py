@@ -10,8 +10,7 @@ from nlslab import (
     lp_norm,
     make_spectral_grid,
 )
-from nlslab.grid import UnresolvedGridError
-from nlslab.propagator import TimeRangeError
+from nlslab.grid import TimeRangeError, UnresolvedGridError
 
 from tests.conftest import free_evolve
 
@@ -54,34 +53,34 @@ def test_group_law(g3):
 
 
 def test_refuses_beyond_validated_span(g3):
-    prop = get_propagator(g3)
+    tr = get_propagator(g3)
     u = gaussian_field(g3)
     with pytest.raises(TimeRangeError, match="enlarge r_max"):
-        free_evolve(u, 4.0 * prop.validated_t_max)
+        free_evolve(u, 4.0 * tr.validated_t_max)
 
 
 def test_evolve_coeffs_refuses_beyond_validated_span(g3):
-    prop = get_propagator(g3)
-    coeffs = prop.transform.forward(gaussian_field(g3))
-    for t in (prop.validated_t_max, -prop.validated_t_max):
-        prop.evolve_coeffs(coeffs, t)  # the certified span itself is accepted
+    tr = get_propagator(g3)
+    coeffs = tr.forward(gaussian_field(g3))
+    for t in (tr.validated_t_max, -tr.validated_t_max):
+        tr.evolve_coeffs(coeffs, t)  # the certified span itself is accepted
         with pytest.raises(TimeRangeError, match="enlarge r_max"):
-            prop.evolve_coeffs(coeffs, 1.01 * t)
+            tr.evolve_coeffs(coeffs, 1.01 * t)
 
 
 def test_evolve_coeffs_column_of_times_equals_per_time_calls(g3):
-    prop = get_propagator(g3)
-    coeffs = prop.transform.forward(gaussian_field(g3))
-    t_max = prop.validated_t_max
+    tr = get_propagator(g3)
+    coeffs = tr.forward(gaussian_field(g3))
+    t_max = tr.validated_t_max
     times = np.linspace(-t_max, t_max, 9)
-    stack = prop.evolve_coeffs(coeffs, times[:, None])
+    stack = tr.evolve_coeffs(coeffs, times[:, None])
     assert stack.shape == (times.size, coeffs.size)
     for row, t in zip(stack, times):
-        assert np.array_equal(row, prop.evolve_coeffs(coeffs, t))
-        assert np.array_equal(row, prop.evolve_coeffs(coeffs, float(t)))
+        assert np.array_equal(row, tr.evolve_coeffs(coeffs, t))
+        assert np.array_equal(row, tr.evolve_coeffs(coeffs, float(t)))
     for late in (1.01 * t_max, -1.01 * t_max):
         with pytest.raises(TimeRangeError, match="enlarge r_max"):
-            prop.evolve_coeffs(coeffs, np.array([[0.0], [late], [0.5 * t_max]]))
+            tr.evolve_coeffs(coeffs, np.array([[0.0], [late], [0.5 * t_max]]))
 
 
 @pytest.mark.parametrize(
@@ -104,13 +103,13 @@ def test_every_grid_builds_or_is_unresolved(n, n_points, r_max):
     transform and certified propagator or raises UnresolvedGridError with
     a remedy; nothing else escapes."""
     try:
-        prop = get_propagator(make_spectral_grid(n, n_points, r_max))
+        tr = get_propagator(make_spectral_grid(n, n_points, r_max))
     except UnresolvedGridError as exc:
         assert "raise n_points, enlarge r_max or lower dimension" in str(exc)
         return
-    kernel = prop.transform.kernel
+    kernel = tr.kernel
     assert np.abs(kernel.T @ kernel - np.eye(n_points)).max() < 1e-12
-    assert prop.validated_t_max > 0
+    assert tr.validated_t_max > 0
 
 
 def test_validated_span_covers_unit_time(g3):
@@ -119,9 +118,8 @@ def test_validated_span_covers_unit_time(g3):
 
 def free_sup_norms(u, times):
     """sup |e^{i t lap} u| at each of the times, a row each."""
-    prop = get_propagator(u.grid)
-    tr = prop.transform
-    evolved = tr.backward(prop.evolve_coeffs(tr.forward(u), np.asarray(times)[:, None]))
+    tr = get_propagator(u.grid)
+    evolved = tr.backward(tr.evolve_coeffs(tr.forward(u), np.asarray(times)[:, None]))
     return np.abs(evolved).max(axis=1)
 
 

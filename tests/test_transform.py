@@ -14,6 +14,7 @@ from nlslab.grid import sphere_area
 from nlslab.transform import (
     _ROWS,
     CACHED_GRIDS,
+    SpectralTransform,
     _build_transform,
     _certified,
     _certified_table,
@@ -372,12 +373,19 @@ def test_n3_kernel_matches_the_fft_dst1(n_points):
 def test_caches_are_bounded():
     refs = []
     for i in range(40):
-        prop = get_propagator(make_spectral_grid(3, 64, 12.0 + 0.25 * i))
-        refs.append((weakref.ref(prop.transform), weakref.ref(prop)))
-    del prop
+        refs.append(weakref.ref(get_propagator(make_spectral_grid(3, 64, 12.0 + 0.25 * i))))
     gc.collect()
-    assert sum(t() is not None for t, _ in refs) <= CACHED_GRIDS
-    assert sum(p() is not None for _, p in refs) <= CACHED_GRIDS
+    assert sum(r() is not None for r in refs) <= CACHED_GRIDS
+    # a transform read between certifications: the certified free flow is
+    # the transform itself, so no grid holds a second one
+    grids = [make_spectral_grid(3, 48, 12.0 + 0.25 * i) for i in range(CACHED_GRIDS + 1)]
+    for g in grids[:-1]:
+        get_propagator(g)
+    get_transform(grids[0])
+    get_propagator(grids[-1])
+    gc.collect()
+    assert sum(isinstance(o, SpectralTransform) for o in gc.get_objects()) <= CACHED_GRIDS
+    assert all(get_propagator(g) is get_transform(g) for g in grids)
 
 
 def fractional_power(u, alpha):
