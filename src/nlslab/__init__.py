@@ -43,13 +43,14 @@ from .functionals import (
 )
 from .grid import RadialField, RadialGrid, lp_norm
 from .persist import load_trajectory, save_trajectory
-from .propagator import (
+from .scenario import normalize_scenario, run_scenario, verify_report
+from .transform import (
     gaussian_field,
     gaussian_free_evolution,
     get_propagator,
+    get_transform,
+    make_spectral_grid,
 )
-from .scenario import normalize_scenario, run_scenario, verify_report
-from .transform import get_transform, make_spectral_grid
 
 __version__ = "0.1.0"
 

@@ -10,10 +10,10 @@ Subcommands::
     sweep         run a list of scenarios into per-scenario directories
     export-plots  re-emit the CSV series from an existing report
 
-Exit codes: 0 all-pass, 1 verification failures, 2 configuration error,
-unresolvable grid, uncertified span, or a trajectory store of another format
-version or a damaged snapshot array, 3 runtime alarm (blowup or energy
-drift), 4 internal error (an unexpected exception, reported on stderr).
+Exit codes: 0 all-pass, 1 verification failures, 2 configuration error (an
+unknown field or bad knob, an unresolvable grid, an uncertified span, an
+unreadable or inconsistent trajectory store), 3 runtime alarm (blowup or
+energy drift), 4 internal error (an unexpected exception, on stderr).
 
 ``sweep`` runs each scenario, outputs included, as one task of
 ``workers.run``: at a process budget of 2 or more (BLAS pinned to one

@@ -2,7 +2,7 @@
 
 The nonlinear sub-flow  i u_t = mu |u|^{4/(n-2)} u  is solved exactly as a
 pointwise phase rotation (|u| is a pointwise invariant of it), and the
-linear sub-flow is the exact spectral free propagator.  The composition
+linear sub-flow is the exact free flow ``free_phase``.  The composition
 half-phase / full-linear / half-phase is second order in dt, conserves the
 discrete L^2 mass to rounding by construction, and needs no CFL condition.
 
@@ -21,7 +21,6 @@ import numpy as np
 from . import workers
 from .functionals import _energy_rows, _mass_series, energy_scale
 from .grid import GridError, RadialField, RadialGrid, TimeRangeError
-from .propagator import get_propagator
 from .transform import get_transform, product
 
 
@@ -145,6 +144,15 @@ class Trajectory:
         return float(self.times[int(np.argmin(np.abs(self.times - t)))])
 
 
+def snapshot_plan(span: float, dt: float, stride: int) -> tuple[int, int]:
+    """(steps, rows) over ``span`` at about ``dt``: at least one step; a snapshot row for
+    the start, each ``stride`` steps and the end.  A ValueError if span / dt is not finite."""
+    if not math.isfinite(span / dt):
+        raise ValueError(f"span {span:.3g} at dt {dt:.3g} is not a finite number of steps")
+    n_steps = max(1, round(span / dt))
+    return n_steps, 2 + (n_steps - 1) // stride
+
+
 def evolve(
     u0: RadialField,
     t_minus: float,
@@ -167,12 +175,13 @@ def evolve(
         raise ValueError("empty time span")
     if u0.grid.dimension != cfg.dimension:
         raise ValueError("config dimension does not match the grid")
-    tr = get_propagator(u0.grid)  # the grid's transform, its free flow certified
-    if (t_plus - t_minus) > tr.validated_t_max:
+    span = t_plus - t_minus
+    n_steps, rows = snapshot_plan(span, cfg.dt, cfg.snapshot_stride)
+    dt = span / n_steps
+    tr = get_transform(u0.grid)
+    if span > tr.validated_t_max:
         raise TimeRangeError(
-            f"span {t_plus - t_minus:.3g} exceeds the grid-certified horizon "
-            f"{tr.validated_t_max:.3g}"
-        )
+            f"span {span:.3g} exceeds the grid-certified horizon {tr.validated_t_max:.3g}")
     warnings = []
     peak = np.abs(u0.values).max()
     if peak > 0:
@@ -182,11 +191,7 @@ def evolve(
                 f"initial data not decayed at r_max (tail/peak {tail / peak:.2e})"
             )
 
-    span = t_plus - t_minus
-    n_steps = max(1, int(round(span / cfg.dt)))
-    dt = span / n_steps
-
-    phases = np.exp(-1j * tr.frequencies**2 * dt)
+    phases = tr.free_phase(dt)
     sw = tr.sqrt_weights
     mu, p = cfg.mu, cfg.phase_exponent
     # focusing collapse outruns the snapshot stride, so the focusing sign
@@ -206,8 +211,7 @@ def evolve(
     in_coefficients = watch_every_step or (not pinned and tr.complex_kernel_t is None)
 
     u = np.asarray(u0.values, dtype=complex).copy()
-    # the initial state, one row per stride and the final (or abort) state
-    values = np.empty((2 + (n_steps - 1) // cfg.snapshot_stride, u.size), dtype=complex)
+    values = np.empty((rows, u.size), dtype=complex)
     times, energies, kinetics, potentials = [], [], [], []
 
     def record(t: float, u_now: np.ndarray):

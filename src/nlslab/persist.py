@@ -132,6 +132,9 @@ def load_trajectory(directory) -> Trajectory:
     dimension, n_points = field("grid.dimension", int), field("grid.n_points", int)
     r_max, times = field("grid.r_max", float), field("times", _times)
     cfg = field("config", lambda c: EvolutionConfig(**c))
+    if cfg.dimension != dimension:
+        raise StoreError(f"trajectory store {directory} has config dimension {cfg.dimension}, "
+                         f"not its grid's {dimension}; re-run simulate")
     series = [field(f"series.{name}", lambda s: np.asarray(s, dtype=float).reshape(times.size))
               for name in ("mass", "energy", "kinetic", "potential")]
     status, abort_reason = field("status"), field("abort_reason")

@@ -27,11 +27,10 @@ import numpy as np
 from . import concentration as conc
 from . import functionals as fn
 from . import workers
-from .dynamics import EvolutionConfig, Trajectory, duhamel_residual, evolve
+from .dynamics import EvolutionConfig, Trajectory, duhamel_residual, evolve, snapshot_plan
 from .grid import RadialField, RadialGrid
 from .persist import blowup_dict, decode_snapshot, load_trajectory
-from .propagator import get_propagator
-from .transform import make_spectral_grid
+from .transform import gaussian_field, get_propagator, make_spectral_grid
 
 
 class ScenarioError(ValueError):
@@ -78,6 +77,20 @@ DEFAULT_SCENARIO = {
         "blowup_grad_factor": 10.0,
     },
 }
+
+
+# every field a scenario may name: the defaults and each family's initial data
+_FIELDS = {**DEFAULT_SCENARIO,
+           "initial_data": dict.fromkeys(("family", "amplitude", "width", "center", "path"))}
+
+
+def _unknown_fields(raw: dict, known: dict, prefix: str = "") -> list[str]:
+    """A violation for each dotted path of ``raw`` that ``known`` lacks."""
+    bad = [f"{prefix}{key} is not a scenario field" for key in raw if key not in known]
+    for key, val in raw.items():
+        if isinstance(val, dict) and isinstance(known.get(key), dict):
+            bad += _unknown_fields(val, known[key], f"{prefix}{key}.")
+    return bad
 
 
 def _merge(base: dict, overlay: dict) -> dict:
@@ -146,7 +159,7 @@ _KNOBS = (
 
 def normalize_scenario(raw: dict) -> dict:
     """Fill defaults and validate; raises ScenarioError listing every
-    violated field."""
+    violated field, and every field that the defaults do not name."""
     if raw is not None and not isinstance(raw, dict):
         raise ScenarioError([f"a scenario must be a JSON object, got {type(raw).__name__}"])
     s = _merge(DEFAULT_SCENARIO, raw or {})
@@ -156,6 +169,7 @@ def normalize_scenario(raw: dict) -> dict:
         bad.append(f"analysis.tolerances must be an object, got {s['analysis']['tolerances']!r}")
     if bad:
         raise ScenarioError(bad)
+    bad = _unknown_fields(raw or {}, _FIELDS)
     sid = s["scenario_id"]
     if not isinstance(sid, str) or sid in ("", ".", "..") or "/" in sid or "\\" in sid:
         bad.append(f"scenario_id must name a single directory, got {sid!r}")
@@ -187,9 +201,11 @@ def normalize_scenario(raw: dict) -> dict:
             bad.append(f"analysis.admissible_pairs must list admissible [q, r] pairs: {exc}")
     if bad:
         raise ScenarioError(bad)
-    # the rows of evolve's array: the initial state, one per stride, the last
-    steps = (float(t["t_plus"]) - float(t["t_minus"])) / float(t["dt"])
-    rows = 2 + (max(1, round(steps)) - 1) // t["snapshot_stride"] if steps < math.inf else 3
+    try:
+        rows = snapshot_plan(float(t["t_plus"]) - float(t["t_minus"]), float(t["dt"]),
+                             t["snapshot_stride"])[1]
+    except ValueError as exc:
+        raise ScenarioError([f"time.dt: {exc}"]) from None
     if rows < 3:
         raise ScenarioError([f"time span records {rows} snapshots at dt {t['dt']!r} and stride "
                              f"{t['snapshot_stride']!r}; the analysis needs at least 3"])
@@ -205,12 +221,11 @@ def scenario_grid(scenario: dict) -> RadialGrid:
 def build_initial_data(scenario: dict) -> RadialField:
     grid = scenario_grid(scenario)
     init = scenario["initial_data"]
-    r = grid.nodes
     fam = init["family"]
     if fam == "gaussian":
-        vals = init["amplitude"] * np.exp(-((r / init["width"]) ** 2))
-    elif fam == "ring":
-        vals = init["amplitude"] * np.exp(-(((r - init["center"]) / init["width"]) ** 2))
+        return gaussian_field(grid, init["amplitude"], init["width"])
+    if fam == "ring":
+        vals = init["amplitude"] * np.exp(-(((grid.nodes - init["center"]) / init["width"]) ** 2))
     else:
         try:
             vals = decode_snapshot(Path(init["path"]).read_bytes())

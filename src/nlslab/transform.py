@@ -23,8 +23,12 @@ coefficients, one row (N,) or a stack (S, N) such as
 ``Trajectory.coefficients``, which every diagnostic of a trajectory
 reads.  A row of a stack has the bits of a single-row call.
 ``evolve_coeffs`` advances coefficients by the free flow, the phase
-e^{-i k^2 t}, within ``validated_t_max``, the span that the certificate
-of ``propagator`` validates on first read (and the transform holds).
+``free_phase(t)`` = e^{-i k^2 t}, within ``validated_t_max``: spreading
+data feel the Dirichlet boundary, so on its first read the transform
+certifies, and holds, the largest time of a ladder at which the free flow
+of the reference Gaussian (``gaussian_field``) matches its closed form
+(``gaussian_free_evolution``) within ``ORACLE_TOLERANCE``, after a round
+trip to 1e-9.  ``get_propagator`` returns a grid's transform, certified.
 
 In three dimensions nu = 1/2, J_{1/2}(x) is proportional to sin(x)/sqrt(x),
 the zeros are j_m = m pi, and the nodes r_i = i R / (N+1) are uniform.
@@ -225,6 +229,28 @@ def make_spectral_grid(dimension: int, n_points: int, r_max: float) -> RadialGri
     return RadialGrid(n, r, w, float(r_max), kind="bessel")
 
 
+def gaussian_field(grid: RadialGrid, amplitude: float = 1.0, width: float = 1.0) -> RadialField:
+    """The reference Gaussian  amplitude * exp(-(r/width)^2)."""
+    return grid.field(amplitude * np.exp(-((grid.nodes / width) ** 2)))
+
+
+def gaussian_free_evolution(grid: RadialGrid, t: float, amplitude: float = 1.0,
+                            width: float = 1.0) -> RadialField:
+    """The free flow of the reference Gaussian A exp(-(r/w)^2) in closed form,
+    A (1 + 4it/w^2)^{-n/2} exp(-r^2 / (w^2 + 4it)), by completing the square
+    in the Fourier representation."""
+    n = grid.dimension
+    w2 = width * width
+    z = 1.0 + 4.0j * t / w2
+    return grid.field(amplitude * z ** (-n / 2.0) * np.exp(-grid.nodes**2 / (w2 * z)))
+
+
+_T_LADDER = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+
+#: pointwise tolerance of the Gaussian oracle that certifies the horizon
+ORACLE_TOLERANCE = 1e-6
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralTransform:
     """Orthogonal transform between node samples and mode coefficients.
@@ -279,9 +305,25 @@ class SpectralTransform:
 
     @cached_property
     def validated_t_max(self) -> float:
-        """The free flow's ``propagator.certified_span``, held once read."""
-        from .propagator import certified_span
-        return certified_span(self)
+        """The certified span of the module docstring, held once read."""
+        u0 = gaussian_field(self.grid).values
+        coeffs = self.coefficients(u0)
+        if np.abs(self.backward(coeffs) - u0).max() > 1e-9:
+            raise UnresolvedGridError("spectral round-trip self-test failed")
+        evolved = self.backward(coeffs * self.free_phase(np.array(_T_LADDER)[:, None]))
+        t_max = 0.0
+        for t, row in zip(_T_LADDER, evolved):
+            oracle = gaussian_free_evolution(self.grid, t).values
+            if not np.abs(row - oracle).max() < ORACLE_TOLERANCE:
+                break
+            t_max = t
+        if t_max == 0.0:
+            raise UnresolvedGridError("no ladder time passed the Gaussian oracle self-test")
+        return t_max
+
+    def free_phase(self, t) -> NDArray[np.complex128]:
+        """The free flow's phase e^{-i k^2 t}, a row for ``t`` or each of a column (T, 1)."""
+        return np.exp(-1j * self.frequencies**2 * t)
 
     def evolve_coeffs(self, coeffs: np.ndarray, t) -> np.ndarray:
         """Phase-advance mode coefficients without leaving spectral space, to
@@ -292,7 +334,7 @@ class SpectralTransform:
                 f"|t|={t_abs:.3g} exceeds validated span {self.validated_t_max:.3g} "
                 "(boundary reflection artifacts); enlarge r_max"
             )
-        return coeffs * np.exp(-1j * self.frequencies**2 * t)
+        return coeffs * self.free_phase(t)
 
     def forward(self, u: RadialField) -> NDArray[np.complex128]:
         """Mode coefficients of a field."""
@@ -528,3 +570,10 @@ def get_transform(grid: RadialGrid, stored=None) -> SpectralTransform:
     if not slot:
         slot.append(_build_transform(grid, stored))
     return slot[0]
+
+
+def get_propagator(grid: RadialGrid) -> SpectralTransform:
+    """The cached transform of a bessel grid, its free flow certified."""
+    tr = get_transform(grid)
+    tr.validated_t_max  # certified on first read, then held
+    return tr

@@ -13,8 +13,7 @@ from nlslab import (
     make_spectral_grid,
 )
 from nlslab.dynamics import _phase_rotation
-from nlslab.propagator import gaussian_free_evolution, get_propagator
-from nlslab.transform import _ROWS, get_transform
+from nlslab.transform import _ROWS, gaussian_free_evolution, get_propagator, get_transform
 
 from tests.conftest import free_evolve
 

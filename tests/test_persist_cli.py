@@ -572,9 +572,11 @@ def _unreadable(field, error):
         "series.mass", "ValueError: cannot reshape array of size 25 into shape (26,)")),
     (lambda store: write_json(store / "metadata.json", []), _unreadable(
         "format_version", "TypeError: list indices must be integers or slices, not str")),
+    (_metadata(lambda m: m["config"].update(dimension=5)),
+     "has config dimension 5, not its grid's 3"),
 ], ids=["truncated", "trailing-bytes", "per-row-files", "format-2", "grid-kind", "no-times",
         "no-grid", "no-config", "no-series", "n-points-x", "unknown-config-key",
-        "reversed-times", "short-series", "not-an-object"])
+        "reversed-times", "short-series", "not-an-object", "config-dimension"])
 def test_unreadable_store_exits_2_and_writes_nothing(tmp_path, capsys, damage, message):
     """analyze and verify of a store of another format version, layout or
     grid kind, of a snapshot array of the wrong size, or with a metadata
@@ -622,8 +624,8 @@ def _cli(threads, *args):
                    capture_output=True)
 
 
-REFERENCE_CONFIG = str(Path(__file__).resolve().parents[1] / "scenarios"
-                       / "reference-defocusing-n3.json")
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+REFERENCE_CONFIG = str(SCENARIOS / "reference-defocusing-n3.json")
 
 
 def _files(directory: Path) -> dict:
@@ -917,6 +919,43 @@ def test_cli_rejects_a_span_of_fewer_than_three_snapshots(tmp_path, capsys, monk
     assert time.perf_counter() - started < 0.2
     assert code == EXIT_CONFIG_ERROR
     assert "time span records 2 snapshots" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_step_count_that_is_not_finite(tmp_path, capsys, monkeypatch):
+    """A dt so small that span / dt overflows exits 2 before a grid is
+    built, where evolve would fail to size its snapshot array."""
+    def refuse(*args):
+        raise AssertionError("a span of infinitely many steps must not build a grid")
+
+    monkeypatch.setattr(scenario_module, "make_spectral_grid", refuse)
+    out = tmp_path / "run"
+    overrides = ["grid.n_points=64", "grid.r_max=8", "time.t_plus=0.2", "time.dt=1e-320"]
+    code = main(["simulate", "--config", str(SCENARIOS / "free-n3.json"), "--out", str(out),
+                 *(a for o in overrides for a in ("--override", o))])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == ("configuration error: time.dt: span 0.2 at dt 1e-320 "
+                                       "is not a finite number of steps\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config,overrides,path", [
+    pytest.param(dict(SMALL_SCENARIO, dimensoin=5), [], "dimensoin", id="top-level-typo"),
+    pytest.param(SMALL_SCENARIO, ["grid.npoints=128"], "grid.npoints", id="grid-npoints"),
+    pytest.param(SMALL_SCENARIO, ["analysis.tolerances.mass_drfit=1e-9"],
+                 "analysis.tolerances.mass_drfit", id="tolerance-typo"),
+    pytest.param(read_json(SCENARIOS / "sweep-families-n3.json"), [], "scenarios",
+                 id="sweep-document"),
+])
+def test_cli_unknown_scenario_field_exits_2(tmp_path, capsys, config, overrides, path):
+    """A field that the scenario defaults do not name is a configuration
+    error that names its path, and simulate writes nothing."""
+    cfg_path = write_config(tmp_path, config)
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                 *(a for o in overrides for a in ("--override", o))])
+    assert code == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"configuration error: {path} is not a scenario field\n"
     assert not out.exists()
 
 
