@@ -10,10 +10,16 @@ Subcommands::
     sweep         run a list of scenarios into per-scenario directories
     export-plots  re-emit the CSV series from an existing report
 
+Each subcommand takes ``--out``; ``simulate``, ``analyze`` and ``sweep``
+also ``--config`` and ``--override``, and ``analyze`` and ``sweep``
+``--seed``.
+
 Exit codes: 0 all-pass, 1 verification failures, 2 configuration error (an
-unknown field or bad knob, an unresolvable grid, an uncertified span, an
-unreadable or inconsistent trajectory store), 3 runtime alarm (blowup or
-energy drift), 4 internal error (an unexpected exception, on stderr).
+unknown field or bad knob, an unresolvable grid or a dimension outside
+3..41, an uncertified span, a snapshot array over the memory budget, an
+unreadable or inconsistent trajectory store, a store that the scenario
+did not produce), 3 runtime alarm (blowup or energy drift), 4 internal
+error (an unexpected exception, on stderr).
 
 ``sweep`` runs each scenario, outputs included, as one task of
 ``workers.run``: at a process budget of 2 or more (BLAS pinned to one
@@ -46,6 +52,7 @@ from .scenario import (
     RunResult,
     ScenarioError,
     build_report,
+    check_store,
     evolve_scenario,
     normalize_scenario,
     run_scenario,
@@ -162,6 +169,7 @@ def cmd_analyze(args) -> int:
     stored = (out_dir / "trajectory").is_dir()
     if stored:
         traj = load_trajectory(out_dir / "trajectory")
+        check_store(scenario, traj, out_dir / "trajectory")
         result = RunResult(build_report(scenario, traj, seed=args.seed), traj)
     else:
         result = run_scenario(scenario, seed=args.seed)
@@ -235,26 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
+    def command(name, help, scenario=False, seed=False):   # with the flags it reads
+        p = sub.add_parser(name, help=help)
+        if scenario:
             p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--override",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            help="dotted-path scenario override (repeatable)",
-        )
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
+        if scenario:
+            p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
+                           help="dotted-path scenario override (repeatable)")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
 
-    common(sub.add_parser("simulate", help="evolve and store a trajectory"))
-    common(sub.add_parser("analyze", help="produce a diagnostics report"))
-    common(sub.add_parser("verify", help="check invariants of a finished run"),
-           needs_config=False)
-    common(sub.add_parser("sweep", help="run a list of scenarios"))
-    common(sub.add_parser("export-plots", help="re-emit CSV series from a report"),
-           needs_config=False)
+    command("simulate", "evolve and store a trajectory", scenario=True)
+    command("analyze", "produce a diagnostics report", scenario=True, seed=True)
+    command("verify", "check invariants of a finished run")
+    command("sweep", "run a list of scenarios", scenario=True, seed=True)
+    command("export-plots", "re-emit CSV series from a report")
     return parser
 
 

@@ -117,13 +117,16 @@ def greedy_subdivide(traj: Trajectory, eta: float) -> IntervalDecomposition:
 
 @dataclass(frozen=True)
 class ExceptionalReport:
-    flags: tuple
-    minus_masses: tuple
-    plus_masses: tuple
+    """The report's ``exceptional`` block, and the per-interval flags."""
+
     threshold: float
-    total_linear_mass: float   # both flows over the whole span
     count: int
     count_bound: float         # total_linear_mass / threshold
+    total_linear_mass: float   # both flows over the whole span
+    minus_masses: tuple
+    plus_masses: tuple
+    flags: tuple
+
 
 def _linear_flow_density(traj: Trajectory, anchor_index: int, times) -> np.ndarray:
     """Critical-norm density, at ``times``, of the free flow launched from
@@ -158,15 +161,8 @@ def classify_exceptional(
         plus_masses.append(m_plus)
         flags.append(m_minus > threshold or m_plus > threshold)
     total = float(np.trapezoid(dens_minus, ts)) + float(np.trapezoid(dens_plus, ts))
-    return ExceptionalReport(
-        flags=tuple(flags),
-        minus_masses=tuple(minus_masses),
-        plus_masses=tuple(plus_masses),
-        threshold=threshold,
-        total_linear_mass=total,
-        count=int(sum(flags)),
-        count_bound=total / threshold,
-    )
+    return ExceptionalReport(threshold, int(sum(flags)), total / threshold, total,
+                             tuple(minus_masses), tuple(plus_masses), tuple(flags))
 
 
 # ---------------------------------------------------------------------------

@@ -149,11 +149,12 @@ def _local_masses(grid: RadialGrid, values: np.ndarray, radius: float) -> np.nda
 
 @dataclass(frozen=True)
 class FluxReport:
+    """A row of the report's ``mass_flux`` table, without its tolerance."""
+
     radius: float
     max_rate: float          # max |d Mass / dt| over interior snapshot times
     bound: float             # MASS_FLUX_CONSTANT * sqrt(E) / R
     ratio: float
-    energy_used: float
 
 
 def mass_flux_check(traj: Trajectory, radius: float) -> FluxReport:
@@ -171,11 +172,10 @@ def mass_flux_check(traj: Trajectory, radius: float) -> FluxReport:
         raise ValueError("flux bound applies to free or defocusing runs only")
     masses = _local_masses(traj.grid, traj.values, radius)
     rates = (masses[2:] - masses[:-2]) / (traj.times[2:] - traj.times[:-2])
-    e_used = float(traj.energy_series[0])
-    bound = MASS_FLUX_CONSTANT * math.sqrt(max(e_used, 0.0)) / radius
+    bound = MASS_FLUX_CONSTANT * math.sqrt(max(float(traj.energy_series[0]), 0.0)) / radius
     max_rate = float(np.abs(rates).max(initial=0.0))
     ratio = max_rate / bound if bound > 0 else math.inf if max_rate > 0 else 0.0
-    return FluxReport(radius, max_rate, bound, ratio, e_used)
+    return FluxReport(radius, max_rate, bound, ratio)
 
 
 #: Calibrated ceiling for the mass-growth ratio Mass / (E^{1/2} R); frozen
@@ -298,10 +298,13 @@ def _weight_derivs(eps: float, n: int, r) -> tuple[np.ndarray, np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class MorawetzReport:
+    """A row of the report's ``morawetz`` table, before null replaces inf."""
+
+    A: float
     lhs: float                # weighted spacetime integral of |u|^{2n/(n-2)} / |x|
     rhs_without_constant: float   # A |I|^{1/2} E
     ratio: float
-    A: float
+    bound: float              # MORAWETZ_RATIO_BOUND
     regularized: dict         # eps -> LHS with 1/(eps^2+|x|^2)^{1/2}, and "richardson"
 
 
@@ -347,14 +350,13 @@ def morawetz_check(traj: Trajectory, A: float = 1.0, eps=()) -> MorawetzReport:
         e1, e0 = eps_sorted[-1], eps_sorted[0]  # largest, smallest
         v1, v0 = reg[e1], reg[e0]
         reg["richardson"] = v0 + (v0 - v1) * e0 / (e1 - e0)
-    return MorawetzReport(lhs, rhs, ratio, A, reg)
+    return MorawetzReport(A, lhs, rhs, ratio, MORAWETZ_RATIO_BOUND, reg)
 
 
 @dataclass(frozen=True)
 class FluxIdentityReport:
     max_defect: float        # normalized by the largest term magnitude
     epsilon: float
-    times: tuple
     lhs_rates: tuple
     rhs_values: tuple
 
@@ -414,7 +416,6 @@ def momentum_flux_identity_check(traj: Trajectory, eps: float) -> FluxIdentityRe
     return FluxIdentityReport(
         max_defect=float(defects.max(initial=0.0) / scale),
         epsilon=eps,
-        times=tuple(traj.times[1:-1]),
         lhs_rates=tuple(rates),
         rhs_values=tuple(rhs),
     )

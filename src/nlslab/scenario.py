@@ -122,7 +122,8 @@ def _list_of(ok):
 
 # the dense path holds about 32 N^2 bytes at n = 3 (the complex kernel and
 # the step operator) and 48 N^2 otherwise (the kernel in both orientations
-# and the step operator): a memory budget of about 2.1 GB, and 3.2 GB
+# and the step operator): a memory budget of about 2.1 GB, and 3.2 GB.  The
+# snapshot array, 16 bytes a sample, gets the n = 3 budget, 32 MAX_POINTS^2
 MAX_POINTS = 8192
 
 # (dotted path, predicate, requirement) of every single-valued knob; an
@@ -209,6 +210,11 @@ def normalize_scenario(raw: dict) -> dict:
     if rows < 3:
         raise ScenarioError([f"time span records {rows} snapshots at dt {t['dt']!r} and stride "
                              f"{t['snapshot_stride']!r}; the analysis needs at least 3"])
+    size = rows * s["grid"]["n_points"] * 16
+    if size > 32 * MAX_POINTS**2:
+        raise ScenarioError([f"time span records {rows} snapshots of {s['grid']['n_points']} "
+                             f"points, {size} bytes, over the budget of {32 * MAX_POINTS**2} "
+                             "bytes; raise time.dt or time.snapshot_stride"])
     return s
 
 
@@ -300,6 +306,28 @@ def evolve_scenario(scenario: dict) -> tuple[dict, Trajectory]:
     return s, traj
 
 
+def check_store(s: dict, traj: Trajectory, directory) -> None:
+    """Raise a ScenarioError naming each field of the normalized scenario
+    ``s`` that the trajectory loaded from store ``directory`` was not
+    evolved with.  The analysis knobs and ``scenario_id`` may differ."""
+    g, cfg = traj.grid, traj.config
+    stored = {"dimension": g.dimension, "mu": cfg.mu, "grid.n_points": g.n_points,
+              "grid.r_max": g.r_max, "time.dt": cfg.dt,
+              "time.snapshot_stride": cfg.snapshot_stride, "time.t_minus": traj.t_minus,
+              "evolution.energy_drift_alarm": cfg.energy_drift_tol,
+              "evolution.blowup_grad_factor": cfg.blowup_grad_factor,
+              "initial_data": traj.provenance.get("initial_data", s["initial_data"])}
+    # the last time of a complete run is t_plus up to the rounding of its steps
+    t_plus = s["time"]["t_plus"]
+    if traj.status == "complete" and abs(t_plus - traj.t_plus) > 1e-9 * max(1, traj.span):
+        stored["time.t_plus"] = traj.t_plus
+    bad = [f"{path} is {want!r}, but the trajectory store {directory} was evolved with {have!r}"
+           for path, have in stored.items()
+           if (want := functools.reduce(dict.__getitem__, path.split("."), s)) != have]
+    if bad:
+        raise ScenarioError(bad)
+
+
 def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:
     """The diagnostics report of an evolved scenario.
 
@@ -363,18 +391,8 @@ def _drifts(masses, energies) -> tuple[float, float]:
 def _flux_table(s, traj, tol):
     if traj.config.mu < 0:
         return {"skipped": "flux bound requires the free or defocusing sign"}
-    rows = []
-    for radius in s["analysis"]["mass_radii"]:
-        rep = fn.mass_flux_check(traj, float(radius))
-        rows.append(
-            {
-                "radius": rep.radius,
-                "max_rate": rep.max_rate,
-                "bound": rep.bound,
-                "ratio": rep.ratio,
-                "tolerance": tol["flux_ratio"],
-            }
-        )
+    rows = [{**asdict(fn.mass_flux_check(traj, float(radius))), "tolerance": tol["flux_ratio"]}
+            for radius in s["analysis"]["mass_radii"]]
     return {"constant": fn.MASS_FLUX_CONSTANT, "rows": rows}
 
 
@@ -396,26 +414,19 @@ def _hardy_table(s, traj):
 
 
 def _or_null(x):
-    """``x``, or None where it is not finite (JSON null)."""
-    return x if math.isfinite(x) else None
+    """``x`` with every float that is not finite as None (JSON null) and
+    every dict key as a string, at any depth."""
+    if isinstance(x, dict):
+        return {str(k): _or_null(v) for k, v in x.items()}
+    return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def _morawetz_table(s, traj):
     # an entry that does not fit a float (the ratio of a run whose energy
     # is not positive, an integral that overflows) is written as null
-    rows = []
-    for A in s["analysis"]["morawetz_A"]:
-        rep = fn.morawetz_check(traj, float(A), tuple(s["analysis"]["morawetz_eps"]))
-        rows.append(
-            {
-                "A": rep.A,
-                "lhs": _or_null(rep.lhs),
-                "rhs_without_constant": _or_null(rep.rhs_without_constant),
-                "ratio": _or_null(rep.ratio),
-                "bound": fn.MORAWETZ_RATIO_BOUND,
-                "regularized": {str(k): _or_null(v) for k, v in rep.regularized.items()},
-            }
-        )
+    eps = tuple(s["analysis"]["morawetz_eps"])
+    rows = [_or_null(asdict(fn.morawetz_check(traj, float(A), eps)))
+            for A in s["analysis"]["morawetz_A"]]
     return {"rows": rows, "bound": fn.MORAWETZ_RATIO_BOUND}
 
 
@@ -464,6 +475,13 @@ def _duhamel_table(traj, tol):
     return rows
 
 
+def _without(record, key: str) -> dict:
+    """The fields of a dataclass ``record``, in order, but ``key``."""
+    out = asdict(record)
+    del out[key]
+    return out
+
+
 def _concentration_block(s, traj):
     a = s["analysis"]
     dens = fn.critical_density(traj)
@@ -480,24 +498,9 @@ def _concentration_block(s, traj):
     threshold = eta ** float(a["c1"])
     exc_rep = conc.classify_exceptional(decomp, traj, threshold)
     decomp = decomp.with_flags(exc_rep.flags)
-    block["decomposition"] = {
-        "boundaries": list(decomp.boundaries),
-        "masses": list(decomp.masses),
-        "tail_flag": decomp.tail_flag,
-        "exceptional": list(decomp.exceptional),
-    }
-    block["exceptional"] = {
-        "threshold": threshold,
-        "count": exc_rep.count,
-        "count_bound": exc_rep.count_bound,
-        "total_linear_mass": exc_rep.total_linear_mass,
-        "minus_masses": list(exc_rep.minus_masses),
-        "plus_masses": list(exc_rep.plus_masses),
-    }
-    block["window_statistics"] = {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in conc.window_statistics(decomp).items()
-    }
+    block["decomposition"] = _without(decomp, "eta")
+    block["exceptional"] = _without(exc_rep, "flags")
+    block["window_statistics"] = conc.window_statistics(decomp)
     comparisons, bubbles = [], []
     for j in decomp.non_tail_indices():
         try:
@@ -593,6 +596,11 @@ def _check(section, name, passed, measured, bound, note="") -> dict:
     }
 
 
+def _at_most(section, name, measured, bound, note="") -> dict:
+    """The check that ``measured`` is at most ``bound``; a null fails."""
+    return _check(section, name, measured is not None and measured <= bound, measured, bound, note)
+
+
 def _exponent_name(x) -> str:
     """A pair exponent as check names spell it: integral values without a
     point, others by repr, "inf" as it is; the same whether the report is in
@@ -647,39 +655,21 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
 
     flux = report.get("mass_flux")
     if flux and "rows" in flux:
-        for row in flux["rows"]:
-            checks.append(
-                _check("mass_flux", f"mass_flux_ratio(R={row['radius']:g})",
-                       row["ratio"] <= row["tolerance"], row["ratio"], row["tolerance"])
-            )
+        checks += [_at_most("mass_flux", f"mass_flux_ratio(R={row['radius']:g})",
+                            row["ratio"], row["tolerance"]) for row in flux["rows"]]
     hardy = report.get("hardy")
     if hardy and "rows" in hardy:
-        checks.append(
-            _check("hardy", "hardy_ratio_sup", hardy["sweep_sup"] <= hardy["bound"],
-                   hardy["sweep_sup"], hardy["bound"])
-        )
-    mor = report.get("morawetz")
-    if mor:
-        for row in mor["rows"]:
-            # a ratio that did not fit a float is written as null, and fails
-            ratio = row["ratio"]
-            checks.append(
-                _check("morawetz", f"morawetz_ratio(A={row['A']:g})",
-                       ratio is not None and ratio <= row["bound"], ratio, row["bound"],
-                       "" if ratio is not None else "the ratio is not finite")
-            )
+        checks.append(_at_most("hardy", "hardy_ratio_sup", hardy["sweep_sup"], hardy["bound"]))
+    # a Morawetz ratio that did not fit a float is written as null
+    checks += [_at_most("morawetz", f"morawetz_ratio(A={row['A']:g})", row["ratio"], row["bound"],
+                        "" if row["ratio"] is not None else "the ratio is not finite")
+               for row in (report.get("morawetz") or {}).get("rows", [])]
     ident = report.get("momentum_flux_identity")
     if ident:
-        checks.append(
-            _check("momentum_flux_identity", "momentum_flux_identity",
-                   ident["max_defect"] <= ident["tolerance"],
-                   ident["max_defect"], ident["tolerance"])
-        )
-    for row in report.get("duhamel", []):
-        checks.append(
-            _check("duhamel", f"duhamel(t0={row['t0']:g},t={row['t']:g})",
-                   row["relative"] <= row["tolerance"], row["relative"], row["tolerance"])
-        )
+        checks.append(_at_most("momentum_flux_identity", "momentum_flux_identity",
+                               ident["max_defect"], ident["tolerance"]))
+    checks += [_at_most("duhamel", f"duhamel(t0={row['t0']:g},t={row['t']:g})",
+                        row["relative"], row["tolerance"]) for row in report.get("duhamel", [])]
 
     # weight positivity at the scenario's dimension over the unit ball
     radii = np.linspace(0.0, 1.0, 257)
@@ -715,10 +705,8 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
         checks.append(_check("concentration", "interval_coverage", cover_ok, [bdry[0], bdry[-1]],
                              [times[0], times[-1]]))
         exc = conc_block["exceptional"]
-        checks.append(
-            _check("concentration", "exceptional_count_bound", exc["count"] <= exc["count_bound"],
-                   exc["count"], exc["count_bound"])
-        )
+        checks.append(_at_most("concentration", "exceptional_count_bound", exc["count"],
+                               exc["count_bound"]))
         stats = conc_block.get("window_statistics", {})
         if "largest_fraction_at_sup" in stats and stats["sup_half_norm_ratio"] > 0:
             product = stats["largest_fraction_at_sup"] * stats["sup_half_norm_ratio"] ** 2

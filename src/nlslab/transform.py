@@ -88,13 +88,17 @@ dropped with a warning, and the SVD of scipy's A runs.
 
 Grids and modes read one cached Bessel table per (dimension, N): the zeros
 j_1..j_{N+1} of J_nu, then J_{nu+1}(j_1..j_N).  scipy computes it, and is
-imported only inside the functions that compute with it.  An odd-n store
-carries its table, adopted once numpy alone certifies it: each zero within
-pi/2 of McMahon's approximation, where no other lies (zeros of J_nu,
-nu >= 1/2, are at least pi apart), its Newton step below 1e-14 z, and each
-J_{nu+1} within 1e-12, relative, of the closed form.  scipy's tables pass
-with room (steps below 1.4e-16 z, values within 2.7e-14, for odd n <= 21
-and N <= 16384), so no odd-n ``verify`` imports scipy.
+imported only inside the functions that compute with it.  The dimension
+range is 3..41, where the first three zeros, the last and J_{nu+1} at the
+first three agree with mpmath to 2.6e-14, relative, at N = 64; at n = 58,
+61, 78 and 83 the first zero is wrong (15.66 at n = 61, not 35.57), so
+``bessel_table``, which every grid and store reads, refuses any other n.  An
+odd-n store carries its table, adopted once numpy alone certifies it: each
+zero within pi/2 of McMahon's approximation, where no other lies (zeros of
+J_nu, nu >= 1/2, are at least pi apart), its Newton step below 1e-14 z, and
+each J_{nu+1} within 1e-12, relative, of the closed form.  scipy's tables
+pass with room (steps below 1.4e-16 z, values within 2.7e-14, for odd n <=
+21 and N <= 16384), so no odd-n ``verify`` imports scipy.
 """
 
 from __future__ import annotations
@@ -172,7 +176,11 @@ def _table_slot(dimension: int, n_points: int) -> list:
 def bessel_table(dimension: int, n_points: int, stored=None) -> NDArray[np.float64]:
     """The read-only Bessel table of the module docstring, 2N + 1 values.  A
     ``stored`` table of an odd dimension is adopted, once certified, only
-    if this call fills the cache; scipy computes the table otherwise."""
+    if this call fills the cache; scipy computes the table otherwise.  An
+    UnresolvedGridError refuses a dimension outside 3..41."""
+    if not 3 <= dimension <= 41:
+        raise UnresolvedGridError(f"dimension {dimension} is outside 3..41, the range whose "
+                                  "Bessel zeros are checked")
     slot = _table_slot(dimension, n_points)
     if not slot:
         nu = dimension / 2.0 - 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import nlslab
-from nlslab import EvolutionConfig, evolve, gaussian_field, make_spectral_grid
+from nlslab import (EvolutionConfig, IntervalDecomposition, evolve, gaussian_field,
+                    make_spectral_grid)
 from nlslab.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INTERNAL_ERROR,
@@ -22,6 +24,8 @@ from nlslab.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from nlslab.concentration import ExceptionalReport
+from nlslab.functionals import FluxReport, MorawetzReport
 from nlslab.persist import (
     canonical_json,
     decode_snapshot,
@@ -939,6 +943,77 @@ def test_cli_rejects_a_step_count_that_is_not_finite(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_cli_rejects_a_snapshot_array_over_the_budget(tmp_path, capsys, monkeypatch):
+    """A dt of 1e-12 over a span of 0.2 records 2e10 snapshots of 64
+    points, 18.6 TiB: it exits 2, stating the bytes and the budget of
+    32 MAX_POINTS^2, before a grid is built or anything is written."""
+    def refuse(*args):
+        raise AssertionError("an over-budget snapshot array must not build a grid")
+
+    monkeypatch.setattr(scenario_module, "make_spectral_grid", refuse)
+    out = tmp_path / "run"
+    overrides = ["grid.n_points=64", "grid.r_max=8", "time.t_plus=0.2", "time.dt=1e-12"]
+    started = time.perf_counter()
+    code = main(["simulate", "--config", str(SCENARIOS / "free-n3.json"), "--out", str(out),
+                 *(a for o in overrides for a in ("--override", o))])
+    assert time.perf_counter() - started < 0.2
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert f"{20_000_000_001 * 64 * 16} bytes" in err and f"{32 * MAX_POINTS**2} bytes" in err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_dimension_outside_the_range(tmp_path, capsys):
+    """At n = 61 the Bessel zeros would be wrong: simulate exits 2 with the
+    range and the grid hint, and writes nothing."""
+    out = tmp_path / "run"
+    overrides = ["dimension=61", "grid.n_points=64", "grid.r_max=64"]
+    code = main(["simulate", "--config", str(SCENARIOS / "free-n3.json"), "--out", str(out),
+                 *(a for o in overrides for a in ("--override", o))])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert "dimension 61 is outside 3..41" in err and "lower dimension" in err
+    assert not out.exists()
+
+
+def test_analyze_of_a_store_of_another_scenario_exits_2(tmp_path, capsys):
+    """analyze --config X of a store that X did not produce exits 2, naming
+    each field that differs, and writes nothing; an analysis knob may
+    differ, so the store's own scenario with another eta still runs."""
+    out = tmp_path / "run"
+    store_args = ["--config", str(SCENARIOS / "free-n3.json"), "--out", str(out),
+                  "--override", "grid.n_points=256", "--override", "time.t_plus=0.2"]
+    assert main(["simulate", *store_args]) == EXIT_OK
+    before = _files(out)
+    capsys.readouterr()
+    assert main(["analyze", "--config", REFERENCE_CONFIG, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    store = out / "trajectory"
+    assert capsys.readouterr().err == "".join(
+        f"configuration error: {path} is {want}, but the trajectory store {store} was evolved "
+        f"with {have}\n"
+        for path, want, have in (("mu", 1, 0), ("grid.n_points", 1024, 256),
+                                 ("time.t_plus", 1.0, 0.2)))
+    assert _files(out) == before
+    assert main(["analyze", *store_args, "--override", "analysis.eta=0.01"]) == EXIT_OK
+    assert read_json(out / "report.json")["concentration"]["eta"] == 0.01
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--seed", "1"],
+    ["verify", "--override", "mu=0"],
+    ["export-plots", "--seed", "1"],
+    ["export-plots", "--override", "mu=0"],
+    ["simulate", "--config", "scenario.json", "--seed", "1"],
+])
+def test_a_flag_that_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, argv):
+    """Each subcommand takes only the flags it reads; argparse exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "run")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("config,overrides,path", [
     pytest.param(dict(SMALL_SCENARIO, dimensoin=5), [], "dimensoin", id="top-level-typo"),
     pytest.param(SMALL_SCENARIO, ["grid.npoints=128"], "grid.npoints", id="grid-npoints"),
@@ -1029,6 +1104,25 @@ def test_non_finite_morawetz_ratio_is_null_and_fails_verify(tmp_path, capsys):
                for c in morawetz)
     printed = capsys.readouterr().out
     assert "[FAIL] morawetz_ratio(A=1): measured=None bound=0.5 (report section: morawetz)" in printed
+
+
+def test_report_rows_are_their_records(small_run):
+    """Each of these report entries is its diagnostic's record, key for key
+    and in order: a mass_flux row adds only its tolerance, the exceptional
+    block drops only the per-interval flags, which the decomposition
+    carries, and the decomposition drops only eta, which the block holds."""
+    report, analysis = small_run.report, small_run.report["scenario"]["analysis"]
+
+    def names(record, *dropped):
+        return [f.name for f in dataclasses.fields(record) if f.name not in dropped]
+
+    assert [list(row) for row in report["mass_flux"]["rows"]] == [
+        names(FluxReport) + ["tolerance"]] * len(analysis["mass_radii"])
+    assert [list(row) for row in report["morawetz"]["rows"]] == [
+        names(MorawetzReport)] * len(analysis["morawetz_A"])
+    block = report["concentration"]
+    assert list(block["exceptional"]) == names(ExceptionalReport, "flags")
+    assert list(block["decomposition"]) == names(IntervalDecomposition, "eta")
 
 
 def test_every_check_names_its_report_section(small_run):

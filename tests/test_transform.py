@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from nlslab import energy, gaussian_field, get_propagator, make_spectral_grid, workers
 from nlslab.functionals import _energy_rows
-from nlslab.grid import sphere_area
+from nlslab.grid import UnresolvedGridError, sphere_area
 from nlslab.transform import (
     _ROWS,
     CACHED_GRIDS,
@@ -35,6 +35,27 @@ def test_bessel_zeros_against_mpmath(nu):
     for m in (1, 2, 13, 80):
         exact = float(mpmath.besseljzero(nu, m))
         assert abs(z[m - 1] - exact) < 1e-12 * max(1.0, exact)
+
+
+def test_bessel_tables_against_mpmath_over_the_dimension_range():
+    """In every dimension of the range, 3..41, the table's first three
+    zeros, its last zero and J_{nu+1} at the first three zeros agree with
+    mpmath to 1e-13, relative; a dimension outside the range is refused
+    before any zero is computed (at n = 61 the first zero would be 15.66,
+    where J_nu's is 35.57)."""
+    n_points = 64
+    for n in range(3, 42):
+        nu = n / 2.0 - 1.0
+        table = bessel_table(n, n_points)
+        for m in (1, 2, 3, n_points + 1):
+            exact = float(mpmath.besseljzero(nu, m))
+            assert abs(table[m - 1] - exact) <= 1e-13 * exact, (n, m)
+        for m in (1, 2, 3):
+            exact = float(mpmath.besselj(nu + 1, mpmath.besseljzero(nu, m)))
+            assert abs(table[n_points + m] - exact) <= 1e-13 * abs(exact), (n, m)
+    for n in (2, 42, 61):
+        with pytest.raises(UnresolvedGridError, match="outside 3..41"):
+            bessel_table(n, n_points)
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.5, 4.5, 9.5, 10.5])
