@@ -31,11 +31,14 @@ from .dynamics import (
 from .functionals import (
     AdmissiblePair,
     MorawetzWeight,
+    critical_density,
     default_admissible_pairs,
     energy,
-    hardy_bound_check,
+    gradient_values,
+    hardy_ratio,
     is_admissible,
     local_mass,
+    mass,
     mass_flux_check,
     momentum_flux_identity_check,
     morawetz_check,

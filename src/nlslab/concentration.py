@@ -18,7 +18,7 @@ import numpy as np
 
 from . import timegrid
 from .dynamics import Trajectory
-from .functionals import _critical_densities, _local_masses, critical_density
+from .functionals import critical_density, local_mass
 from .transform import get_transform
 
 
@@ -85,7 +85,7 @@ def greedy_subdivide(traj: Trajectory, eta: float) -> IntervalDecomposition:
     if eta <= 0:
         raise ValueError("eta must be positive")
     ts = traj.times
-    dens = critical_density(traj)
+    dens = critical_density(traj.grid, traj.values)
     panel_masses = 0.5 * (dens[1:] + dens[:-1]) * np.diff(ts)
     if np.any(panel_masses > 2.0 * eta):
         raise ResolutionError(
@@ -134,7 +134,7 @@ def _linear_flow_density(traj: Trajectory, anchor_index: int, times) -> np.ndarr
     tr = get_transform(traj.grid)
     coeffs = traj.coefficients[anchor_index]
     offsets = (np.asarray(times) - traj.times[anchor_index])[:, None]
-    return _critical_densities(traj.grid, tr.backward(tr.evolve_coeffs(coeffs, offsets)))
+    return critical_density(traj.grid, tr.backward(tr.evolve_coeffs(coeffs, offsets)))
 
 
 def classify_exceptional(
@@ -200,7 +200,7 @@ def linear_flow_check(
     i0 = max(0, int(np.searchsorted(ts, a, side="right")) - 1)
     i1 = min(ts.size - 1, int(np.searchsorted(ts, b, side="left")))
     sub = ts[i0 : i1 + 1]
-    dens = _critical_densities(traj.grid, traj.values[i0 : i1 + 1])
+    dens = critical_density(traj.grid, traj.values[i0 : i1 + 1])
     mass = timegrid.pl_integral(sub, dens, a, b)
     if eta is not None and not (eta / 2.0 <= mass <= 2.0 * eta):
         raise ValueError(
@@ -269,7 +269,7 @@ def find_bubble(
     ladder.append(float(g.r_max))
     values = traj.values[sel]
     for radius in ladder:
-        masses = _local_masses(g, values, radius)
+        masses = local_mass(g, values, radius)
         k = int(np.argmin(masses))   # the earliest snapshot on ties
         m_min = masses[k]
         if m_min >= threshold:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import workers
-from .functionals import _energy_rows, _mass_series, energy_scale
+from .functionals import energy, energy_scale, mass
 from .grid import GridError, RadialField, RadialGrid, TimeRangeError
 from .transform import get_transform, product
 
@@ -212,24 +212,20 @@ def evolve(
 
     u = np.asarray(u0.values, dtype=complex).copy()
     values = np.empty((rows, u.size), dtype=complex)
-    times, energies, kinetics, potentials = [], [], [], []
+    times, parts = [], []     # parts: each snapshot's EnergyBreakdown
 
     def record(t: float, u_now: np.ndarray):
         values[len(times)] = u_now
         times.append(t)
-        coeffs = tr.coefficients(u_now, split)[None, :]
-        e, kin, pot = (float(x[0]) for x in _energy_rows(u0.grid, u_now[None, :], mu, coeffs))
-        energies.append(e)
-        kinetics.append(kin)
-        potentials.append(pot)
-        return e, math.sqrt(2.0 * kin)
+        parts.append(energy(u0.grid, u_now, mu, tr.coefficients(u_now, split)))
+        return parts[-1].total, math.sqrt(2.0 * parts[-1].kinetic)
 
     # every kernel product of the loop (at n = 3 the step operator's alone:
     # the rest are FFTs) splits its rows over the process budget's threads
     with workers.row_split(u.size) as split:
         step_op = None if in_coefficients else tr.step_operator(phases, split)
         e0, grad0 = record(t_minus, u)
-        pot_exceeds = abs(potentials[0]) > kinetics[0]
+        pot_exceeds = abs(parts[0].potential) > parts[0].kinetic
         e_scale = energy_scale(e0)
         status, reason = "complete", ""
         blow_time = None
@@ -268,6 +264,7 @@ def evolve(
                     break
 
     values = values[: len(times)]
+    energies, kinetics, potentials = zip(*parts)
     blow = BlowupRecord(
         flagged=(status == "aborted-blowup"),
         first_alarm_time=blow_time,
@@ -285,7 +282,7 @@ def evolve(
         grid=u0.grid,
         times=np.asarray(times),
         values=values,
-        mass_series=_mass_series(u0.grid, values),
+        mass_series=mass(u0.grid, values),
         energy_series=np.asarray(energies),
         kinetic_series=np.asarray(kinetics),
         potential_series=np.asarray(potentials),

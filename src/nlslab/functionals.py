@@ -1,21 +1,27 @@
 """Scalar functionals, mixed spacetime norms, and inequality monitors.
 
-Covers the conserved energy with its kinetic/potential split, localized
-mass with its flux and growth bounds, admissible-pair spacetime norms of
-u and of |grad| u, and the virial-weight (Morawetz)
-apparatus: closed-form weight derivatives, the weighted spacetime bound,
-and the momentum-flux identity checked term by term along trajectories.
+Covers the conserved energy with its kinetic/potential split, the mass,
+localized mass with its flux and growth bounds, the critical density,
+admissible-pair spacetime norms of u and of |grad| u, and the virial-weight
+(Morawetz) apparatus: closed-form weight derivatives, the weighted
+spacetime bound, and the momentum-flux identity checked term by term
+along trajectories.
+
+Each spatial quantity (``energy``, ``mass``, ``local_mass``,
+``critical_density``, ``grid.lp_norm``) is one function of node samples:
+a float for one row (N,), one value per row for a stack (S, N), with the
+bits of that row's own call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .grid import RadialField, RadialGrid, _lp_norms, _row_sums
+from .grid import RadialGrid, _row_sums, lp_norm
 from .transform import get_transform
 
 if TYPE_CHECKING:  # dynamics imports this module for the energy
@@ -69,31 +75,27 @@ def default_admissible_pairs(n: int) -> tuple[AdmissiblePair, ...]:
 # energy
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    total: float
-    kinetic: float
-    potential: float
+class EnergyBreakdown(NamedTuple):
+    total: float | np.ndarray
+    kinetic: float | np.ndarray
+    potential: float | np.ndarray
 
 
-def energy(u: RadialField, mu: int = 1) -> EnergyBreakdown:
-    """Conserved energy  int (1/2)|grad u|^2 + mu (n-2)/(2n) |u|^{2n/(n-2)}.
+def energy(grid: RadialGrid, values, mu: int = 1, coeffs=None) -> EnergyBreakdown:
+    """Conserved energy  int (1/2)|grad u|^2 + mu (n-2)/(2n) |u|^{2n/(n-2)}
+    of node samples: floats for one row (N,), one value per row for a
+    stack (S, N).
 
     The kinetic part is evaluated spectrally (exact in the discrete mode
-    basis); the potential part by grid quadrature and signed by mu.
+    basis) from the mode coefficients ``coeffs``, computed here unless
+    given; the potential part by grid quadrature and signed by mu.
     """
-    return EnergyBreakdown(*(float(x[0]) for x in _energy_rows(u.grid, u.values[None, :], mu)))
-
-
-def _energy_rows(grid: RadialGrid, values: np.ndarray, mu: int, coeffs=None):
-    """(total, kinetic, potential) energy of each row of ``values``, whose
-    mode coefficients ``coeffs`` are computed here unless given."""
     n = grid.dimension
     tr = get_transform(grid)
     kin = tr.kinetic_energy(tr.coefficients(values) if coeffs is None else coeffs)
     expo = 2.0 * n / (n - 2)
     pot = mu * (n - 2) / (2.0 * n) * _row_sums(lambda v: grid.weights * np.abs(v) ** expo, values)
-    return kin + pot, kin, pot
+    return EnergyBreakdown(kin + pot, kin, pot)
 
 
 def energy_scale(e0) -> float:
@@ -102,8 +104,9 @@ def energy_scale(e0) -> float:
     return max(abs(float(e0)), 1e-30)
 
 
-def _mass_series(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Discrete L^2 mass  int |u|^2 dx  of each row of ``values``."""
+def mass(grid: RadialGrid, values):
+    """Discrete L^2 mass  int |u|^2 dx  of node samples: a float for one
+    row (N,), one value per row for a stack (S, N)."""
     return _row_sums(lambda v: grid.weights * np.abs(v) ** 2, values)
 
 
@@ -130,17 +133,14 @@ BUMP_SLOPE_MAX = 2.0 * 30.0 / 16.0  # = 3.75
 MASS_FLUX_CONSTANT = 2.0 * math.sqrt(2.0) * BUMP_SLOPE_MAX
 
 
-def local_mass(u: RadialField, radius: float) -> float:
-    """Cutoff L^2 mass  ( int bump^2(r/R) |u|^2 dx )^{1/2}  centred at 0.
+def local_mass(grid: RadialGrid, values, radius: float):
+    """Cutoff L^2 mass  ( int bump^2(r/R) |u|^2 dx )^{1/2}  centred at 0 of
+    node samples: a float for one row (N,), one value per row for a stack
+    (S, N).
 
     Non-decreasing in R because the cutoff is pointwise non-decreasing
     in R at every radius.
     """
-    return float(_local_masses(u.grid, u.values[None, :], radius)[0])
-
-
-def _local_masses(grid: RadialGrid, values: np.ndarray, radius: float) -> np.ndarray:
-    """``local_mass`` of each row of ``values``."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     chi = bump(grid.nodes / radius)
@@ -170,7 +170,7 @@ def mass_flux_check(traj: Trajectory, radius: float) -> FluxReport:
         raise ValueError("need at least 3 snapshots for a time derivative")
     if traj.config.mu < 0:
         raise ValueError("flux bound applies to free or defocusing runs only")
-    masses = _local_masses(traj.grid, traj.values, radius)
+    masses = local_mass(traj.grid, traj.values, radius)
     rates = (masses[2:] - masses[:-2]) / (traj.times[2:] - traj.times[:-2])
     bound = MASS_FLUX_CONSTANT * math.sqrt(max(float(traj.energy_series[0]), 0.0)) / radius
     max_rate = float(np.abs(rates).max(initial=0.0))
@@ -189,68 +189,57 @@ HARDY_RATIO_BOUND = 0.75
 MORAWETZ_RATIO_BOUND = 0.5
 
 
-def hardy_bound_check(u: RadialField, radius: float, mu: int = 1) -> float:
-    """Ratio  Mass(u, B(0,R)) / (E^{1/2} R)  for the growth bound.
+def hardy_ratio(grid: RadialGrid, row, radius: float, e: float) -> float:
+    """Ratio  Mass(u, B(0,R)) / (E^{1/2} R)  for the growth bound, of one
+    row (N,) of node samples whose energy ``e`` is known.
 
     Zero energy forces u = 0 (the kinetic term is positive definite), in
     which case the ratio is 0 by convention.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return _hardy_ratio(u, radius, energy(u, mu).total)
-
-
-def _hardy_ratio(u: RadialField, radius: float, e: float) -> float:
-    """``hardy_bound_check`` of a field whose energy ``e`` is known."""
     if e <= 0:
-        if np.any(u.values != 0):
+        if np.any(row != 0):
             raise ValueError("nonzero field with nonpositive energy")
         return 0.0
-    return local_mass(u, radius) / (math.sqrt(e) * radius)
+    return float(local_mass(grid, row, radius) / (math.sqrt(e) * radius))
 
 
 # ---------------------------------------------------------------------------
 # spacetime norms
 
 
-def spacetime_norm(traj: Trajectory, q: float, r: float) -> float:
-    """Mixed norm ( int ||u(t)||_{L^r}^q dt )^{1/q} over the trajectory's span.
+def spacetime_norm(traj: Trajectory, q: float, r: float, values=None) -> float:
+    """Mixed norm ( int ||u(t)||_{L^r}^q dt )^{1/q} over the trajectory's
+    span, of its snapshots or of the (S, N) ``values`` at its times (such
+    as ``gradient_values(traj)``).
 
     The time integral treats the sampled r-norm density as piecewise
     linear; q = inf takes the supremum over the snapshots.
     """
-    return _mixed_norm(traj, traj.values, q, r)
-
-
-def _mixed_norm(traj: Trajectory, values: np.ndarray, q: float, r: float) -> float:
-    """``spacetime_norm`` of the (S, N) ``values`` at the trajectory's times."""
     if q < 1 or r < 1:
         raise ValueError("exponents must be >= 1")
-    norms = _lp_norms(traj.grid, values, r)
+    norms = lp_norm(traj.grid, traj.values if values is None else values, r)
     if math.isinf(q):
         return float(norms.max())
     return float(np.trapezoid(norms**q, traj.times)) ** (1.0 / q)
 
 
-def _gradient_values(traj: Trajectory) -> np.ndarray:
+def gradient_values(traj: Trajectory) -> np.ndarray:
     """(S, N) samples of |grad| u at every snapshot: the multiplier k on
     the trajectory's coefficients, transformed back."""
     tr = get_transform(traj.grid)
     return tr.backward(traj.coefficients * tr.frequencies)
 
 
-def critical_density(traj: Trajectory) -> np.ndarray:
-    """int |u(t)|^{2(n+2)/(n-2)} dx at each snapshot time.
+def critical_density(grid: RadialGrid, values):
+    """int |u|^{2(n+2)/(n-2)} dx of node samples: a float for one row (N,),
+    one value per row for a stack (S, N) such as a trajectory's snapshots.
 
     This is the density whose spacetime integral is the critical norm
     raised to its own exponent; the interval machinery subdivides its
     cumulative integral.
     """
-    return _critical_densities(traj.grid, traj.values)
-
-
-def _critical_densities(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """``critical_density`` of each row of ``values``."""
     n = grid.dimension
     expo = 2.0 * (n + 2) / (n - 2)
     return _row_sums(lambda v: grid.weights * np.abs(v) ** expo, values)

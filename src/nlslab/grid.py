@@ -109,20 +109,19 @@ class RadialField:
         object.__setattr__(self, "values", values)
 
 
-def lp_norm(u: RadialField, p: float) -> float:
-    """The L^p(R^n) norm of a radial field, p in [1, inf]."""
-    return float(_lp_norms(u.grid, u.values[None, :], p)[0])
-
-
-def _lp_norms(grid: RadialGrid, values: NDArray[np.complex128], p: float) -> NDArray[np.float64]:
-    """``lp_norm`` of each row of ``values``."""
+def lp_norm(grid: RadialGrid, values, p: float):
+    """The L^p(R^n) norm, p in [1, inf], of node samples: a float for one
+    row (N,), one value per row for a stack (S, N)."""
     if p < 1:
         raise ValueError(f"invalid exponent p={p}, need p >= 1")
+    rows = np.atleast_2d(values)
     if math.isinf(p):
-        return np.abs(values).max(axis=1, initial=0.0)
-    sums = _row_sums(lambda v: grid.weights * np.abs(v) ** p, values)
-    # the root is taken one float64 scalar at a time, as for a single field
-    return np.array([s ** (1.0 / p) for s in sums])
+        norms = np.abs(rows).max(axis=1, initial=0.0)
+    else:
+        sums = _row_sums(lambda v: grid.weights * np.abs(v) ** p, rows)
+        # the root is taken one float64 scalar at a time, as for a single row
+        norms = np.array([s ** (1.0 / p) for s in sums])
+    return float(norms[0]) if np.ndim(values) == 1 else norms
 
 
 # snapshot rows reduced at a time, which bounds the temporaries whatever
@@ -130,13 +129,14 @@ def _lp_norms(grid: RadialGrid, values: NDArray[np.complex128], p: float) -> NDA
 _ROWS = 64
 
 
-def _row_sums(integrand, *arrays) -> NDArray[np.float64]:
+def _row_sums(integrand, *arrays):
     """``np.sum(integrand(*rows), axis=1)`` over the rows of equal-length
-    arrays, ``_ROWS`` at a time.  On C-ordered rows numpy adds each row
-    pairwise, so every sum has the bits of the single-snapshot sum."""
-    out = np.empty(len(arrays[0]))
+    arrays, ``_ROWS`` at a time: a float for one row (N,) each, one value
+    per row for stacks (S, N).  On C-ordered rows numpy adds each row
+    pairwise, so every sum has the bits of the single-row sum."""
+    stacks = [np.atleast_2d(a) for a in arrays]
+    out = np.empty(len(stacks[0]))
     for start in range(0, out.size, _ROWS):
         rows = slice(start, start + _ROWS)
-        out[rows] = np.sum(integrand(*(a[rows] for a in arrays)), axis=1)
-    return out
-
+        out[rows] = np.sum(integrand(*(a[rows] for a in stacks)), axis=1)
+    return float(out[0]) if np.ndim(arrays[0]) == 1 else out

@@ -397,19 +397,14 @@ def _flux_table(s, traj, tol):
 
 
 def _hardy_table(s, traj):
-    u0 = traj.field(0)
+    g, u0 = traj.grid, traj.values[0]
     e0 = float(traj.energy_series[0])
-    if e0 <= 0 and np.any(u0.values != 0):
+    if e0 <= 0 and np.any(u0 != 0):
         return {"skipped": "growth bound requires positive energy"}
-    rows = [
-        {"radius": float(r), "ratio": fn._hardy_ratio(u0, float(r), e0),
-         "bound": fn.HARDY_RATIO_BOUND}
-        for r in s["analysis"]["mass_radii"]
-    ]
-    sweep = [
-        fn._hardy_ratio(u0, float(r), e0)
-        for r in np.geomspace(0.25, min(8.0, traj.grid.r_max / 2), 17)
-    ]
+    rows = [{"radius": float(r), "ratio": fn.hardy_ratio(g, u0, float(r), e0),
+             "bound": fn.HARDY_RATIO_BOUND} for r in s["analysis"]["mass_radii"]]
+    sweep = [fn.hardy_ratio(g, u0, float(r), e0)
+             for r in np.geomspace(0.25, min(8.0, g.r_max / 2), 17)]
     return {"rows": rows, "sweep_sup": float(max(sweep)), "bound": fn.HARDY_RATIO_BOUND}
 
 
@@ -447,8 +442,8 @@ def _strichartz_table(s, traj):
     k = 0 and 1, with the k = 1 gradient computed once."""
     pairs = _pairs_for(s)
     rows = []
-    for k, values in ((0, traj.values), (1, fn._gradient_values(traj))):
-        norms = [fn._mixed_norm(traj, values, pr.q, pr.r) for pr in pairs]
+    for k, values in ((0, traj.values), (1, fn.gradient_values(traj))):
+        norms = [fn.spacetime_norm(traj, pr.q, pr.r, values) for pr in pairs]
         rows += [{"k": k, "q": _finite(pr.q), "r": _finite(pr.r), "value": v}
                  for pr, v in zip(pairs, norms)]
         rows.append({"k": k, "q": "sup", "r": "sup", "value": max(norms)})
@@ -484,7 +479,7 @@ def _without(record, key: str) -> dict:
 
 def _concentration_block(s, traj):
     a = s["analysis"]
-    dens = fn.critical_density(traj)
+    dens = fn.critical_density(traj.grid, traj.values)
     total = float(np.trapezoid(dens, traj.times))
     eta = a["eta"] if a["eta"] is not None else (total / 10.0 if total > 0 else 1.0)
     eta = float(eta)
@@ -568,7 +563,7 @@ def _certify_resolution(traj, twins):
             return {"skipped": f"coarse twin at {factor}x dt aborted: {reason}"}
         finals.append(final)
     # L^2 norms of the fine and coarse self-differences
-    d1, d2 = (math.sqrt(m) for m in fn._mass_series(traj.grid, np.diff(finals, axis=0)))
+    d1, d2 = (math.sqrt(m) for m in fn.mass(traj.grid, np.diff(finals, axis=0)))
     block = {
         "dt_levels": [base_cfg.dt] + [base_cfg.dt * f for f in _TWIN_FACTORS],
         "self_difference_fine": d1,
@@ -613,9 +608,9 @@ def _exponent_name(x) -> str:
 def verify_report(report: dict, store_dir=None) -> list[dict]:
     """Evaluate every applicable invariant; returns a pass/fail list.
 
-    When a trajectory store is given, conserved quantities are recomputed
-    from the stored snapshots, so tampered or corrupted snapshot files
-    fail the conservation checks with the injected magnitude.
+    With a trajectory store, the report's scenario must describe it
+    (``check_store``), and tampered or corrupted snapshots fail the
+    conservation checks, recomputed from the store, by the injected magnitude.
     """
     checks: list[dict] = []
     s = report["scenario"]
@@ -624,9 +619,13 @@ def verify_report(report: dict, store_dir=None) -> list[dict]:
 
     if store_dir is not None:
         traj = load_trajectory(store_dir)
+        try:
+            check_store(normalize_scenario(s), traj, store_dir)
+        except ScenarioError as exc:
+            checks.append(_check("scenario", "scenario_matches_store", False, exc.violations, []))
         mass_drift, energy_drift = _drifts(
-            fn._mass_series(traj.grid, traj.values),
-            fn._energy_rows(traj.grid, traj.values, traj.config.mu, traj.coefficients)[0])
+            fn.mass(traj.grid, traj.values),
+            fn.energy(traj.grid, traj.values, traj.config.mu, traj.coefficients).total)
     else:
         mass_drift = cons["mass_drift"]
         energy_drift = cons["energy_drift_rel"]

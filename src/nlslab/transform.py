@@ -386,9 +386,8 @@ class SpectralTransform:
         discrete mode basis: a float for one row, one value per row for a
         stack."""
         # C order: the row sums repeat a single-row sum bit for bit only there
-        rows = np.ascontiguousarray(np.atleast_2d(coeffs))
-        kin = 0.5 * _row_sums(lambda b: self.frequencies**2 * np.abs(b) ** 2, rows)
-        return float(kin[0]) if coeffs.ndim == 1 else kin
+        rows = np.ascontiguousarray(coeffs)
+        return 0.5 * _row_sums(lambda b: self.frequencies**2 * np.abs(b) ** 2, rows)
 
     def step_operator(self, multiplier, split) -> NDArray[np.complex128]:
         """Dense matrix of a diagonal frequency multiplier, acting on

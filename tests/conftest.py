@@ -21,7 +21,7 @@ from nlslab import (  # noqa: E402
     get_propagator,
     make_spectral_grid,
 )
-from nlslab.functionals import _energy_rows, _mass_series  # noqa: E402
+from nlslab.functionals import energy, mass  # noqa: E402
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -68,14 +68,14 @@ def make_synthetic_trajectory(grid, times, profiles, mu=0):
     """
     times = np.asarray(times, dtype=float)
     values = np.array([p.values for p in profiles], dtype=complex)
-    total, kinetic, potential = _energy_rows(grid, values, mu)
+    total, kinetic, potential = energy(grid, values, mu)
     cfg = EvolutionConfig(dimension=grid.dimension, mu=mu, dt=float(times[1] - times[0]))
     return Trajectory(
         config=cfg,
         grid=grid,
         times=times,
         values=values,
-        mass_series=_mass_series(grid, values),
+        mass_series=mass(grid, values),
         energy_series=total,
         kinetic_series=kinetic,
         potential_series=potential,

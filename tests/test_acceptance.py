@@ -109,7 +109,7 @@ def test_criterion_3_duhamel(reference_grid):
     cfg = EvolutionConfig(dimension=3, mu=1, dt=1e-3, snapshot_stride=5)
     traj = evolve(u0, 0.0, 1.0, cfg)
     resid = duhamel_residual(traj, 0.0, 1.0)
-    rel = resid / lp_norm(traj.field(-1), 2)
+    rel = resid / lp_norm(traj.grid, traj.values[-1], 2)
     assert rel < 1e-3
 
     # refinement order on a smaller grid
@@ -271,13 +271,13 @@ def test_criterion_7_combinatorial_oracles(g3, synth_factory):
 def test_criterion_8_scaling_symmetry(reference_grid):
     # energy and critical norm of lam^{-1/2} u(x / lam), u = exp(-r^2)
     u = gaussian_field(reference_grid)
-    e0 = energy(u, 1).total
-    c0 = lp_norm(u, 6.0)       # critical exponent 2n/(n-2) = 6 at n = 3
+    e0 = energy(reference_grid, u.values, 1).total
+    c0 = lp_norm(reference_grid, u.values, 6.0)       # critical exponent 2n/(n-2) = 6 at n = 3
     worst_e, worst_c = 0.0, 0.0
     for lam in (0.6, 1.5):
         v = gaussian_field(reference_grid, lam**-0.5, lam)
-        worst_e = max(worst_e, abs(energy(v, 1).total - e0) / e0)
-        worst_c = max(worst_c, abs(lp_norm(v, 6.0) - c0) / c0)
+        worst_e = max(worst_e, abs(energy(reference_grid, v.values, 1).total - e0) / e0)
+        worst_c = max(worst_c, abs(lp_norm(reference_grid, v.values, 6.0) - c0) / c0)
     assert worst_e < 1e-12 and worst_c < 1e-12
 
     # evolution covariance in L^2, n in {3, 5}

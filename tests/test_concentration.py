@@ -84,7 +84,7 @@ def test_greedy_boundaries_match_cumulative_oracle(g3, synth_factory):
     eta = 0.5
     d = greedy_subdivide(traj, eta)
 
-    dens_samples = critical_density(traj)
+    dens_samples = critical_density(traj.grid, traj.values)
 
     def cumulative(t):
         grid_t = np.linspace(0.0, t, 20001)
@@ -109,7 +109,7 @@ def test_greedy_masses_in_window(g3, synth_factory):
     assert not d.tail_flag          # the last interval absorbs the remainder
     for m in d.masses:
         assert eta * (1 - 1e-9) <= m <= 2 * eta * (1 + 1e-9)
-    assert abs(sum(d.masses) - np.trapezoid(critical_density(traj), times)) < 1e-9
+    assert abs(sum(d.masses) - np.trapezoid(critical_density(traj.grid, traj.values), times)) < 1e-9
 
 
 def test_greedy_small_total_is_tail(g3, synth_factory):
@@ -136,7 +136,7 @@ def test_greedy_count_stable_at_default_eta(g3, synth_factory):
     times = np.linspace(0.0, 1.0, 41)
     for density in (lambda t: 1.0, lambda t: t, lambda t: 1.0 + 0.5 * t):
         traj = density_trajectory(g3, times, density, synth_factory)
-        eta = float(np.trapezoid(critical_density(traj), times)) / 10.0  # the report default
+        eta = float(np.trapezoid(critical_density(traj.grid, traj.values), times)) / 10.0  # the report default
         counts = {
             greedy_subdivide(traj, e).count
             for e in (np.nextafter(eta, 0.0), eta, np.nextafter(eta, np.inf))
@@ -170,7 +170,7 @@ def free_traj_for_classify():
 
 def test_classify_free_flow_all_exceptional(free_traj_for_classify):
     traj = free_traj_for_classify
-    dens = critical_density(traj)
+    dens = critical_density(traj.grid, traj.values)
     total = float(np.trapezoid(dens, traj.times))
     eta = total / 5.0
     d = greedy_subdivide(traj, eta)
@@ -233,7 +233,7 @@ def test_flow_check_free_ratios_one(free_traj_for_classify):
 
 def test_flow_check_hypothesis_window(free_traj_for_classify):
     traj = free_traj_for_classify
-    dens = critical_density(traj)
+    dens = critical_density(traj.grid, traj.values)
     total = float(np.trapezoid(dens, traj.times))
     with pytest.raises(ValueError):
         linear_flow_check(traj, (traj.t_minus, traj.t_plus), eta=total / 10)

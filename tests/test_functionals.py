@@ -8,13 +8,17 @@ from scipy.integrate import quad
 
 from nlslab import (
     EvolutionConfig,
+    critical_density,
     energy,
     evolve,
     gaussian_field,
+    gradient_values,
+    hardy_ratio,
     is_admissible,
     local_mass,
     lp_norm,
     make_spectral_grid,
+    mass,
     mass_flux_check,
     momentum_flux_identity_check,
     morawetz_check,
@@ -26,11 +30,8 @@ from nlslab.functionals import (
     MORAWETZ_RATIO_BOUND,
     AdmissiblePair,
     MorawetzWeight,
-    _gradient_values,
-    _mixed_norm,
     bump,
     default_admissible_pairs,
-    hardy_bound_check,
 )
 
 from tests.conftest import make_synthetic_trajectory
@@ -89,7 +90,7 @@ def test_admissibility_forces_unique_r(n, q):
 
 
 def test_energy_zero(g3):
-    e = energy(g3.field(np.zeros(g3.n_points)), 1)
+    e = energy(g3, np.zeros(g3.n_points), 1)
     assert e.total == e.kinetic == e.potential == 0.0
 
 
@@ -99,7 +100,7 @@ def test_energy_against_high_resolution_quadrature_oracle():
     kin_oracle = 4 * math.pi * quad(lambda r: 0.5 * (2 * r * np.exp(-(r**2))) ** 2 * r**2, 0, 20)[0]
     pot_oracle = 4 * math.pi * quad(lambda r: (1.0 / 6.0) * np.exp(-6 * r**2) * r**2, 0, 20)[0]
     g = make_spectral_grid(n, 1024, 32.0)
-    e = energy(gaussian_field(g), 1)
+    e = energy(g, gaussian_field(g).values, 1)
     assert abs(e.kinetic - kin_oracle) / kin_oracle < 1e-6
     assert abs(e.potential - pot_oracle) / pot_oracle < 1e-6
     assert abs(e.total - (kin_oracle + pot_oracle)) / (kin_oracle + pot_oracle) < 1e-6
@@ -107,8 +108,8 @@ def test_energy_against_high_resolution_quadrature_oracle():
 
 def test_energy_sign_focusing(g3):
     u = gaussian_field(g3)
-    e_def = energy(u, 1)
-    e_foc = energy(u, -1)
+    e_def = energy(g3, u.values, 1)
+    e_foc = energy(g3, u.values, -1)
     assert e_foc.kinetic == e_def.kinetic
     assert e_foc.potential == -e_def.potential
 
@@ -116,9 +117,9 @@ def test_energy_sign_focusing(g3):
 def test_energy_rescale_invariance():
     # lam^{-1/2} u(x / lam) of u = exp(-r^2), in closed form
     g = make_spectral_grid(3, 1024, 32.0)
-    e0 = energy(gaussian_field(g), 1).total
+    e0 = energy(g, gaussian_field(g).values, 1).total
     for lam in (0.6, 1.5):
-        e1 = energy(gaussian_field(g, lam**-0.5, lam), 1).total
+        e1 = energy(g, gaussian_field(g, lam**-0.5, lam).values, 1).total
         assert abs(e1 - e0) / e0 < 1e-12
 
 
@@ -140,12 +141,12 @@ def test_bump_shape():
 
 
 def test_local_mass_zero(g3):
-    assert local_mass(g3.field(np.zeros(g3.n_points)), 1.0) == 0.0
+    assert local_mass(g3, np.zeros(g3.n_points), 1.0) == 0.0
 
 
 def test_local_mass_full_ball_is_l2(g3):
     u = gaussian_field(g3)
-    assert abs(local_mass(u, 2.0 * g3.r_max) - lp_norm(u, 2)) < 1e-10
+    assert abs(local_mass(g3, u.values, 2.0 * g3.r_max) - lp_norm(g3, u.values, 2)) < 1e-10
 
 
 @given(st.floats(min_value=0.1, max_value=20.0), st.floats(min_value=1.0, max_value=3.0))
@@ -153,12 +154,12 @@ def test_local_mass_full_ball_is_l2(g3):
 def test_local_mass_monotone_in_radius(r1, factor):
     g = make_spectral_grid(3, 256, 16.0)
     u = gaussian_field(g, amplitude=1.1, width=1.3)
-    assert local_mass(u, r1) <= local_mass(u, r1 * factor) + 1e-15
+    assert local_mass(g, u.values, r1) <= local_mass(g, u.values, r1 * factor) + 1e-15
 
 
 def test_local_mass_rejects_bad_radius(g3):
     with pytest.raises(ValueError):
-        local_mass(g3.field(np.zeros(g3.n_points)), 0.0)
+        local_mass(g3, np.zeros(g3.n_points), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +201,8 @@ def test_flux_rejects_focusing(g3, synth_factory):
 
 
 def test_hardy_zero_field(g3):
-    assert hardy_bound_check(g3.field(np.zeros(g3.n_points)), 1.0) == 0.0
+    zero = np.zeros(g3.n_points)
+    assert hardy_ratio(g3, zero, 1.0, energy(g3, zero).total) == 0.0
 
 
 def test_hardy_sup_stable_under_refinement():
@@ -208,8 +210,9 @@ def test_hardy_sup_stable_under_refinement():
     sups = []
     for n_pts in (512, 1024):
         g = make_spectral_grid(3, n_pts, 32.0)
-        u = gaussian_field(g)
-        sups.append(max(hardy_bound_check(u, float(r)) for r in radii))
+        u = gaussian_field(g).values
+        e = energy(g, u).total
+        sups.append(max(hardy_ratio(g, u, float(r), e) for r in radii))
     assert abs(sups[1] - sups[0]) / sups[0] < 0.05
     assert sups[1] < HARDY_RATIO_BOUND
 
@@ -219,11 +222,12 @@ def test_hardy_rescale_invariance():
     # samples times lam^{-1/2}
     lam = 1.4
     g, gs = make_spectral_grid(3, 1024, 32.0), make_spectral_grid(3, 1024, lam * 32.0)
-    u = gaussian_field(g)
-    v = gs.field(lam**-0.5 * u.values)
+    u = gaussian_field(g).values
+    v = lam**-0.5 * u
+    e_u, e_v = energy(g, u).total, energy(gs, v).total
     for radius in (0.5, 1.0, 2.0):
-        r0 = hardy_bound_check(u, radius)
-        r1 = hardy_bound_check(v, lam * radius)
+        r0 = hardy_ratio(g, u, radius, e_u)
+        r1 = hardy_ratio(gs, v, lam * radius, e_v)
         assert abs(r1 - r0) < 1e-12
 
 
@@ -243,7 +247,7 @@ def test_spacetime_constant_in_time(g3, synth_factory):
     times = np.linspace(0, 2, 9)
     traj = synth_factory(g3, times, [u] * 9)
     for q, r in ((2.0, 4.0), (10.0 / 3, 10.0 / 3)):
-        expected = 2.0 ** (1.0 / q) * lp_norm(u, r)
+        expected = 2.0 ** (1.0 / q) * lp_norm(g3, u.values, r)
         assert abs(spacetime_norm(traj, q, r) - expected) < 1e-10
 
 
@@ -258,8 +262,8 @@ def test_strichartz_finite_and_stable_under_dt(g3_mid):
     for dt in (2e-3, 1e-3):
         cfg = EvolutionConfig(dimension=3, mu=1, dt=dt, snapshot_stride=int(0.01 / dt))
         traj = evolve(u0, 0.0, 0.5, cfg)
-        grad = _gradient_values(traj)
-        vals.append(max(_mixed_norm(traj, grad, pr.q, pr.r)
+        grad = gradient_values(traj)
+        vals.append(max(spacetime_norm(traj, pr.q, pr.r, grad)
                         for pr in default_admissible_pairs(3)))
     assert all(math.isfinite(v) and v > 0 for v in vals)
     assert abs(vals[1] - vals[0]) / vals[0] < 0.02
@@ -366,14 +370,7 @@ def test_identity_rejects_unresolved_eps(traj_defocusing):
 def test_row_reductions_equal_per_snapshot_loops(traj_defocusing):
     # every reference below is the old one-snapshot-at-a-time arithmetic;
     # the row sums must reproduce it bit for bit, not within a tolerance
-    from nlslab.functionals import (
-        _critical_densities,
-        _local_masses,
-        _mass_series,
-        _morawetz_densities,
-        _weight_derivs,
-    )
-    from nlslab.grid import _lp_norms
+    from nlslab.functionals import _morawetz_densities, _weight_derivs
     from nlslab.transform import get_transform
 
     traj = traj_defocusing
@@ -384,16 +381,40 @@ def test_row_reductions_equal_per_snapshot_loops(traj_defocusing):
     def loop(f):
         return np.array([f(v) for v in rows])
 
-    assert np.array_equal(_mass_series(g, traj.values), loop(lambda v: np.sum(w * np.abs(v) ** 2)))
-    assert np.array_equal(_critical_densities(g, traj.values),
+    assert np.array_equal(mass(g, traj.values), loop(lambda v: np.sum(w * np.abs(v) ** 2)))
+    assert np.array_equal(critical_density(g, traj.values),
                           loop(lambda v: np.sum(w * np.abs(v) ** 10.0)))
     chi = bump(r / 2.0)
-    assert np.array_equal(_local_masses(g, traj.values, 2.0),
+    assert np.array_equal(local_mass(g, traj.values, 2.0),
                           loop(lambda v: math.sqrt(np.sum(w * chi**2 * np.abs(v) ** 2))))
     for p in (2.0, 10.0 / 3.0, 6.0):
-        assert np.array_equal(_lp_norms(g, traj.values, p),
+        assert np.array_equal(lp_norm(g, traj.values, p),
                               loop(lambda v: np.sum(w * np.abs(v) ** p) ** (1.0 / p)))
-    assert np.array_equal(_lp_norms(g, traj.values, math.inf), loop(lambda v: np.abs(v).max()))
+    assert np.array_equal(lp_norm(g, traj.values, math.inf), loop(lambda v: np.abs(v).max()))
+
+    # each function of node samples: a row call is the float in its row of
+    # the stack call, at n = 3 and at n = 5
+    g5 = make_spectral_grid(5, 192, 16.0)
+    traj5 = evolve(gaussian_field(g5), 0.0, 0.05, EvolutionConfig(dimension=5, dt=1e-3))
+    for t in (traj, traj5):
+        gt, stack, mu = t.grid, t.values, t.config.mu
+        energies = energy(gt, stack, mu)
+        rowwise = {
+            "mass": (lambda v: mass(gt, v), mass(gt, stack)),
+            "critical_density": (lambda v: critical_density(gt, v), critical_density(gt, stack)),
+            "local_mass": (lambda v: local_mass(gt, v, 2.0), local_mass(gt, stack, 2.0)),
+            **{f"lp_norm({p})": (lambda v, p=p: lp_norm(gt, v, p), lp_norm(gt, stack, p))
+               for p in (2.0, 10.0 / 3.0, 6.0, math.inf)},
+            **{f"energy.{part}": (lambda v, i=i: energy(gt, v, mu)[i], energies[i])
+               for i, part in enumerate(energies._fields)},
+        }
+        for i, v in enumerate(stack.copy()):
+            for name, (row_call, stacked) in rowwise.items():
+                one = row_call(v)
+                assert isinstance(one, float) and one == stacked[i], (gt.dimension, name, i)
+            e = float(energies.total[i])
+            assert hardy_ratio(gt, v, 2.0, e) == float(local_mass(gt, stack, 2.0)[i]
+                                                      / (math.sqrt(e) * 2.0)), (gt.dimension, i)
 
     # the Morawetz densities row by row, so that one ulp of one density
     # shows, at the radius of each snapshot panel and of the whole span

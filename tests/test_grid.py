@@ -49,27 +49,27 @@ def test_weights_sum_to_ball_volume():
 
 
 def test_lp_zero(g3):
-    assert lp_norm(g3.field(np.zeros(g3.n_points)), 2) == 0.0
+    assert lp_norm(g3, np.zeros(g3.n_points), 2) == 0.0
 
 
 def test_l2_gaussian(g3):
     # ||e^{-r^2}||_{L^2}: int e^{-2r^2} dx = (pi/2)^{3/2}
     u = g3.field(np.exp(-g3.nodes**2))
-    assert abs(lp_norm(u, 2) - (math.pi / 2) ** 0.75) < 1e-8
+    assert abs(lp_norm(g3, u.values, 2) - (math.pi / 2) ** 0.75) < 1e-8
 
 
 def test_linf_gaussian(g3):
     u = g3.field(np.exp(-g3.nodes**2))
-    assert abs(lp_norm(u, math.inf) - np.exp(-g3.nodes[0] ** 2)) == 0.0
+    assert abs(lp_norm(g3, u.values, math.inf) - np.exp(-g3.nodes[0] ** 2)) == 0.0
     # with an origin node the supremum of exp(-r^2) is exactly 1
     r = np.linspace(0.0, 8.0, 64)
     gu = RadialGrid(3, r, np.ones_like(r), 8.0)
-    assert lp_norm(gu.field(np.exp(-gu.nodes**2)), math.inf) == 1.0
+    assert lp_norm(gu, gu.field(np.exp(-gu.nodes**2)).values, math.inf) == 1.0
 
 
 def test_lp_invalid_exponent(g3):
     with pytest.raises(ValueError):
-        lp_norm(g3.field(np.zeros(g3.n_points)), 0.5)
+        lp_norm(g3, np.zeros(g3.n_points), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +106,8 @@ def scaled_gaussian(grid, lam):
 @pytest.mark.parametrize("lam", [0.5, 0.8, 1.3, 2.0])
 def test_rescale_energy_invariance(lam):
     g = make_spectral_grid(3, 1024, 32.0)
-    k0 = energy(scaled_gaussian(g, 1.0), 1).kinetic
-    k1 = energy(scaled_gaussian(g, lam), 1).kinetic
+    k0 = energy(g, scaled_gaussian(g, 1.0).values, 1).kinetic
+    k1 = energy(g, scaled_gaussian(g, lam).values, 1).kinetic
     assert abs(k1 - k0) / k0 < 1e-12
 
 
@@ -115,8 +115,8 @@ def test_rescale_energy_invariance(lam):
 def test_rescale_critical_norm_invariance(lam):
     g = make_spectral_grid(3, 1024, 32.0)
     p = 2.0 * 3 / (3 - 2)
-    c0 = lp_norm(scaled_gaussian(g, 1.0), p)
-    c1 = lp_norm(scaled_gaussian(g, lam), p)
+    c0 = lp_norm(g, scaled_gaussian(g, 1.0).values, p)
+    c1 = lp_norm(g, scaled_gaussian(g, lam).values, p)
     assert abs(c1 - c0) / c0 < 1e-12
 
 
@@ -126,7 +126,7 @@ def test_rescale_l2_scaling_law(lam):
     # ||lam^{-1/2} u(x / lam)||_2 = lam ||u||_2 in n = 3  (L^2 is not critical)
     g = make_spectral_grid(3, 256, 16.0)
     u = g.field(np.exp(-g.nodes**2))
-    assert abs(lp_norm(scaled_gaussian(g, lam), 2) - lam * lp_norm(u, 2)) < 1e-12
+    assert abs(lp_norm(g, scaled_gaussian(g, lam).values, 2) - lam * lp_norm(g, u.values, 2)) < 1e-12
 
 
 def test_field_length_mismatch(g3):

@@ -770,9 +770,9 @@ def test_hardy_table_reuses_the_initial_energy(monkeypatch):
     monkeypatch.setattr(functionals, "energy", refuse)
     hardy = build_report(s, traj)["hardy"]
     assert len(hardy["rows"]) == 3 and hardy["sweep_sup"] > 0
-    u0 = traj.field(0)
     monkeypatch.undo()
-    assert hardy["rows"][0]["ratio"] == functionals.hardy_bound_check(u0, 1.0, traj.config.mu)
+    e0 = functionals.energy(traj.grid, traj.values[0], traj.config.mu).total
+    assert hardy["rows"][0]["ratio"] == functionals.hardy_ratio(traj.grid, traj.values[0], 1.0, e0)
 
 
 def test_verify_report_all_pass(small_run):
@@ -996,6 +996,68 @@ def test_analyze_of_a_store_of_another_scenario_exits_2(tmp_path, capsys):
     assert _files(out) == before
     assert main(["analyze", *store_args, "--override", "analysis.eta=0.01"]) == EXIT_OK
     assert read_json(out / "report.json")["concentration"]["eta"] == 0.01
+
+
+FREE_STORE_ARGS = ["--config", str(SCENARIOS / "free-n3.json"),
+                   "--override", "grid.n_points=256", "--override", "time.t_plus=0.2"]
+
+
+@pytest.fixture(scope="module")
+def free_run(tmp_path_factory):
+    """A free-n3 run at N = 256 over [0, 0.2]: its store, report and verdict."""
+    out = tmp_path_factory.mktemp("free") / "run"
+    for command in ("simulate", "analyze"):
+        assert main([command, *FREE_STORE_ARGS, "--out", str(out)]) == EXIT_OK
+    return out
+
+
+def _failed_checks(out: Path) -> list:
+    return [(c["check"], c["section"])
+            for c in read_json(out / "verification.json")["checks"] if not c["passed"]]
+
+
+@pytest.mark.parametrize("path,value,named", [
+    ("mu", 1, "mu is 1, but the trajectory store"),
+    ("grid.n_points", 512, "grid.n_points is 512, but the trajectory store"),
+    ("mu", 2, "mu must be the integer -1, 0, or +1, got 2"),
+    ("analysis.bubble_fraction", 0.25, None),
+], ids=["mu", "n_points", "invalid-mu", "analysis-knob"])
+def test_verify_compares_the_reports_scenario_with_the_store(tmp_path, capsys, free_run,
+                                                             path, value, named):
+    """An edit of the report's scenario that the store contradicts, or that
+    is not a valid scenario, fails one check in section scenario, naming
+    the field; the analysis knobs are not compared."""
+    out = tmp_path / "run"
+    shutil.copytree(free_run, out)
+    report = read_json(out / "report.json")
+    *outer, leaf = path.split(".")
+    section = report["scenario"]
+    for key in outer:
+        section = section[key]
+    section[leaf] = value
+    write_json(out / "report.json", report)
+    capsys.readouterr()
+    code = main(["verify", "--out", str(out)])
+    printed = capsys.readouterr().out
+    if named is None:
+        assert code == EXIT_OK and _failed_checks(out) == []
+        return
+    assert code == EXIT_VERIFY_FAILED
+    assert _failed_checks(out) == [("scenario_matches_store", "scenario")]
+    assert "[FAIL] scenario_matches_store" in printed and named in printed
+    assert "(report section: scenario)" in printed
+
+
+def test_verify_fails_a_report_over_a_store_simulated_again_from_another_scenario(
+        tmp_path, capsys, free_run):
+    out = tmp_path / "run"
+    shutil.copytree(free_run, out)
+    assert main(["verify", "--out", str(out)]) == EXIT_OK
+    assert main(["simulate", *FREE_STORE_ARGS, "--override", "mu=1", "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == EXIT_VERIFY_FAILED
+    assert _failed_checks(out) == [("scenario_matches_store", "scenario")]
+    assert "mu is 0, but the trajectory store" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

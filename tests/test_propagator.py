@@ -32,7 +32,7 @@ def test_identity_at_zero(g3):
 @pytest.mark.parametrize("t", [0.1, 0.35, -0.5, 1.0])
 def test_l2_unitarity(g3, t):
     u = gaussian_field(g3, amplitude=1.3, width=0.8)
-    assert abs(lp_norm(free_evolve(u, t), 2) - lp_norm(u, 2)) < 1e-9
+    assert abs(lp_norm(g3, free_evolve(u, t).values, 2) - lp_norm(g3, u.values, 2)) < 1e-9
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -9,7 +9,6 @@ from scipy import special
 from scipy.integrate import quad
 
 from nlslab import energy, gaussian_field, get_propagator, make_spectral_grid, workers
-from nlslab.functionals import _energy_rows
 from nlslab.grid import UnresolvedGridError, sphere_area
 from nlslab.transform import (
     _ROWS,
@@ -243,11 +242,11 @@ def test_row_stacks_equal_per_field_loops(n, n_points):
         pot = [mu * (n - 2) / (2.0 * n) * float(np.sum(grid.weights * np.abs(v) ** expo))
                for v in stack]
         kin = [kinetic(v) for v in stack]
-        total, kinetic_rows, potential_rows = _energy_rows(grid, stack, mu)
+        total, kinetic_rows, potential_rows = energy(grid, stack, mu)
         assert np.array_equal(kinetic_rows, kin)
         assert np.array_equal(potential_rows, pot)
         assert np.array_equal(total, [a + b for a, b in zip(kin, pot)])
-        one = energy(grid.field(stack[3]), mu)
+        one = energy(grid, stack[3], mu)
         assert (one.total, one.kinetic, one.potential) == (total[3], kin[3], pot[3])
 
 
