@@ -2,10 +2,10 @@
 
 A trajectory's critical-norm density is greedily subdivided into
 consecutive intervals of equal spacetime mass; the intervals are then
-classified by how much mass the endpoint linear flows carry on them,
-searched for mass-concentration bubbles at the origin, and fed to a
-nesting algorithm that extracts a dyadically shrinking interval chain
-accumulating at a single time.
+classified by how much mass the endpoint linear flows (one stack of
+free-flow rows for all intervals) carry on them, searched for bubbles
+at the origin, and fed to a nesting algorithm that extracts a dyadically
+shrinking interval chain accumulating at a single time.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import timegrid
 from .dynamics import Trajectory
 from .functionals import critical_density, local_mass
-from .transform import get_transform
+from .transform import _ROWS, get_transform
 
 
 class ResolutionError(RuntimeError):
@@ -128,13 +128,18 @@ class ExceptionalReport:
     flags: tuple
 
 
-def _linear_flow_density(traj: Trajectory, anchor_index: int, times) -> np.ndarray:
-    """Critical-norm density, at ``times``, of the free flow launched from
-    the snapshot at ``anchor_index``."""
+def _flow_densities(traj: Trajectory, anchors, times) -> np.ndarray:
+    """Critical-norm density of the free flow from snapshot ``anchors[r]`` at
+    the time of snapshot ``times[r]``, each row r of one stack, ``_ROWS`` rows
+    at a time, with its own call's bits; a TimeRangeError names the largest |t|."""
     tr = get_transform(traj.grid)
-    coeffs = traj.coefficients[anchor_index]
-    offsets = (np.asarray(times) - traj.times[anchor_index])[:, None]
-    return critical_density(traj.grid, tr.backward(tr.evolve_coeffs(coeffs, offsets)))
+    offsets = traj.times[times] - traj.times[anchors]
+    tr.check_span(offsets)
+    out = np.empty(offsets.size)
+    for rows in (slice(k, k + _ROWS) for k in range(0, out.size, _ROWS)):
+        flows = tr.evolve_coeffs(traj.coefficients[anchors[rows]], offsets[rows, None])
+        out[rows] = critical_density(traj.grid, tr.backward(flows))
+    return out
 
 
 def classify_exceptional(
@@ -150,8 +155,8 @@ def classify_exceptional(
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     ts = traj.times
-    dens_minus = _linear_flow_density(traj, 0, ts)
-    dens_plus = _linear_flow_density(traj, ts.size - 1, ts)
+    dens_minus, dens_plus = np.split(_flow_densities(
+        traj, np.repeat([0, ts.size - 1], ts.size), np.tile(np.arange(ts.size), 2)), 2)
     minus_masses, plus_masses, flags = [], [], []
     for j in range(decomp.count):
         a, b = decomp.interval(j)
@@ -184,35 +189,42 @@ class FlowComparison:
     ratios: tuple[float, float]
 
 
-def linear_flow_check(
-    traj: Trajectory, interval, eta: float | None = None
-) -> FlowComparison:
-    """Compare interval critical-norm mass against flows launched from the
-    interval's own endpoints.
-
-    When ``eta`` is given, the interval mass must lie in [eta/2, 2 eta]
-    (the hypothesis under which the comparison is meaningful); violations
-    are rejected with the measured mass.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    ts = traj.times
-    # every density is only needed on the snapshot panels overlapping [a, b]
-    i0 = max(0, int(np.searchsorted(ts, a, side="right")) - 1)
-    i1 = min(ts.size - 1, int(np.searchsorted(ts, b, side="left")))
-    sub = ts[i0 : i1 + 1]
-    dens = critical_density(traj.grid, traj.values[i0 : i1 + 1])
-    mass = timegrid.pl_integral(sub, dens, a, b)
-    if eta is not None and not (eta / 2.0 <= mass <= 2.0 * eta):
-        raise ValueError(
-            f"interval mass {mass:.4g} outside [eta/2, 2 eta] = "
-            f"[{eta / 2:.4g}, {2 * eta:.4g}]"
-        )
-    lin = []
-    for t_anchor_req in (a, b):
-        idx = int(np.argmin(np.abs(ts - t_anchor_req)))
-        lin.append(timegrid.pl_integral(sub, _linear_flow_density(traj, idx, sub), a, b))
-    ratios = tuple(m / mass if mass > 0 else math.inf for m in lin)
-    return FlowComparison((a, b), mass, (lin[0], lin[1]), ratios)
+def linear_flow_check(traj: Trajectory, intervals, eta: float | None = None) -> list:
+    """Compare each interval's critical-norm mass against the free flows
+    launched from its own endpoints: one entry per interval, its
+    FlowComparison or the ValueError that rejects it (a mass outside
+    [eta/2, 2 eta] when ``eta`` is given, the hypothesis under which the
+    comparison is meaningful; a flow past the certified span).  The flows
+    are one ``_flow_densities`` stack, each (anchor, time) row once."""
+    ts, tr = traj.times, get_transform(traj.grid)
+    dens = critical_density(traj.grid, traj.values)
+    plans, rows = [], {}    # rows: (anchor, time index) -> its row of the stack
+    for interval in intervals:
+        a, b = float(interval[0]), float(interval[1])
+        # every density is only needed on the snapshot panels overlapping [a, b]
+        i0 = max(0, int(np.searchsorted(ts, a, side="right")) - 1)
+        i1 = min(ts.size - 1, int(np.searchsorted(ts, b, side="left")))
+        sub, anchors = slice(i0, i1 + 1), [int(np.argmin(np.abs(ts - t))) for t in (a, b)]
+        try:
+            mass = timegrid.pl_integral(ts[sub], dens[sub], a, b)
+            if eta is not None and not (eta / 2.0 <= mass <= 2.0 * eta):
+                raise ValueError(f"interval mass {mass:.4g} outside [eta/2, 2 eta] = "
+                                 f"[{eta / 2:.4g}, {2 * eta:.4g}]")
+            for idx in anchors:
+                tr.check_span(ts[sub] - ts[idx])
+        except ValueError as exc:
+            plans.append(exc)
+            continue
+        plans.append((a, b, sub, mass, [[rows.setdefault((idx, i), len(rows))
+                                          for i in range(i0, i1 + 1)] for idx in anchors]))
+    flows = _flow_densities(traj, [idx for idx, _ in rows], [i for _, i in rows])
+    for k, plan in enumerate(plans):
+        if not isinstance(plan, ValueError):
+            a, b, sub, mass, picks = plan
+            lin = tuple(timegrid.pl_integral(ts[sub], flows[pick], a, b) for pick in picks)
+            ratios = tuple(m / mass if mass > 0 else math.inf for m in lin)
+            plans[k] = FlowComparison((a, b), mass, lin, ratios)
+    return plans
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,10 @@ def snapshot_plan(span: float, dt: float, stride: int) -> tuple[int, int]:
     return n_steps, 2 + (n_steps - 1) // stride
 
 
+# the most steps between two energy checks, each of the rows since the last
+_CHECK_STEPS = 64
+
+
 def evolve(
     u0: RadialField,
     t_minus: float,
@@ -167,7 +171,9 @@ def evolve(
     Snapshots are stored every ``snapshot_stride`` steps (plus the final
     state).  The run is truncated early with a partial trajectory when the
     gradient norm exceeds ``blowup_grad_factor`` times its start or the
-    relative energy drift exceeds the alarm; the status says which.
+    relative energy drift exceeds the alarm; the status says which.  The
+    energies of the rows since the last check are one stack, at least every
+    ``_CHECK_STEPS`` steps, at the last and before an abort: the same bits.
     ``pinned=False`` lets an n = 3 run whose rows are never stored (a
     resolution twin) step by FFT; see the branch comment below.
     """
@@ -212,23 +218,42 @@ def evolve(
 
     u = np.asarray(u0.values, dtype=complex).copy()
     values = np.empty((rows, u.size), dtype=complex)
-    times, parts = [], []     # parts: each snapshot's EnergyBreakdown
+    times, parts = [], []     # parts: the EnergyBreakdown stacks of the checked rows
+    status, reason, blow_time = "complete", "", None
 
     def record(t: float, u_now: np.ndarray):
         values[len(times)] = u_now
         times.append(t)
-        parts.append(energy(u0.grid, u_now, mu, tr.coefficients(u_now, split)))
-        return parts[-1].total, math.sqrt(2.0 * parts[-1].kinetic)
+
+    def check(exempt: int = 0) -> bool:
+        """Energies of the unchecked rows, one stack; then, in order, the alarms of
+        each but the last ``exempt``: True at the first, the run cut after its row."""
+        nonlocal status, reason, blow_time
+        done = sum(len(part.total) for part in parts)
+        new = values[done:len(times)]
+        parts.append(energy(u0.grid, new, mu, tr.coefficients(new, split)))
+        for r, e, k in zip(range(done, len(times) - exempt), *parts[-1][:2]):
+            if grad0 > 0 and math.sqrt(2.0 * k) > cfg.blowup_grad_factor * grad0:
+                status, reason = "aborted-blowup", "gradient-norm blowup threshold"
+                blow_time = times[r]
+            elif (drift := abs(e - e0) / e_scale) > cfg.energy_drift_tol:
+                status, reason = "aborted-energy", f"energy drift {drift:.3e} exceeds alarm"
+            else:
+                continue
+            del times[r + 1:]
+            return True
+        return False
 
     # every kernel product of the loop (at n = 3 the step operator's alone:
     # the rest are FFTs) splits its rows over the process budget's threads
     with workers.row_split(u.size) as split:
         step_op = None if in_coefficients else tr.step_operator(phases, split)
-        e0, grad0 = record(t_minus, u)
-        pot_exceeds = abs(parts[0].potential) > parts[0].kinetic
+        record(t_minus, u)
+        check(exempt=1)
+        e0, grad0 = float(parts[0].total[0]), math.sqrt(2.0 * parts[0].kinetic[0])
+        pot_exceeds = bool(abs(parts[0].potential[0]) > parts[0].kinetic[0])
         e_scale = energy_scale(e0)
-        status, reason = "complete", ""
-        blow_time = None
+        checked_step = 0
 
         for step in range(1, n_steps + 1):
             if mu != 0:
@@ -242,29 +267,24 @@ def evolve(
                 u = product(step_op, sw * u, split) / sw
             if mu != 0:
                 u = _phase_rotation(u, mu, dt / 2.0, p)
-            if not np.all(np.isfinite(u)):
-                status, reason = "aborted-blowup", "non-finite amplitude"
-                blow_time = t_minus + step * dt
-                break
-            if watch_every_step and grad0 > 0 and grad_lin > cfg.blowup_grad_factor * grad0:
-                record(t_minus + step * dt, u)
-                status, reason = "aborted-blowup", "gradient-norm blowup threshold"
-                blow_time = t_minus + step * dt
+            finite = np.all(np.isfinite(u))
+            if not finite or (watch_every_step and grad0 > 0
+                              and grad_lin > cfg.blowup_grad_factor * grad0):
+                if finite:      # the watch's row is kept, with no alarm of its own
+                    record(t_minus + step * dt, u)
+                if not check(exempt=int(finite)):
+                    status, blow_time = "aborted-blowup", t_minus + step * dt
+                    reason = "gradient-norm blowup threshold" if finite else "non-finite amplitude"
                 break
             if step % cfg.snapshot_stride == 0 or step == n_steps:
-                e, g = record(t_minus + step * dt, u)
-                if grad0 > 0 and g > cfg.blowup_grad_factor * grad0:
-                    status, reason = "aborted-blowup", "gradient-norm blowup threshold"
-                    blow_time = t_minus + step * dt
-                    break
-                drift = abs(e - e0) / e_scale
-                if drift > cfg.energy_drift_tol:
-                    status = "aborted-energy"
-                    reason = f"energy drift {drift:.3e} exceeds alarm"
-                    break
+                record(t_minus + step * dt, u)
+                if step + cfg.snapshot_stride - checked_step > _CHECK_STEPS or step == n_steps:
+                    checked_step = step
+                    if check():
+                        break
 
     values = values[: len(times)]
-    energies, kinetics, potentials = zip(*parts)
+    energies, kinetics, potentials = (np.concatenate(part)[: len(times)] for part in zip(*parts))
     blow = BlowupRecord(
         flagged=(status == "aborted-blowup"),
         first_alarm_time=blow_time,
@@ -283,9 +303,9 @@ def evolve(
         times=np.asarray(times),
         values=values,
         mass_series=mass(u0.grid, values),
-        energy_series=np.asarray(energies),
-        kinetic_series=np.asarray(kinetics),
-        potential_series=np.asarray(potentials),
+        energy_series=energies,
+        kinetic_series=kinetics,
+        potential_series=potentials,
         status=status,
         abort_reason=reason,
         blowup=blow,

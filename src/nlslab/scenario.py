@@ -331,26 +331,15 @@ def check_store(s: dict, traj: Trajectory, directory) -> None:
 def build_report(s: dict, traj: Trajectory, seed: int = 0) -> dict:
     """The diagnostics report of an evolved scenario.
 
-    The resolution certificate's two coarse twins depend only on u(t_minus)
-    and the config: they start first, in forked workers when the process
-    budget (``workers.process_budget``) allows, and run while the tables
-    are computed; once the tables are done, the twin still running borrows
-    the CPU of one that has ended.  The report's bytes do not depend on
-    the budget.
+    A complete run's tables read ``traj.coefficients``, computed here once.
+    They are two tasks of one ``workers.run`` batch, forked when the process
+    budget allows, unless the resolution is certified: then the tasks are
+    the coarse twins, which start first and run while the tables are
+    computed here (see ``workers``).  The bytes do not depend on the budget.
     """
-    certify = traj.status == "complete" and s["analysis"]["certify_resolution"]
-    with workers.run(_twin_tasks(traj) if certify else ()) as twins:
-        report = _report_tables(s, traj, seed)
-        if certify:
-            report["resolution_certification"] = _certify_resolution(traj, twins)
-    return report
-
-
-def _report_tables(s: dict, traj: Trajectory, seed: int) -> dict:
     tol = s["analysis"]["tolerances"]
     mass_drift, energy_drift = _drifts(traj.mass_series, traj.energy_series)
-
-    report: dict = {
+    report = {
         "scenario": s,
         "seed": seed,
         "status": traj.status,
@@ -368,17 +357,27 @@ def _report_tables(s: dict, traj: Trajectory, seed: int) -> dict:
         },
         "blowup": blowup_dict(traj.blowup),
     }
-
-    # inequality tables (meaningful only while the run is trusted)
-    if traj.status == "complete":
-        report["mass_flux"] = _flux_table(s, traj, tol)
-        report["hardy"] = _hardy_table(s, traj)
-        report["morawetz"] = _morawetz_table(s, traj)
-        report["momentum_flux_identity"] = _identity_entry(s, traj, tol)
-        report["strichartz"] = _strichartz_table(s, traj)
-        report["duhamel"] = _duhamel_table(traj, tol)
-        report["concentration"] = _concentration_block(s, traj)
+    if traj.status != "complete":
+        return report
+    traj.coefficients  # built here, before any fork
+    certify = s["analysis"]["certify_resolution"]
+    tables = [functools.partial(_inequality_tables, s, traj),
+              functools.partial(_concentration_block, s, traj)]
+    with workers.run(_twin_tasks(traj) if certify else tables) as results:
+        inequalities, block = [task() for task in tables] if certify else results
+        report.update(inequalities, concentration=block)
+        if certify:
+            report["resolution_certification"] = _certify_resolution(traj, results)
     return report
+
+
+def _inequality_tables(s: dict, traj: Trajectory) -> dict:
+    """A complete run's tables but the concentration block, in report order."""
+    tol = s["analysis"]["tolerances"]
+    return dict(mass_flux=_flux_table(s, traj, tol), hardy=_hardy_table(s, traj),
+                morawetz=_morawetz_table(s, traj),
+                momentum_flux_identity=_identity_entry(s, traj, tol),
+                strichartz=_strichartz_table(s, traj), duhamel=_duhamel_table(traj, tol))
 
 
 def _drifts(masses, energies) -> tuple[float, float]:
@@ -497,12 +496,11 @@ def _concentration_block(s, traj):
     block["exceptional"] = _without(exc_rep, "flags")
     block["window_statistics"] = conc.window_statistics(decomp)
     comparisons, bubbles = [], []
-    for j in decomp.non_tail_indices():
-        try:
-            cmp_rep = conc.linear_flow_check(traj, decomp.interval(j), eta)
-            comparisons.append({**asdict(cmp_rep), "interval": j})  # its index, not its ends
-        except ValueError as exc:
-            comparisons.append({"interval": j, "error": str(exc)})
+    non_tail = decomp.non_tail_indices()
+    checks = conc.linear_flow_check(traj, [decomp.interval(j) for j in non_tail], eta)
+    for j, cmp_rep in zip(non_tail, checks):   # each row names its interval's index, not its ends
+        comparisons.append({"interval": j, "error": str(cmp_rep)} if isinstance(cmp_rep, ValueError)
+                           else {**asdict(cmp_rep), "interval": j})
         try:
             rep = conc.find_bubble(traj, decomp, j, float(a["bubble_fraction"]))
         except ValueError as exc:

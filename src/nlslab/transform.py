@@ -87,13 +87,12 @@ is scipy's.  A factor that fails (another grid's, a corrupted file) is
 dropped with a warning, and the SVD of scipy's A runs.
 
 Grids and modes read one cached Bessel table per (dimension, N): the zeros
-j_1..j_{N+1} of J_nu, then J_{nu+1}(j_1..j_N).  scipy computes it, and is
-imported only inside the functions that compute with it.  The dimension
-range is 3..41, where the first three zeros, the last and J_{nu+1} at the
-first three agree with mpmath to 2.6e-14, relative, at N = 64; at n = 58,
-61, 78 and 83 the first zero is wrong (15.66 at n = 61, not 35.57), so
-``bessel_table``, which every grid and store reads, refuses any other n.  An
-odd-n store carries its table, adopted once numpy alone certifies it: each
+j_1..j_{N+1} of J_nu, certified by ``bessel_zeros``, then J_{nu+1}(j_1..j_N).
+scipy computes it, and is imported only inside the functions that compute
+with it.  ``bessel_table``, which every grid and store reads, refuses any n
+outside 3..41, where the first three zeros, the last and J_{nu+1} at the
+first three agree with mpmath to 2.6e-14, relative, at N = 64.  An odd-n
+store carries its table, adopted once numpy alone certifies it: each
 zero within pi/2 of McMahon's approximation, where no other lies (zeros of
 J_nu, nu >= 1/2, are at least pi apart), its Newton step below 1e-14 z, and
 each J_{nu+1} within 1e-12, relative, of the closed form.  scipy's tables
@@ -116,10 +115,12 @@ from .grid import (GridError, RadialField, RadialGrid, TimeRangeError, Unresolve
 
 
 def bessel_zeros(nu: float, count: int) -> NDArray[np.float64]:
-    """First ``count`` positive zeros of J_nu, any real order nu >= 0.
-
-    McMahon asymptotics polished by Newton iterations; accurate to
-    machine precision for the orders used here (nu = n/2 - 1, n >= 3).
+    """First ``count`` positive zeros of J_nu, nu >= 1/2: McMahon's starts
+    polished by Newton, then certified, or an UnresolvedGridError.  Each
+    last Newton step is at most 1e-14 z, the first zero lies in the bracket
+    of Qu and Wong (Trans. Amer. Math. Soc. 351 (1999) 2833) below, and the
+    gaps, which for nu >= 1/2 exceed pi and fall toward it, exceed
+    pi (1 - 1e-12) and grow by at most 4 ulps: no zero is skipped.
     """
     from scipy import special
     z = _mcmahon(nu, count)
@@ -128,7 +129,10 @@ def bessel_zeros(nu: float, count: int) -> NDArray[np.float64]:
         z -= dz
         if np.max(np.abs(dz)) < 1e-14:
             break
-    if np.any(np.diff(z) <= 0):
+    low, gaps = nu + 1.8557571 * nu ** (1 / 3), np.diff(z)   # a NaN fails each test
+    if not (np.all(np.abs(dz) <= 1e-14 * z) and low < z[0] < low + 1.033150 * nu ** (-1 / 3)
+            and np.all(gaps > math.pi * (1 - 1e-12))
+            and np.all(np.diff(gaps) <= 4 * np.spacing(z[2:]))):
         raise UnresolvedGridError(f"Bessel zero computation failed for nu={nu}")
     return z
 
@@ -335,14 +339,20 @@ class SpectralTransform:
 
     def evolve_coeffs(self, coeffs: np.ndarray, t) -> np.ndarray:
         """Phase-advance mode coefficients without leaving spectral space, to
-        one time ``t`` or to each of a column of times (T, 1), a row each."""
-        t_abs = np.abs(t).max()
+        one time ``t`` or to each of a column of times (T, 1), a row each
+        (of a stack (T, N): its own).  Not ``*``: numpy may evaluate ``a * temp``
+        as ``temp * a``, in place, and a complex product's bits follow the order."""
+        self.check_span(t)
+        return np.multiply(coeffs, self.free_phase(t))
+
+    def check_span(self, t) -> None:
+        """Raise a TimeRangeError if some |t| of ``t`` exceeds ``validated_t_max``."""
+        t_abs = np.abs(t).max(initial=0.0)
         if t_abs > self.validated_t_max:
             raise TimeRangeError(
                 f"|t|={t_abs:.3g} exceeds validated span {self.validated_t_max:.3g} "
                 "(boundary reflection artifacts); enlarge r_max"
             )
-        return coeffs * self.free_phase(t)
 
     def forward(self, u: RadialField) -> NDArray[np.complex128]:
         """Mode coefficients of a field."""

@@ -22,9 +22,9 @@ its own, but it borrows CPUs: each batch of forked workers shares one
 token pool.  Once every task of the batch has started, the caller, while
 it waits for a result, lends one token for each worker that has ended,
 and a worker's ``row_split`` takes a token, where one is free, to start
-one more thread.  A caller that is busy lends nothing, since it is using
-the CPU itself: the certificate's twins borrow nothing while the report's
-tables are computed, nor does a sweep before its last scenario starts.
+one more thread.  A busy caller lends nothing, as it uses the CPU: the
+certificate's twins borrow nothing while the tables are computed, nor a
+sweep before its last scenario starts; the table tasks split no product.
 A borrowed thread computes the same dot products as any other, so no bit
 moves, and the pool ends with its batch.
 """

@@ -26,7 +26,7 @@ from nlslab import (
 )
 from nlslab.concentration import (
     ResolutionError,
-    _linear_flow_density,
+    _flow_densities,
     check_nest,
     window_statistics,
 )
@@ -205,19 +205,36 @@ def test_classify_count_bound_exact(free_traj_for_classify):
         assert rep.count <= rep.count_bound + 1e-12
 
 
-def test_linear_flow_density_equals_per_time_loop(free_traj_for_classify):
+def test_linear_flow_density_equals_per_time_loop(free_traj_for_classify, monkeypatch):
+    """One stack of (anchor, time) rows, over several ``_ROWS`` blocks,
+    has the bits of a per-time loop, and no block holds more rows."""
+    from nlslab.transform import _ROWS, SpectralTransform
+
     traj = free_traj_for_classify
     tr, prop = get_transform(traj.grid), get_propagator(traj.grid)
     n = traj.grid.dimension
     expo = 2.0 * (n + 2) / (n - 2)
+    anchors, times, expected = [], [], []
     for anchor in (0, 17, traj.times.size - 1):
         coeffs = tr.coefficients(traj.values[anchor])
-        for times in (traj.times, traj.times[20:31]):
-            expected = []
-            for t in times:
+        for indices in (range(traj.times.size), range(20, 31)):
+            for i in indices:
+                t = traj.times[i]
                 flow = tr.backward(prop.evolve_coeffs(coeffs, t - traj.times[anchor]))
                 expected.append(np.sum(traj.grid.weights * np.abs(flow) ** expo))
-            assert np.array_equal(_linear_flow_density(traj, anchor, times), expected)
+                anchors.append(anchor)
+                times.append(i)
+    blocks = []
+    real_backward = SpectralTransform.backward
+
+    def counted(self, coeffs, split=None):
+        blocks.append(len(coeffs))
+        return real_backward(self, coeffs, split)
+
+    monkeypatch.setattr(SpectralTransform, "backward", counted)
+    assert np.array_equal(_flow_densities(traj, anchors, times), expected)
+    assert len(expected) > 2 * _ROWS and max(blocks) == _ROWS
+    assert sum(blocks) == len(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +243,7 @@ def test_linear_flow_density_equals_per_time_loop(free_traj_for_classify):
 
 def test_flow_check_free_ratios_one(free_traj_for_classify):
     traj = free_traj_for_classify
-    rep = linear_flow_check(traj, (0.1, 0.3))
+    rep, = linear_flow_check(traj, [(0.1, 0.3)])
     assert abs(rep.ratios[0] - 1.0) < 1e-9
     assert abs(rep.ratios[1] - 1.0) < 1e-9
 
@@ -235,8 +252,8 @@ def test_flow_check_hypothesis_window(free_traj_for_classify):
     traj = free_traj_for_classify
     dens = critical_density(traj.grid, traj.values)
     total = float(np.trapezoid(dens, traj.times))
-    with pytest.raises(ValueError):
-        linear_flow_check(traj, (traj.t_minus, traj.t_plus), eta=total / 10)
+    rejected, = linear_flow_check(traj, [(traj.t_minus, traj.t_plus)], eta=total / 10)
+    assert isinstance(rejected, ValueError) and "outside [eta/2, 2 eta]" in str(rejected)
 
 
 def test_flow_check_ratios_stable_under_refinement():
@@ -248,7 +265,7 @@ def test_flow_check_ratios_stable_under_refinement():
     for dt in (2e-3, 1e-3):
         cfg = EvolutionConfig(dimension=3, mu=1, dt=dt, snapshot_stride=int(0.01 / dt))
         traj = evolve(u0, 0.0, 0.5, cfg)
-        rep = linear_flow_check(traj, (0.1, 0.4))
+        rep, = linear_flow_check(traj, [(0.1, 0.4)])
         assert all(r > 0 for r in rep.ratios)
         ratios.append(rep.ratios)
     for a, b in zip(*ratios):
@@ -260,7 +277,7 @@ def test_flow_check_small_amplitude_perturbative():
     u0 = gaussian_field(g, amplitude=0.05)
     cfg = EvolutionConfig(dimension=3, mu=1, dt=2e-3, snapshot_stride=5)
     traj = evolve(u0, 0.0, 0.5, cfg)
-    rep = linear_flow_check(traj, (0.1, 0.4))
+    rep, = linear_flow_check(traj, [(0.1, 0.4)])
     for ratio in rep.ratios:
         assert abs(ratio - 1.0) < 0.1
 

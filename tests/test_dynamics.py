@@ -345,3 +345,86 @@ def test_focusing_small_data_no_flag():
     rec = traj.blowup
     assert not rec.potential_exceeds_kinetic
     assert not rec.flagged
+
+
+# ---------------------------------------------------------------------------
+# energy checks in stacks: the run ends where a check of every row ends it
+
+
+def _evolve_checked_per_snapshot_and_in_stacks(monkeypatch, u0, t_plus, cfg, nan_at_call=None):
+    """The run at ``_CHECK_STEPS`` 1 and as shipped; where given, the
+    ``nan_at_call``-th nonlinear phase step returns a NaN sample."""
+    from nlslab import dynamics
+
+    runs = []
+    for check_steps in (1, dynamics._CHECK_STEPS):
+        monkeypatch.setattr(dynamics, "_CHECK_STEPS", check_steps)
+        calls = []
+
+        def rotation(values, mu, tau, p):
+            calls.append(1)
+            out = _phase_rotation(values, mu, tau, p)
+            if len(calls) == nan_at_call:
+                out[3] = np.nan
+            return out
+
+        monkeypatch.setattr(dynamics, "_phase_rotation", rotation)
+        runs.append(evolve(u0, 0.0, t_plus, cfg))
+    monkeypatch.undo()
+    per_row, stacked = runs
+    for name in ("times", "values", "mass_series", "energy_series", "kinetic_series",
+                 "potential_series"):
+        assert np.array_equal(getattr(per_row, name), getattr(stacked, name)), name
+    assert (per_row.status, per_row.abort_reason) == (stacked.status, stacked.abort_reason)
+    assert per_row.blowup == stacked.blowup
+    return stacked
+
+
+def _drift_alarm(u0, stride, row):
+    """A defocusing config, dt 4e-3 on [0, 0.8], whose energy alarm first
+    fires at ``row`` or later: the largest relative drift of the rows
+    before it, measured with no alarm."""
+    cfg = EvolutionConfig(dimension=3, mu=1, dt=4e-3, snapshot_stride=stride,
+                          energy_drift_tol=math.inf)
+    energies = evolve(u0, 0.0, 0.8, cfg).energy_series
+    tol = float(np.abs(energies[:row] - energies[0]).max() / abs(energies[0]))
+    return EvolutionConfig(dimension=3, mu=1, dt=4e-3, snapshot_stride=stride,
+                           energy_drift_tol=tol)
+
+
+# the relative drift of this run rises over its first 24 steps
+@pytest.mark.parametrize("stride,row", [(1, 15), (10, 2)])
+def test_stacked_energy_checks_truncate_at_the_alarm_row(g3, monkeypatch, stride, row):
+    """An energy alarm mid-block: the rows past it, which a stacked check
+    computed, are not kept."""
+    from nlslab import dynamics
+
+    u0 = gaussian_field(g3, amplitude=1.5)
+    traj = _evolve_checked_per_snapshot_and_in_stacks(
+        monkeypatch, u0, 0.8, _drift_alarm(u0, stride, row))
+    assert traj.status == "aborted-energy"
+    last_step = round(traj.t_plus / 4e-3)
+    assert traj.times.size == row + 1 and last_step % dynamics._CHECK_STEPS != 0
+
+
+@pytest.mark.parametrize("alarm", [False, True])
+def test_stacked_energy_checks_before_a_non_finite_abort(g3, monkeypatch, alarm):
+    """A NaN at step 50 aborts the run there, unless a pending row's
+    energy alarm, at row 15, came first."""
+    u0 = gaussian_field(g3, amplitude=1.5)
+    cfg = (_drift_alarm(u0, 1, 15) if alarm else
+           EvolutionConfig(dimension=3, mu=1, dt=4e-3, snapshot_stride=1))
+    traj = _evolve_checked_per_snapshot_and_in_stacks(monkeypatch, u0, 0.8, cfg, nan_at_call=99)
+    if alarm:
+        assert traj.status == "aborted-energy" and traj.times.size == 16
+    else:
+        assert traj.abort_reason == "non-finite amplitude" and traj.times.size == 50
+        assert traj.blowup.first_alarm_time == pytest.approx(50 * 4e-3)
+
+
+def test_stacked_energy_checks_before_a_focusing_watch_abort(monkeypatch):
+    g = make_spectral_grid(3, 256, 16.0)
+    cfg = EvolutionConfig(dimension=3, mu=-1, dt=1e-3, snapshot_stride=3, energy_drift_tol=math.inf)
+    traj = _evolve_checked_per_snapshot_and_in_stacks(
+        monkeypatch, gaussian_field(g, amplitude=3.0), 1.0, cfg)
+    assert traj.abort_reason == "gradient-norm blowup threshold" and traj.blowup.flagged

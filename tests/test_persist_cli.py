@@ -1424,31 +1424,72 @@ def _evolutions(log: Path) -> list:
     return [(int(pid), factor) for pid, factor in rows]
 
 
+def _logged_tables(monkeypatch, log: Path, fail=None):
+    """Record the pid of each of ``build_report``'s two table tasks; the
+    concentration task fails as ``fail`` says, where given."""
+    from nlslab import scenario
+    from nlslab.grid import TimeRangeError
+
+    def logged(real, name):
+        def task(s, traj):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {name}\n")
+            if name == "concentration" and fail == "range":
+                raise TimeRangeError("injected span failure")
+            if name == "concentration" and fail == "exit":
+                os._exit(1)
+            return real(s, traj)
+        return task
+
+    monkeypatch.setattr(scenario, "_inequality_tables",
+                        logged(scenario._inequality_tables, "inequality"))
+    monkeypatch.setattr(scenario, "_concentration_block",
+                        logged(scenario._concentration_block, "concentration"))
+
+
 # the measured relative energy drifts of SMALL_SCENARIO are 1.0e-6 at dt,
 # 4.1e-6 at 2 dt and 1.6e-5 at 4 dt, so each alarm aborts the twins from
-# one factor on
-@pytest.mark.parametrize("alarm,skipped", [
-    (None, None),
-    (2e-6, "coarse twin at 2x dt aborted: energy drift"),
-    (8e-6, "coarse twin at 4x dt aborted: energy drift"),
-])
-def test_analyze_bytes_equal_at_budget_one_and_two(tmp_path, monkeypatch, capsys, alarm, skipped):
+# one factor on; without the certificate, the table tasks are forked
+@pytest.mark.parametrize("alarm,skipped,certify", [
+    pytest.param(alarm, skipped, True, id=f"{alarm}-{skipped}") for alarm, skipped in (
+        (None, None),
+        (2e-6, "coarse twin at 2x dt aborted: energy drift"),
+        (8e-6, "coarse twin at 4x dt aborted: energy drift"),
+    )] + [pytest.param(None, None, False, id="uncertified")])
+def test_analyze_bytes_equal_at_budget_one_and_two(tmp_path, monkeypatch, capsys, alarm, skipped,
+                                                   certify):
     import multiprocessing
 
     doc = json.loads(json.dumps(SMALL_SCENARIO))
+    doc["analysis"]["certify_resolution"] = certify
     if alarm is not None:
         doc["evolution"] = {"energy_drift_alarm": alarm}
     cfg_path = write_config(tmp_path, doc)
     for budget in (1, 2):
         _force_budget(monkeypatch, budget)
         _logged_evolve(monkeypatch, tmp_path / f"evolve{budget}.log")
+        _logged_tables(monkeypatch, tmp_path / f"tables{budget}.log")
         out = tmp_path / f"b{budget}"
         assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
         assert multiprocessing.active_children() == []
+        monkeypatch.undo()
     serial, forked = _files(tmp_path / "b1"), _files(tmp_path / "b2")
     assert serial.keys() == forked.keys()
     for name in serial:
         assert serial[name] == forked[name], name
+    tables = {budget: [line.split() for line in (tmp_path / f"tables{budget}.log").read_text(
+        encoding="utf-8").splitlines()] for budget in (1, 2)}
+    assert tables[1] == [[str(os.getpid()), "inequality"], [str(os.getpid()), "concentration"]]
+    if not certify:
+        # at budget 2 each table task runs in a worker of its own
+        assert "resolution_certification" not in read_json(tmp_path / "b1" / "report.json")
+        assert _evolutions(tmp_path / "evolve2.log") == [(os.getpid(), "1")]
+        pids = {int(pid) for pid, _ in tables[2]}
+        assert len(pids) == 2 and os.getpid() not in pids
+        capsys.readouterr()
+        return
+    # with the certificate, the tables run in this process at any budget
+    assert {int(pid) for pid, _ in tables[2]} == {os.getpid()}
     cert = read_json(tmp_path / "b1" / "report.json")["resolution_certification"]
     if skipped is None:
         assert cert["measured_order"] >= 1.5
@@ -1463,6 +1504,32 @@ def test_analyze_bytes_equal_at_budget_one_and_two(tmp_path, monkeypatch, capsys
     assert os.getpid() not in {pid for pid, _ in twins}
     assert len({pid for pid, _ in twins}) == len(twins) >= 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fail,code,message", [
+    ("range", EXIT_CONFIG_ERROR, "configuration error: injected span failure"),
+    ("exit", EXIT_INTERNAL_ERROR, "exited with code 1 before sending a result"),
+])
+def test_failing_table_task_keeps_its_exit_code(tmp_path, monkeypatch, capsys, fail, code, message):
+    """At budget 2, an uncertified report's concentration task fails in its
+    worker: a span error still exits 2, a worker that dies exits 4, and no
+    report is written."""
+    import multiprocessing
+
+    doc = dict(SMALL_SCENARIO, analysis={"certify_resolution": False})
+    cfg_path = write_config(tmp_path, doc)
+    _force_budget(monkeypatch, 2)
+    _logged_tables(monkeypatch, tmp_path / "tables.log", fail=fail)
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == code
+    assert multiprocessing.active_children() == []
+    err = capsys.readouterr().err
+    assert message in err
+    if fail == "exit":
+        assert "internal error" in err
+    assert not (tmp_path / "run" / "report.json").exists()
+    pids = {int(line.split()[0]) for line in (tmp_path / "tables.log").read_text(
+        encoding="utf-8").splitlines()}
+    assert len(pids) == 2 and os.getpid() not in pids
 
 
 def _sweep_config(tmp_path, count=2, certify=(True, False, False, False)):
@@ -1881,7 +1948,7 @@ def test_no_token_is_lent_while_build_report_computes_its_tables(monkeypatch):
     from nlslab import dynamics, scenario, workers
 
     _force_budget(monkeypatch, 2)
-    base_dt, real_tables = SMALL_SCENARIO["time"]["dt"], scenario._report_tables
+    base_dt, real_tables = SMALL_SCENARIO["time"]["dt"], scenario._inequality_tables
     events, sender = multiprocessing.get_context("fork").Pipe(duplex=False)
 
     def receive():
@@ -1905,7 +1972,7 @@ def test_no_token_is_lent_while_build_report_computes_its_tables(monkeypatch):
         return report
 
     monkeypatch.setattr(scenario, "evolve", evolve)
-    monkeypatch.setattr(scenario, "_report_tables", tables)
+    monkeypatch.setattr(scenario, "_inequality_tables", tables)
     report = run_scenario(SMALL_SCENARIO).report
     assert report["resolution_certification"]["measured_order"] >= 1.5
     (first, t_tables), (second, t_token) = receive(), receive()

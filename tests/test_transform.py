@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -55,6 +56,48 @@ def test_bessel_tables_against_mpmath_over_the_dimension_range():
     for n in (2, 42, 61):
         with pytest.raises(UnresolvedGridError, match="outside 3..41"):
             bessel_table(n, n_points)
+
+
+def test_bessel_zero_certificate_holds_for_the_exact_zeros():
+    """For every n of the range at N = 64, mpmath's first zero lies in Qu
+    and Wong's bracket, and its gaps exceed pi and do not grow, as the
+    certificate of ``bessel_zeros`` requires of the computed ones, which
+    pass it; outside the range it refuses the wrong zeros it once gave."""
+    for n in range(3, 42):
+        nu = mpmath.mpf(n) / 2 - 1
+        zeros = [mpmath.besseljzero(nu, m) for m in range(1, 66)]
+        low = nu + mpmath.mpf("1.8557571") * mpmath.cbrt(nu)
+        assert low < zeros[0] < low + mpmath.mpf("1.033150") / mpmath.cbrt(nu), n
+        gaps = [b - a for a, b in zip(zeros, zeros[1:])]
+        assert min(gaps) > mpmath.pi * (1 - mpmath.mpf("1e-12")), n
+        assert all(later <= earlier + mpmath.mpf("1e-12") for earlier, later in zip(gaps, gaps[1:]))
+        assert bessel_zeros(float(nu), 65) is not None
+    # McMahon's starts led Newton to a wrong first zero at these n
+    for n in (58, 61, 78, 83):
+        with pytest.raises(UnresolvedGridError, match="Bessel zero computation failed"):
+            bessel_zeros(n / 2.0 - 1.0, 65)
+
+
+def test_a_start_far_off_fails_the_zero_certificate(tmp_path, monkeypatch, capsys):
+    """Newton from McMahon's starts shifted by 2 pi converges to the third
+    zero and on: the first zero leaves its bracket, and ``simulate`` exits
+    2 with nothing written."""
+    from nlslab import transform
+    from nlslab.cli import EXIT_CONFIG_ERROR, main
+
+    real = transform._mcmahon
+    monkeypatch.setattr(transform, "_mcmahon", lambda nu, count: real(nu, count) + 2 * math.pi)
+    with pytest.raises(UnresolvedGridError, match="Bessel zero computation failed"):
+        bessel_zeros(1.5, 65)
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps({"dimension": 7, "grid": {"n_points": 81, "r_max": 16.0},
+                               "time": {"t_minus": 0.0, "t_plus": 0.1, "dt": 0.01,
+                                        "snapshot_stride": 1}}))
+    transform._table_slot.cache_clear()   # no table is cached for the failed grid
+    code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG_ERROR
+    assert "Bessel zero computation failed" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.5, 4.5, 9.5, 10.5])
