@@ -119,8 +119,8 @@ def bessel_zeros(nu: float, count: int) -> NDArray[np.float64]:
     polished by Newton, then certified, or an UnresolvedGridError.  Each
     last Newton step is at most 1e-14 z, the first zero lies in the bracket
     of Qu and Wong (Trans. Amer. Math. Soc. 351 (1999) 2833) below, and the
-    gaps, which for nu >= 1/2 exceed pi and fall toward it, exceed
-    pi (1 - 1e-12) and grow by at most 4 ulps: no zero is skipped.
+    gaps, which for nu >= 1/2 exceed pi and fall toward it, lie between
+    pi (1 - 1e-12) and 2 pi and grow by at most 4 ulps: no zero is skipped.
     """
     from scipy import special
     z = _mcmahon(nu, count)
@@ -131,7 +131,7 @@ def bessel_zeros(nu: float, count: int) -> NDArray[np.float64]:
             break
     low, gaps = nu + 1.8557571 * nu ** (1 / 3), np.diff(z)   # a NaN fails each test
     if not (np.all(np.abs(dz) <= 1e-14 * z) and low < z[0] < low + 1.033150 * nu ** (-1 / 3)
-            and np.all(gaps > math.pi * (1 - 1e-12))
+            and np.all((gaps > math.pi * (1 - 1e-12)) & (gaps < 2 * math.pi))
             and np.all(np.diff(gaps) <= 4 * np.spacing(z[2:]))):
         raise UnresolvedGridError(f"Bessel zero computation failed for nu={nu}")
     return z

@@ -1948,7 +1948,7 @@ def test_no_token_is_lent_while_build_report_computes_its_tables(monkeypatch):
     from nlslab import dynamics, scenario, workers
 
     _force_budget(monkeypatch, 2)
-    base_dt, real_tables = SMALL_SCENARIO["time"]["dt"], scenario._inequality_tables
+    base_dt, real_tables = SMALL_SCENARIO["time"]["dt"], scenario._concentration_block
     events, sender = multiprocessing.get_context("fork").Pipe(duplex=False)
 
     def receive():
@@ -1972,7 +1972,7 @@ def test_no_token_is_lent_while_build_report_computes_its_tables(monkeypatch):
         return report
 
     monkeypatch.setattr(scenario, "evolve", evolve)
-    monkeypatch.setattr(scenario, "_inequality_tables", tables)
+    monkeypatch.setattr(scenario, "_concentration_block", tables)
     report = run_scenario(SMALL_SCENARIO).report
     assert report["resolution_certification"]["measured_order"] >= 1.5
     (first, t_tables), (second, t_token) = receive(), receive()

@@ -39,40 +39,33 @@ def test_bessel_zeros_against_mpmath(nu):
 
 def test_bessel_tables_against_mpmath_over_the_dimension_range():
     """In every dimension of the range, 3..41, the table's first three
-    zeros, its last zero and J_{nu+1} at the first three zeros agree with
-    mpmath to 1e-13, relative; a dimension outside the range is refused
-    before any zero is computed (at n = 61 the first zero would be 15.66,
-    where J_nu's is 35.57)."""
+    zeros, its last two zeros and J_{nu+1} at the first three zeros agree
+    with mpmath to 1e-13, relative.  mpmath's first zero lies in Qu and
+    Wong's bracket, and its gaps lie between pi and 2 pi and fall from the
+    first to the last, as the certificate of ``bessel_zeros`` requires of
+    the computed ones.  A dimension outside the range is refused before any
+    zero is computed (at n = 61 the first zero would be 15.66, where J_nu's
+    is 35.57), and ``bessel_zeros`` refuses the wrong zeros that McMahon's
+    starts once led Newton to at n = 58, 61, 78 and 83."""
     n_points = 64
     for n in range(3, 42):
         nu = n / 2.0 - 1.0
         table = bessel_table(n, n_points)
-        for m in (1, 2, 3, n_points + 1):
-            exact = float(mpmath.besseljzero(nu, m))
-            assert abs(table[m - 1] - exact) <= 1e-13 * exact, (n, m)
+        exact = {m: mpmath.besseljzero(nu, m) for m in (1, 2, 3, n_points, n_points + 1)}
+        for m, zero in exact.items():
+            assert abs(table[m - 1] - float(zero)) <= 1e-13 * float(zero), (n, m)
         for m in (1, 2, 3):
-            exact = float(mpmath.besselj(nu + 1, mpmath.besseljzero(nu, m)))
-            assert abs(table[n_points + m] - exact) <= 1e-13 * abs(exact), (n, m)
+            value = float(mpmath.besselj(nu + 1, exact[m]))
+            assert abs(table[n_points + m] - value) <= 1e-13 * abs(value), (n, m)
+        low = nu + mpmath.mpf("1.8557571") * mpmath.cbrt(nu)
+        assert low < exact[1] < low + mpmath.mpf("1.033150") / mpmath.cbrt(nu), n
+        first, second, last = (exact[2] - exact[1], exact[3] - exact[2],
+                               exact[n_points + 1] - exact[n_points])
+        assert 2 * mpmath.pi > first and last > mpmath.pi * (1 - mpmath.mpf("1e-12")), n
+        assert first + 1e-12 >= second and second + 1e-12 >= last, n
     for n in (2, 42, 61):
         with pytest.raises(UnresolvedGridError, match="outside 3..41"):
             bessel_table(n, n_points)
-
-
-def test_bessel_zero_certificate_holds_for_the_exact_zeros():
-    """For every n of the range at N = 64, mpmath's first zero lies in Qu
-    and Wong's bracket, and its gaps exceed pi and do not grow, as the
-    certificate of ``bessel_zeros`` requires of the computed ones, which
-    pass it; outside the range it refuses the wrong zeros it once gave."""
-    for n in range(3, 42):
-        nu = mpmath.mpf(n) / 2 - 1
-        zeros = [mpmath.besseljzero(nu, m) for m in range(1, 66)]
-        low = nu + mpmath.mpf("1.8557571") * mpmath.cbrt(nu)
-        assert low < zeros[0] < low + mpmath.mpf("1.033150") / mpmath.cbrt(nu), n
-        gaps = [b - a for a, b in zip(zeros, zeros[1:])]
-        assert min(gaps) > mpmath.pi * (1 - mpmath.mpf("1e-12")), n
-        assert all(later <= earlier + mpmath.mpf("1e-12") for earlier, later in zip(gaps, gaps[1:]))
-        assert bessel_zeros(float(nu), 65) is not None
-    # McMahon's starts led Newton to a wrong first zero at these n
     for n in (58, 61, 78, 83):
         with pytest.raises(UnresolvedGridError, match="Bessel zero computation failed"):
             bessel_zeros(n / 2.0 - 1.0, 65)
@@ -81,11 +74,16 @@ def test_bessel_zero_certificate_holds_for_the_exact_zeros():
 def test_a_start_far_off_fails_the_zero_certificate(tmp_path, monkeypatch, capsys):
     """Newton from McMahon's starts shifted by 2 pi converges to the third
     zero and on: the first zero leaves its bracket, and ``simulate`` exits
-    2 with nothing written."""
+    2 with nothing written.  Shifting every start but the first by pi skips
+    the second zero alone: the first gap, near 2 pi, fails the certificate."""
     from nlslab import transform
     from nlslab.cli import EXIT_CONFIG_ERROR, main
 
     real = transform._mcmahon
+    skip = np.where(np.arange(65) > 0, math.pi, 0.0)
+    monkeypatch.setattr(transform, "_mcmahon", lambda nu, count: real(nu, count) + skip)
+    with pytest.raises(UnresolvedGridError, match="Bessel zero computation failed"):
+        bessel_zeros(1.5, 65)
     monkeypatch.setattr(transform, "_mcmahon", lambda nu, count: real(nu, count) + 2 * math.pi)
     with pytest.raises(UnresolvedGridError, match="Bessel zero computation failed"):
         bessel_zeros(1.5, 65)
